@@ -13,6 +13,7 @@ from .errors import (
     DomainMismatchError,
     FiniteWordError,
     InsufficientLengthError,
+    InvariantError,
     MorphlabError,
     NotASubMorphismError,
     NotPrimitiveError,
@@ -43,7 +44,6 @@ from .spectral import (
     BlockDecomposition,
     GrowthType,
     analyze_morphism,
-    block_decompose,
     column_growth,
     cyclicity,
     decompose,

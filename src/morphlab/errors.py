@@ -50,3 +50,7 @@ class ParseError(MorphlabError):
         if line is not None:
             message = f"line {line}, column {column}: {message}"
         super().__init__(message)
+
+
+class InvariantError(MorphlabError):
+    """An internal consistency check failed; the library has a bug."""

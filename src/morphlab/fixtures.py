@@ -36,10 +36,6 @@ def thue_morse_projection():
     return f, g, "a"
 
 
-def thue_morse_morphism():
-    return morphism_from_chars({"a": "ab", "b": "ba"})
-
-
 def demo_matrix():
     """A 9-vertex digraph mixing a weight-3 period-2 ladder with a weight-2
     3-cycle; its cyclicity is 6 and the two per-step rates are sqrt(3) and 2."""

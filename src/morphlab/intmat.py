@@ -54,6 +54,43 @@ def mat_pow(a, e):
     return result
 
 
+# Zero patterns.  For a non-negative matrix, (A B)[i][j] > 0 exactly when
+# some t has A[i][t] > 0 and B[t][j] > 0, so the pattern of a power needs
+# only boolean arithmetic.  A support is a tuple of Python-int bitsets,
+# one per row, with bit j of row i set when the entry (i, j) is positive.
+
+
+def support(rows):
+    """Zero pattern of a non-negative matrix as one bitset per row."""
+    return tuple(sum(1 << j for j, x in enumerate(row) if x > 0) for row in rows)
+
+
+def support_row_mul(row, b):
+    """Pattern of the row vector `row` times `b`: the OR of the rows of `b`
+    picked by the set bits of `row`."""
+    out = 0
+    while row:
+        low = row & -row
+        out |= b[low.bit_length() - 1]
+        row ^= low
+    return out
+
+
+def support_pow(s, e):
+    """Pattern of A^e from the pattern `s` of A, by repeated squaring."""
+    if e < 0:
+        raise ValueError("negative matrix power")
+    result = tuple(1 << i for i in range(len(s)))
+    base = s
+    while e:
+        if e & 1:
+            result = tuple(support_row_mul(row, base) for row in result)
+        e >>= 1
+        if e:
+            base = tuple(support_row_mul(row, base) for row in base)
+    return result
+
+
 def mat_vec(a, v):
     return tuple(sum(a[i][j] * v[j] for j in range(len(v)) if v[j]) for i in range(len(a)))
 
@@ -150,12 +187,6 @@ class IncidenceMatrix:
 
     def transposed(self):
         return IncidenceMatrix(transpose(self.rows), self.labels)
-
-    def column_sum(self, j):
-        return sum(row[j] for row in self.rows)
-
-    def row_sum(self, i):
-        return sum(self.rows[i])
 
     def __eq__(self, other):
         if not isinstance(other, IncidenceMatrix):

@@ -23,7 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import dilation, spectral
-from .errors import DomainMismatchError, FiniteWordError, MorphlabError, NotProlongableError
+from .errors import (
+    DomainMismatchError,
+    FiniteWordError,
+    InvariantError,
+    MorphlabError,
+    NotProlongableError,
+)
 from .intmat import charpoly, mat_pow, vec_mat
 from .spectral import AlgebraicRadius, GrowthType
 from .words import (
@@ -173,8 +179,10 @@ def eliminate_effacement(pres):
     if n_vis:
         g = compose(g, power(f, n_vis))
     stages.append(PipelineStage("visibility-power", f, g))
-    assert f.is_non_erasing and g.is_non_erasing
-    assert not mortal_letters(f) and not largest_erasable(f, g_loop)
+    if not (f.is_non_erasing and g.is_non_erasing):
+        raise InvariantError("effacement left an erasing morphism")
+    if mortal_letters(f) or largest_erasable(f, g_loop):
+        raise InvariantError("effacement left a mortal or erasable letter")
     return EffacementResult(
         f_prime=f,
         g_prime=g,
@@ -320,7 +328,8 @@ def make_monotone(f, g, start):
     _assert_monotone(matrix.rows, lengths2, stretch, f.domain.index(start))
     g2 = compose(g, power(f, settle)) if settle else g
     f2 = power(f, stretch)
-    assert tuple(len(g2.image(b)) for b in f.domain) == lengths2
+    if tuple(len(g2.image(b)) for b in f.domain) != lengths2:
+        raise InvariantError("settled image lengths differ from the matrix prediction")
     return MonotoneResult(f2, g2, settle, stretch)
 
 
@@ -399,26 +408,31 @@ def build_sigma_tau(f, g, start):
         if b == start:
             cuts[0] = 2
         cuts[-1] = len(expanded) - sum(cuts[:-1])
-        assert all(c >= 1 for c in cuts)
+        if not all(c >= 1 for c in cuts):
+            raise InvariantError(f"empty piece in the cut of {b!r}")
         pos = 0
         for i in range(k):
             sigma_images[names[(b, i)]] = expanded[pos : pos + cuts[i]]
             pos += cuts[i]
-        assert pos == len(expanded)
+        if pos != len(expanded):
+            raise InvariantError(f"the cut of {b!r} does not cover its image")
     sigma = Morphism(
         pair_alphabet,
         pair_alphabet,
         tuple(sigma_images[letter] for letter in pair_alphabet),
     )
     for b in f.domain:  # commutation pairing o f = sigma o pairing, letter by letter
-        assert apply(sigma, apply(pairing, Word.from_letters(f.domain, (b,)))) == apply(
+        if apply(sigma, apply(pairing, Word.from_letters(f.domain, (b,)))) != apply(
             pairing, f.image(b)
-        )
+        ):
+            raise InvariantError(f"sigma and the pairing do not commute at {b!r}")
     kvec = tuple(counts)
-    assert dilation.is_dilated(incidence_matrix(sigma).rows, incidence_matrix(f).rows, kvec)
+    if not dilation.is_dilated(incidence_matrix(sigma).rows, incidence_matrix(f).rows, kvec):
+        raise InvariantError("Mat(sigma) is not a dilation of Mat(f)")
     new_start = names[(start, 0)]
     first = sigma.image(new_start)
-    assert len(first) >= 2 and first.letters()[0] == new_start
+    if len(first) < 2 or first.letters()[0] != new_start:
+        raise InvariantError(f"sigma is not prolongable on {new_start!r}")
     return SigmaTauResult(sigma, tau, pairing, new_start, kvec)
 
 

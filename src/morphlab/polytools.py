@@ -14,6 +14,8 @@ from fractions import Fraction
 
 import numpy
 
+from .errors import DomainMismatchError, InvariantError
+
 
 def trim(p):
     p = list(p)
@@ -83,7 +85,8 @@ def squarefree(p):
     if degree(g) < 1:
         return p
     q, r = poly_divmod(p, g)
-    assert not r
+    if r:
+        raise InvariantError("gcd(p, p') does not divide p")
     return q
 
 
@@ -132,7 +135,8 @@ def rational_roots_of_monic_int(p):
     p = trim(list(p))
     if not p:
         return []
-    assert p[-1] == 1 and all(isinstance(c, int) for c in p)
+    if p[-1] != 1 or not all(isinstance(c, int) for c in p):
+        raise DomainMismatchError("expected a monic polynomial with integer coefficients")
     shift = 0
     while p and p[0] == 0:
         shift += 1

@@ -23,9 +23,17 @@ from fractions import Fraction
 from math import lcm
 
 from . import words
-from .errors import DomainMismatchError, NotPrimitiveError
+from .errors import DomainMismatchError, InvariantError, NotPrimitiveError
 from .graphs import component_period, is_trivial_component, strongly_connected_components
-from .intmat import IncidenceMatrix, charpoly, identity, mat_pow, submatrix
+from .intmat import (
+    IncidenceMatrix,
+    charpoly,
+    mat_pow,
+    submatrix,
+    support,
+    support_pow,
+    support_row_mul,
+)
 from .polytools import (
     LargestRootLocator,
     count_roots_closed,
@@ -387,7 +395,8 @@ class BlockDecomposition:
                 kinds.append(ZERO)
             else:
                 # the defining property of p: cyclic components of M^p are primitive
-                assert component_period(comp, adj) == 1
+                if component_period(comp, adj) != 1:
+                    raise InvariantError("a cyclic block of M^p is not primitive")
                 kinds.append(PRIMITIVE)
         self.kinds = tuple(kinds)
         block_of = [None] * n
@@ -402,10 +411,8 @@ class BlockDecomposition:
         )
         self._assign_radius_classes()
         self._build_reachability(adj)
-        self._power_cache = {0: identity(n), 1: matrix.rows}
-        self._lock = threading.Lock()
-
-    orientation = "upper"
+        self.support = support(matrix.rows)
+        self.power_support = support(self.power_rows)
 
     def _assign_radius_classes(self):
         """Group blocks by exactly equal radius; class ids ascend with the radius."""
@@ -480,14 +487,6 @@ class BlockDecomposition:
     def spectral_radius(self):
         return self.class_radii[-1] if self.class_radii else AlgebraicRadius.zero()
 
-    def matrix_power(self, e):
-        with self._lock:
-            cached = self._power_cache.get(e)
-            if cached is None:
-                cached = mat_pow(self.matrix.rows, e)
-                self._power_cache[e] = cached
-            return cached
-
     def _resolve(self, index):
         if isinstance(index, str):
             return self.matrix.index_of(index)
@@ -542,15 +541,15 @@ class BlockDecomposition:
         j = self._resolve(j)
         if not 0 <= r < self.p:
             raise DomainMismatchError(f"residue must lie in [0, {self.p})")
-        mr = self.matrix_power(r)
+        sr = support_pow(self.support, r)
         candidates = []
         for k in range(self.size):
-            if mr[k][j] > 0:
+            if sr[k] >> j & 1:
                 ld = self._entry_lambda_d(i, k)
                 if ld is not None:
                     candidates.append(ld)
         result = self._combine(candidates)
-        self._check_vanishing(i, j, r, result.is_vanishing)
+        self._check_vanishing(i, j, r, result.is_vanishing, sr)
         return result
 
     def column_growth(self, j):
@@ -601,20 +600,30 @@ class BlockDecomposition:
         degree = max(d for c, d in candidates if c == best)
         return GrowthType(self.class_radii[best], degree)
 
-    def _check_vanishing(self, i, j, r, vanishing):
-        """Cross-check the combinatorial verdict against exact small powers.
+    def _check_vanishing(self, i, j, r, vanishing, sr):
+        """Cross-check the combinatorial verdict on zero patterns; `sr` is
+        the pattern of M^r (intmat.support_pow) and m the size of M.
 
         An ultimately-zero entry must be zero at every exponent pn + r
         with pn + r >= m + 1 (checked up to n = m + 1); a non-vanishing
         entry must show a positive value at some pn + r with n <= m + 1.
+        For non-negative M, (M^e)[i][j] > 0 exactly when bit j of row i of
+        the pattern of M^e is set, so the check is exact; row i of the
+        pattern of M^{pn+r} is row i of `sr` times the pattern of M^p, n
+        times.  A violated condition raises InvariantError.
         """
         m = self.size
         lower = max(0, -(-(m + 1 - r) // self.p))
-        window = [self.matrix_power(self.p * n + r)[i][j] for n in range(m + 2)]
+        row = sr[i]
+        window = [row >> j & 1]
+        for _ in range(m + 1):
+            row = support_row_mul(row, self.power_support)
+            window.append(row >> j & 1)
         if vanishing:
-            assert all(window[n] == 0 for n in range(lower, m + 2)), "vanishing entry has a late positive value"
-        else:
-            assert any(window), "growing entry lacks a short positive witness"
+            if any(window[lower:]):
+                raise InvariantError("vanishing entry has a late positive value")
+        elif not any(window):
+            raise InvariantError("growing entry lacks a short positive witness")
 
     def blocks_as_json(self, width=DEFAULT_WIDTH):
         out = []
@@ -650,11 +659,6 @@ def decompose(matrix):
         with _DECOMP_LOCK:
             cached = _DECOMP_CACHE.setdefault(key, built)
     return cached
-
-
-def block_decompose(matrix):
-    """Alias of decompose(), matching the operation vocabulary."""
-    return decompose(matrix)
 
 
 def is_primitive(rows):

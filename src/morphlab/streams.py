@@ -53,10 +53,6 @@ class FixedPointStream:
         self._buffer = list(f.image(start).codes)
         self._read = 1
 
-    @property
-    def produced(self):
-        return len(self._buffer)
-
     def _ensure(self, n):
         buffer = self._buffer
         images = self._images

@@ -218,9 +218,6 @@ class Morphism:
     def image(self, letter):
         return self.images[self.domain.index(letter)]
 
-    def image_by_code(self, code):
-        return self.images[code]
-
     def rules(self):
         return {l: self.images[i].letters() for i, l in enumerate(self.domain.letters)}
 

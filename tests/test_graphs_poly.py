@@ -3,8 +3,12 @@
 import random
 from fractions import Fraction
 
+import pytest
+
+from morphlab.errors import DomainMismatchError
+from morphlab.fixtures import demo_matrix
 from morphlab.graphs import component_period, is_trivial_component, strongly_connected_components
-from morphlab.intmat import charpoly, mat_mul, mat_pow
+from morphlab.intmat import charpoly, mat_mul, mat_pow, support, support_pow
 from morphlab.polytools import (
     LargestRootLocator,
     count_roots_closed,
@@ -181,6 +185,8 @@ def test_rational_roots_of_monic_int():
     poly = poly_mul(poly_mul([-2, 1], [3, 1]), [0, 1])  # roots 2, -3, 0
     assert rational_roots_of_monic_int(poly) == [-3, 0, 2]
     assert rational_roots_of_monic_int([1, 0, 1]) == []  # x^2 + 1
+    with pytest.raises(DomainMismatchError):
+        rational_roots_of_monic_int([1, 2])  # 2x + 1 is not monic
 
 
 def test_nth_root_bounds_and_exact_roots():
@@ -199,3 +205,16 @@ def test_mat_pow_agrees_with_repeated_multiplication():
         for e in range(6):
             assert mat_pow(m, e) == acc
             acc = mat_mul(acc, m)
+
+
+def test_support_pow_is_zero_pattern_of_mat_pow():
+    rng = random.Random(75)
+    cases = [random_matrix(rng, rng.randint(1, 8), zero_chance=rng.choice((0.55, 0.8)))
+             for _ in range(12)]
+    cases.append(demo_matrix().rows)
+    for m in cases:
+        s = support(m)
+        power = tuple(tuple(int(i == j) for j in range(len(m))) for i in range(len(m)))
+        for e in range(41):
+            assert support_pow(s, e) == support(power), (m, e)
+            power = mat_mul(power, m)

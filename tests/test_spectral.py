@@ -1,8 +1,12 @@
 """Cyclicity, block decomposition, Perron enclosures, and growth types."""
 
+import os
 import random
+import subprocess
+import sys
 import threading
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +14,7 @@ from morphlab import (
     AlgebraicRadius,
     GrowthType,
     IncidenceMatrix,
+    InvariantError,
     NotPrimitiveError,
     column_growth,
     cyclicity,
@@ -26,7 +31,7 @@ from morphlab import (
     spectral_radius_enclosure,
 )
 from morphlab.fixtures import baum_sweet_uniform, demo_matrix, thue_morse_projection
-from morphlab.intmat import charpoly, mat_pow
+from morphlab.intmat import charpoly, mat_pow, support_pow
 from morphlab.polytools import count_roots_halfopen, evaluate, sturm_chain
 from morphlab.spectral import scc_periods
 
@@ -260,6 +265,83 @@ def test_entry_growth_oracle_random():
                         values[n] = Fraction(powers[e][i][j])
                     model = lambda n, d=growth.degree, mid=mid: Fraction(n**d) * mid**n
                     assert ratio_band_ok(values, model, (20, 30), (31, 40)), (rows, i, j, r)
+
+
+def test_vanishing_self_check_rejects_wrong_verdicts():
+    dec = decompose(demo_matrix())
+    for i, j, r in ((0, 2, 0), (0, 1, 0)):  # (1,3) vanishes, (1,2) grows
+        verdict = dec.entry_growth(i, j, r).is_vanishing
+        with pytest.raises(InvariantError):
+            dec._check_vanishing(i, j, r, not verdict, support_pow(dec.support, r))
+
+
+def test_vanishing_self_check_survives_optimize_flag():
+    """The self-check is an explicit raise, so `python -O` keeps it."""
+    script = (
+        "from morphlab import InvariantError, decompose\n"
+        "from morphlab.fixtures import demo_matrix\n"
+        "from morphlab.intmat import support_pow\n"
+        "dec = decompose(demo_matrix())\n"
+        "assert False, 'asserts are stripped under -O'\n"
+        "try:\n"
+        "    dec._check_vanishing(0, 1, 0, True, support_pow(dec.support, 0))\n"
+        "except InvariantError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(3)\n"
+    )
+    env = os.environ.copy()
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH", "")]))
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0, result.stderr
+
+
+def _cycle_chain(lengths):
+    """Cycles of the given lengths, each linked to the next by one edge."""
+    n = sum(lengths)
+    rows = [[0] * n for _ in range(n)]
+    cycles = []
+    start = 0
+    for length in lengths:
+        cycle = list(range(start, start + length))
+        for t in range(length):
+            rows[cycle[t]][cycle[(t + 1) % length]] = 1
+        cycles.append(cycle)
+        start += length
+    for a, b in zip(cycles, cycles[1:]):
+        rows[a[-1]][b[0]] = 1
+    return tuple(tuple(row) for row in rows), cycles
+
+
+def test_entry_growth_vanishing_at_large_cyclicity():
+    """p = 420 on a chain of 3-, 4-, 5- and 7-cycles, against walks counted
+    by exact-step reachability.  An n-vertex boolean matrix has index at
+    most (n - 1)^2 + 1 = 325 < p here, so (M^{pn+r})_{ij} is ultimately
+    zero exactly when no walk of length p + r leads from i to j."""
+    rows, cycles = _cycle_chain((3, 4, 5, 7))
+    n = len(rows)
+    succ = [[j for j in range(n) if rows[i][j]] for i in range(n)]
+    dec = decompose(IncidenceMatrix(rows))
+    assert dec.p == 420
+    rng = random.Random(420)
+    sample = [(rng.randrange(n), rng.randrange(n), rng.randrange(dec.p)) for _ in range(40)]
+    # pairs inside one cycle vanish for most residues: include each cycle
+    sample += [(c[0], c[-1], rng.randrange(dec.p)) for c in cycles for _ in range(3)]
+    verdicts = set()
+    for i in sorted({i for i, _, _ in sample}):
+        reach = [{i}]
+        for _ in range(3 * dec.p):
+            reach.append({v for u in reach[-1] for v in succ[u]})
+        for ii, j, r in sample:
+            if ii != i:
+                continue
+            vanishes = j not in reach[dec.p + r]
+            assert vanishes == (j not in reach[2 * dec.p + r])  # past the index
+            assert dec.entry_growth(i, j, r).is_vanishing == vanishes, (i, j, r)
+            verdicts.add(vanishes)
+    assert verdicts == {True, False}
 
 
 def test_residue_independence_of_column_growth():
