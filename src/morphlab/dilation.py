@@ -14,10 +14,9 @@ non-negativity.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 from .errors import DomainMismatchError
-from .intmat import IncidenceMatrix, charpoly
+from .intmat import IncidenceMatrix, charpoly, clear_denominators
 from .polytools import evaluate, rational_roots_of_monic_int
 from .spectral import DEFAULT_WIDTH, spectral_radius_enclosure
 
@@ -71,16 +70,6 @@ def dilate_vector(x, kvec):
     return tuple(out)
 
 
-def _scaled_integer(rows):
-    """(integer matrix, scale) with rows == integer_matrix / scale."""
-    denom = 1
-    for row in rows:
-        for x in row:
-            denom = lcm(denom, Fraction(x).denominator)
-    scaled = tuple(tuple(int(Fraction(x) * denom) for x in row) for row in rows)
-    return scaled, denom
-
-
 def rational_radius_enclosure(rows, width=DEFAULT_WIDTH):
     """rho enclosure for a non-negative matrix with rational entries.
 
@@ -92,7 +81,7 @@ def rational_radius_enclosure(rows, width=DEFAULT_WIDTH):
         for x in row:
             if x < 0:
                 raise DomainMismatchError("radius enclosures need a non-negative matrix")
-    scaled, denom = _scaled_integer(rows)
+    scaled, denom = clear_denominators(rows)
     lo, hi = spectral_radius_enclosure(scaled, Fraction(width) * denom)
     return lo / denom, hi / denom
 

@@ -1,16 +1,17 @@
 """Exact linear algebra on small square matrices.
 
-Matrices are tuples of tuples holding Python ints (or Fractions where
-noted), so every operation is exact regardless of magnitude.  Sizes in
-this library are tiny (alphabets, not data), so the dense O(n^3)
-algorithms are the right tool.
+Matrices are tuples of tuples holding Python ints, so every operation is
+exact regardless of magnitude; `charpoly` also accepts rational entries
+and clears their denominators first.  Sizes in this library are tiny
+(alphabets, not data), so the dense O(n^3) algorithms are the right tool.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
-from .errors import DomainMismatchError
+from .errors import DomainMismatchError, InvariantError
 
 
 def freeze(rows):
@@ -23,21 +24,16 @@ def identity(n):
 
 
 def mat_mul(a, b):
-    n = len(a)
+    """Product of an n x k and a k x m matrix; row i is the combination of
+    the rows of b weighted by the non-zero entries of row i of a."""
     m = len(b[0])
-    k = len(b)
     out = []
-    for i in range(n):
-        row_a = a[i]
-        out_row = []
-        for j in range(m):
-            s = 0
-            for t in range(k):
-                x = row_a[t]
-                if x:
-                    s += x * b[t][j]
-            out_row.append(s)
-        out.append(tuple(out_row))
+    for row_a in a:
+        acc = [0] * m
+        for x, row_b in zip(row_a, b):
+            if x:
+                acc = [s + x * y for s, y in zip(acc, row_b)]
+        out.append(tuple(acc))
     return tuple(out)
 
 
@@ -109,32 +105,48 @@ def submatrix(a, indices):
     return tuple(tuple(a[i][j] for j in idx) for i in idx)
 
 
+def clear_denominators(rows):
+    """(integer rows, d) with rows == integer rows / d and d the least such
+    positive integer; int rows come back unchanged with d = 1."""
+    if all(type(x) is int for row in rows for x in row):
+        return rows, 1
+    rows = tuple(tuple(Fraction(x) for x in row) for row in rows)
+    d = lcm(*(x.denominator for row in rows for x in row))
+    return tuple(tuple(int(x * d) for x in row) for row in rows), d
+
+
 def charpoly(a):
     """Characteristic polynomial det(xI - A), coefficients ascending in x.
 
-    Uses the Faddeev-LeVerrier recurrence over exact rationals; for an
-    integer matrix the result is a list of ints (the divisions by k are
-    exact).  The empty matrix yields the constant polynomial 1.
+    Runs the Faddeev-LeVerrier recurrence in integers: for an integer
+    matrix every division by k is exact, and a remainder raises
+    InvariantError.  A rational matrix A = B / d is reduced to the integer
+    matrix B, whose coefficients c_k give those of A as c_k / d^(n-k);
+    the result is a list of ints when every coefficient is integral, else
+    a list of Fractions.  The empty matrix yields the constant polynomial 1.
     """
     n = len(a)
     if n == 0:
         return [1]
-    m = tuple(tuple(Fraction(x) for x in row) for row in a)
-    coeffs = [Fraction(1)] + [Fraction(0)] * n  # descending: x^n ... x^0
+    m, d = clear_denominators(freeze(a))
+    coeffs = [1]  # descending: x^n ... x^0
     work = m
     for k in range(1, n + 1):
         if k > 1:
-            prev = tuple(
-                tuple(work[i][j] + (coeffs[k - 1] if i == j else 0) for j in range(n))
-                for i in range(n)
-            )
+            c = coeffs[-1]
+            prev = [row[:i] + (row[i] + c,) + row[i + 1 :] for i, row in enumerate(work)]
             work = mat_mul(m, prev)
-        trace = sum(work[i][i] for i in range(n))
-        coeffs[k] = Fraction(-trace, k)
-    ascending = list(reversed(coeffs))
-    if all(c.denominator == 1 for c in ascending):
-        return [int(c) for c in ascending]
-    return ascending
+        c, rest = divmod(-sum(work[i][i] for i in range(n)), k)
+        if rest:
+            raise InvariantError("Faddeev-LeVerrier trace is not divisible by k")
+        coeffs.append(c)
+    ascending = coeffs[::-1]
+    if d == 1:
+        return ascending
+    scaled = [Fraction(c, d ** (n - k)) for k, c in enumerate(ascending)]
+    if all(c.denominator == 1 for c in scaled):
+        return [int(c) for c in scaled]
+    return scaled
 
 
 class IncidenceMatrix:

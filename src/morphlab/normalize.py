@@ -27,7 +27,6 @@ from .errors import (
     DomainMismatchError,
     FiniteWordError,
     InvariantError,
-    MorphlabError,
     NotProlongableError,
 )
 from .intmat import charpoly, mat_pow, vec_mat
@@ -206,14 +205,15 @@ def growth_trichotomy(f, start, f_prime, kept, p):
     2. lambda^p is in S and the new rate drops strictly below lambda^p.
     3. lambda^p is in S and the rate is kept, with degree d' <= d.
 
-    Returns (case, growth type of f' at start).  Disagreement with the
-    classification contract raises MorphlabError (it would be a bug).
+    Returns (case, growth type of f' at start).  A `p` other than the
+    cyclicity of f raises DomainMismatchError; disagreement with the
+    classification contract raises InvariantError (it would be a bug).
     """
     input_growth = spectral.letter_growth(f, start)
     if input_growth.is_vanishing:
         raise NotProlongableError(f"{start!r} has vanishing growth")
     if input_growth.rate.step != p:
-        raise MorphlabError("cyclicity power does not match the growth analysis")
+        raise DomainMismatchError("cyclicity power does not match the growth analysis")
     target = AlgebraicRadius.from_block(input_growth.rate.block, 1)  # lambda^p exactly
     discarded = [b for b in f.domain if b not in set(kept.letters)]
     if discarded:
@@ -226,15 +226,15 @@ def growth_trichotomy(f, start, f_prime, kept, p):
     new_growth = spectral.letter_growth(f_prime, start)
     cmp_rate = new_growth.rate.compare(target)
     if cmp_rate > 0:
-        raise MorphlabError("growth increased after erasure; this is a bug")
+        raise InvariantError("growth increased after erasure; this is a bug")
     if not in_discarded:
         if cmp_rate != 0 or new_growth.degree != input_growth.degree:
-            raise MorphlabError("case 1 must preserve the growth type exactly")
+            raise InvariantError("case 1 must preserve the growth type exactly")
         return 1, new_growth
     if cmp_rate < 0:
         return 2, new_growth
     if new_growth.degree > input_growth.degree:
-        raise MorphlabError("case 3 cannot raise the polynomial degree")
+        raise InvariantError("case 3 cannot raise the polynomial degree")
     return 3, new_growth
 
 
@@ -258,7 +258,7 @@ def _settle_power(f, letter, limit):
         if nxt == w:
             return n
         w = nxt
-    raise MorphlabError(f"non-growing letter {letter!r} failed to settle")
+    raise InvariantError(f"non-growing letter {letter!r} failed to settle")
 
 
 def monotone_powers(f, g):
@@ -305,7 +305,7 @@ def monotone_powers(f, g):
             if best is None or cost < best:
                 best = cost
         if best is None:
-            raise MorphlabError(f"growing letter {b!r} has no pumpable witness")
+            raise InvariantError(f"growing letter {b!r} has no pumpable witness")
         stretch = max(stretch, best)
     return settle, max(stretch, 1), lengths2
 
@@ -337,9 +337,9 @@ def _assert_monotone(rows, lengths, stretch, start_index):
     after = vec_mat(lengths, mat_pow(rows, stretch))
     for i, (x, y) in enumerate(zip(after, lengths)):
         if x < y:
-            raise MorphlabError("monotonicity violated; this is a bug")
+            raise InvariantError("monotonicity violated; this is a bug")
         if i == start_index and x <= y:
-            raise MorphlabError("monotonicity must be strict at the start letter")
+            raise InvariantError("monotonicity must be strict at the start letter")
 
 
 @dataclass(frozen=True)
@@ -507,7 +507,7 @@ def normalize(pres):
     output_growth = spectral.letter_growth(built.sigma, built.start)
     monotone_growth = spectral.letter_growth(mono.f, pres.start)
     if output_growth != monotone_growth:
-        raise MorphlabError("pair construction changed the growth type; this is a bug")
+        raise InvariantError("pair construction changed the growth type; this is a bug")
     stages = eff.stages + (
         PipelineStage("monotone", mono.f, mono.g),
         PipelineStage("paired", built.sigma, built.tau),

@@ -1,10 +1,16 @@
-"""Polynomial utilities over exact rationals.
+"""Polynomial utilities in exact integer arithmetic.
 
 Polynomials are lists of coefficients in ascending order of the power of
-x (so p[i] is the coefficient of x^i).  Sign-variation counts follow the
-convention that zero values are skipped, which makes Sturm counts valid
-at rational points that happen to be roots: V(t) then equals the right
-limit V(t+), so V(a) - V(b) counts the distinct real roots in (a, b].
+x (so p[i] is the coefficient of x^i).  Coefficients may be ints or
+Fractions; gcds, squarefree parts and Sturm chains are computed on a
+positive integer multiple of the input, which has the same roots, so
+their own coefficients are always ints.  The sign of p at a rational
+point a/b (b > 0) is the sign of the integer sum of c_i a^i b^(d-i).
+
+Sign-variation counts follow the convention that zero values are
+skipped, which makes Sturm counts valid at rational points that happen
+to be roots: V(t) then equals the right limit V(t+), so V(a) - V(b)
+counts the distinct real roots in (a, b].
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from fractions import Fraction
 import numpy
 
 from .errors import DomainMismatchError, InvariantError
+from .intmat import clear_denominators
 
 
 def trim(p):
@@ -24,12 +31,8 @@ def trim(p):
     return p
 
 
-def degree(p):
-    return len(trim(p)) - 1
-
-
 def evaluate(p, x):
-    acc = Fraction(0)
+    acc = 0
     for c in reversed(p):
         acc = acc * x + c
     return acc
@@ -39,75 +42,134 @@ def derivative(p):
     return [i * c for i, c in enumerate(p)][1:]
 
 
-def negate(p):
-    return [-c for c in p]
+def _integral(p):
+    """A positive integer multiple of p with the same degree."""
+    (row,), _ = clear_denominators((tuple(trim(p)),))
+    return list(row)
 
 
-def poly_divmod(a, b):
-    """Quotient and remainder of a by b over the rationals."""
-    a = [Fraction(c) for c in trim(a)]
-    b = [Fraction(c) for c in trim(b)]
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    r = a[:]
+def _divide_content(p):
+    """p divided by the gcd of its coefficients (a positive constant)."""
+    g = math.gcd(*p)
+    return [c // g for c in p] if g > 1 else p
+
+
+def _primitive(p):
+    """The primitive integer polynomial with positive leading coefficient
+    and the roots of p; [] for the zero polynomial."""
+    p = _divide_content(_integral(p))
+    return [-c for c in p] if p and p[-1] < 0 else p
+
+
+def _pseudo_remainder(a, b):
+    """lc(b)^(deg a - deg b + 1) * a mod b, over the integers; b is non-zero."""
     lead = b[-1]
-    while len(r) >= len(b) and trim(r):
-        shift = len(r) - len(b)
-        coeff = r[-1] / lead
-        q[shift] = coeff
-        for i, c in enumerate(b):
-            r[shift + i] -= coeff * c
-        r = trim(r)
-        r = r if r else []
-    return trim(q), trim(r)
+    db = len(b) - 1
+    r = list(a)
+    for top in range(len(a) - 1, db - 1, -1):
+        c = r[top]
+        shift = top - db
+        r = [lead * x for x in r[:top]]
+        if c:
+            for i in range(db):
+                r[shift + i] -= c * b[i]
+    return trim(r)
 
 
-def poly_gcd(a, b):
-    """Monic gcd over the rationals."""
-    a = trim([Fraction(c) for c in a])
-    b = trim([Fraction(c) for c in b])
-    while b:
-        _, r = poly_divmod(a, b)
-        a, b = b, r
-    if not a:
-        return []
-    lead = a[-1]
-    return [c / lead for c in a]
-
-
-def squarefree(p):
-    """The squarefree part p / gcd(p, p')."""
-    p = trim([Fraction(c) for c in p])
-    if degree(p) < 1:
-        return p
-    g = poly_gcd(p, derivative(p))
-    if degree(g) < 1:
-        return p
-    q, r = poly_divmod(p, g)
-    if r:
+def _exact_quotient(a, b):
+    """a / b for integer polynomials when b divides a in Z[x]."""
+    lead = b[-1]
+    db = len(b) - 1
+    r = list(a)
+    q = [0] * (len(a) - db)
+    for top in range(len(a) - 1, db - 1, -1):
+        c, rest = divmod(r[top], lead)
+        if rest:
+            raise InvariantError("gcd(p, p') does not divide p")
+        q[top - db] = c
+        if c:
+            for i, x in enumerate(b):
+                r[top - db + i] -= c * x
+    if any(r[:db]):
         raise InvariantError("gcd(p, p') does not divide p")
     return q
 
 
+def poly_gcd(a, b):
+    """gcd of a and b as a primitive integer polynomial with positive
+    leading coefficient: it has exactly the common roots of a and b, each
+    with the smaller of its two multiplicities.  [] when both are zero."""
+    a = _primitive(a)
+    b = _primitive(b)
+    while b:
+        a, b = b, _primitive(_pseudo_remainder(a, b))
+    return a
+
+
+def squarefree(p):
+    """The squarefree part p / gcd(p, p'), primitive with positive
+    leading coefficient: the distinct roots of p, each once."""
+    p = _primitive(p)
+    if len(p) < 2:
+        return p
+    g = poly_gcd(p, derivative(p))
+    if len(g) < 2:
+        return p
+    return _exact_quotient(p, g)
+
+
 def sturm_chain(p):
-    """Sturm chain of the squarefree part of p."""
-    p0 = squarefree(p)
-    chain = [p0, trim(derivative(p0))]
-    while trim(chain[-1]):
-        _, r = poly_divmod(chain[-2], chain[-1])
-        chain.append(negate(r))
-    chain.pop()
+    """Sturm chain of the squarefree part of p, as a primitive
+    pseudo-remainder sequence.
+
+    Each term is -rem(previous two) times a positive constant: the
+    pseudo-remainder is lc^(delta+1) times the remainder, so its sign is
+    corrected by that of lc^(delta+1), and the content it shares is
+    divided out.  Positive factors leave every sign, hence every count,
+    unchanged.
+    """
+    a = squarefree(p)
+    chain = [a]
+    b = _divide_content(derivative(a))
+    while b:
+        chain.append(b)
+        r = _pseudo_remainder(a, b)
+        flip = -1 if b[-1] > 0 or (len(a) - len(b)) % 2 else 1
+        a, b = b, [flip * c for c in _divide_content(r)] if r else []
     return chain
 
 
+def _powers(b, d):
+    out = [1]
+    for _ in range(d):
+        out.append(out[-1] * b)
+    return out
+
+
+def _scaled_value(p, a, bpow):
+    """The integer sum of c_i a^i b^(d-i) for p of degree d >= 0 and
+    bpow = [1, b, b^2, ...]: b^d p(a/b), of the sign of p(a/b) when b > 0."""
+    acc = p[-1]
+    for c, w in zip(reversed(p[:-1]), bpow[1:]):
+        acc = acc * a + c * w
+    return acc
+
+
 def sign_variations(chain, x):
-    signs = []
+    a, b = x.numerator, x.denominator
+    bpow = _powers(b, len(chain[0]))  # degrees fall along the chain
+    variations = 0
+    last = 0
     for poly in chain:
-        v = evaluate(poly, x)
+        if not poly:
+            continue
+        v = _scaled_value(poly, a, bpow)
         if v:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
+            s = 1 if v > 0 else -1
+            if last and s != last:
+                variations += 1
+            last = s
+    return variations
 
 
 def count_roots_halfopen(chain, lo, hi):
@@ -121,7 +183,8 @@ def count_roots_closed(p, chain, lo, hi):
     """Distinct real roots in [lo, hi]."""
     if lo > hi:
         return 0
-    at_lo = 1 if evaluate(p, lo) == 0 else 0
+    p = _integral(p)
+    at_lo = 0 if p and _scaled_value(p, lo.numerator, _powers(lo.denominator, len(p))) else 1
     if lo == hi:
         return at_lo
     return at_lo + count_roots_halfopen(chain, lo, hi)
@@ -157,7 +220,10 @@ def rational_roots_of_monic_int(p):
 
 def _float_root_hint(p):
     """Largest real root estimate via numpy; None if it cannot be formed."""
-    coeffs = [float(c) for c in reversed(trim(p))]
+    try:
+        coeffs = [float(c) for c in reversed(trim(p))]
+    except OverflowError:  # a coefficient beyond the float range
+        return None
     if len(coeffs) < 2:
         return None
     try:
@@ -184,7 +250,7 @@ class LargestRootLocator:
     """
 
     def __init__(self, poly, lo, hi):
-        self.poly = trim([Fraction(c) for c in poly])
+        self.poly = trim(poly)
         self.chain = sturm_chain(self.poly)
         self.lo = Fraction(lo)
         self.hi = Fraction(hi)
@@ -215,12 +281,15 @@ class LargestRootLocator:
         if not self._tried_hint and self.hi - self.lo > width:
             self._tried_hint = True
             self._try_hint(width)
-        while self.hi - self.lo > width:
-            mid = (self.lo + self.hi) / 2
-            if count_roots_halfopen(self.chain, mid, self.hi) >= 1:
-                self.lo = mid
-            else:
-                self.hi = mid
+        if self.hi - self.lo > width:
+            v_hi = sign_variations(self.chain, self.hi)
+            while self.hi - self.lo > width:
+                mid = (self.lo + self.hi) / 2
+                v_mid = sign_variations(self.chain, mid)
+                if v_mid > v_hi:  # a root in (mid, hi]
+                    self.lo = mid
+                else:
+                    self.hi, v_hi = mid, v_mid
         return self.lo, self.hi
 
     def isolated(self):

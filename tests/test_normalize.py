@@ -8,6 +8,7 @@ from morphlab import (
     DomainMismatchError,
     FiniteWordError,
     GrowthType,
+    InvariantError,
     AlgebraicRadius,
     MorphicPresentation,
     apply,
@@ -28,6 +29,8 @@ from morphlab import (
 )
 from morphlab.fixtures import baum_sweet_erasing, baum_sweet_uniform, thue_morse_projection
 from morphlab.normalize import (
+    _assert_monotone,
+    _settle_power,
     build_sigma_tau,
     eliminate_effacement,
     growth_trichotomy,
@@ -408,3 +411,17 @@ def test_effacement_order_swap_gives_same_word_and_alphabet():
         w1 = image_prefix(eff.g_prime, eff.f_prime, pres.start, 400)
         w2 = image_prefix(g2, f2, pres.start, 400, max_pump=10**6)
         assert prefix_equal(w1, w2, 400)
+
+
+def test_growth_trichotomy_rejects_a_wrong_cyclicity_power():
+    f, g, a = thue_morse_projection()
+    eff = eliminate_effacement(MorphicPresentation(f, g, a))
+    with pytest.raises(DomainMismatchError):
+        growth_trichotomy(f, a, eff.f_prime, eff.kept, eff.p + 1)
+
+
+def test_failed_internal_checks_raise_invariant_error():
+    with pytest.raises(InvariantError):
+        _assert_monotone(((1, 0), (0, 1)), (1, 1), 1, 0)  # not strict at the start letter
+    with pytest.raises(InvariantError):
+        _settle_power(morphism_from_chars({"a": "ab", "b": "b"}), "a", 2)  # a grows

@@ -33,7 +33,7 @@ from morphlab import (
 from morphlab.fixtures import baum_sweet_uniform, demo_matrix, thue_morse_projection
 from morphlab.intmat import charpoly, mat_pow, support_pow
 from morphlab.polytools import count_roots_halfopen, evaluate, sturm_chain
-from morphlab.spectral import scc_periods
+from morphlab.spectral import _DECOMP_CACHE, _DECOMP_CACHE_SIZE, scc_periods
 
 from util import random_matrix, ratio_band_ok
 
@@ -468,3 +468,17 @@ def test_entry_growth_module_function_and_errors():
     assert g == GrowthType(AlgebraicRadius.from_rational(1), 1)
     with pytest.raises(Exception):
         entry_growth(m, 0, 1, 5)
+
+
+def test_decomposition_cache_is_a_bounded_lru():
+    kept = ((2, 1), (1, 1))
+    dropped = ((3, 1), (1, 2))
+    first = decompose(kept)
+    assert decompose(kept) is first  # a repeated decompose is a cache hit
+    old = decompose(dropped)
+    for k in range(_DECOMP_CACHE_SIZE + 20):
+        decompose(((10**6 + k,),))
+        assert decompose(kept) is first  # recently used, so never evicted
+        assert len(_DECOMP_CACHE) <= _DECOMP_CACHE_SIZE
+    rebuilt = decompose(dropped)
+    assert rebuilt is not old and rebuilt.p == old.p

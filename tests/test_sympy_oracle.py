@@ -1,0 +1,119 @@
+"""The exact core against sympy, an implementation that shares no code with it."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from morphlab.intmat import charpoly
+from morphlab.polytools import count_roots_halfopen, rational_roots_of_monic_int, sturm_chain
+from morphlab.spectral import AlgebraicRadius, decompose
+
+from util import random_matrix
+
+sympy = pytest.importorskip("sympy")
+
+X = sympy.Symbol("x")
+
+
+def _poly(coeffs):
+    """sympy Poly from ascending coefficients (ints or Fractions)."""
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(coeffs)], X)
+
+
+def _fraction(r):
+    return Fraction(int(r.p), int(r.q))
+
+
+def _ascending(poly):
+    return [_fraction(c) for c in reversed(poly.all_coeffs())]
+
+
+def _random_rational_matrix(rng, n):
+    return tuple(
+        tuple(Fraction(rng.randint(0, 9), rng.randint(1, 6)) if rng.random() < 0.6 else 0 for _ in range(n))
+        for _ in range(n)
+    )
+
+
+def _roots_in_halfopen(poly, lo, hi):
+    """Distinct real roots in (lo, hi], from sympy's closed-interval count."""
+    lo, hi = (sympy.Rational(t.numerator, t.denominator) for t in (lo, hi))
+    return poly.count_roots(lo, hi) - (1 if poly.eval(lo) == 0 else 0)
+
+
+def test_charpoly_matches_sympy():
+    rng = random.Random(1409)
+    matrices = [random_matrix(rng, rng.randint(1, 10), max_entry=rng.choice([1, 3, 9]),
+                              zero_chance=rng.choice([0.3, 0.6, 0.85])) for _ in range(40)]
+    matrices += [_random_rational_matrix(rng, rng.randint(1, 5)) for _ in range(10)]
+    for rows in matrices:
+        expected = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in rows])
+        assert charpoly(rows) == _ascending(expected.charpoly(X))
+
+
+def test_sturm_chain_is_a_positive_rescaling_of_sympys():
+    # sympy.sturm runs Euclid over the rationals on the monic squarefree
+    # part; every term of ours must be a positive multiple of its term
+    rng = random.Random(1410)
+    for _ in range(150):
+        coeffs = [rng.choice([0, 0, -5, -3, -2, -1, 1, 2, 3, 5]) for _ in range(rng.randint(1, 8))]
+        coeffs.append(rng.choice([-3, -1, 1, 2]))
+        ours = sturm_chain(coeffs)
+        theirs = [_ascending(sympy.Poly(p, X)) for p in sympy.sturm(_poly(coeffs))]
+        assert len(ours) == len(theirs)
+        for p, q in zip(ours, theirs):
+            assert len(p) == len(q)
+            ratio = Fraction(p[-1]) / q[-1]
+            assert ratio > 0 and all(a == ratio * b for a, b in zip(p, q))
+
+
+def test_halfopen_root_counts_match_sympy():
+    rng = random.Random(1411)
+    for _ in range(60):
+        coeffs = [rng.randint(-6, 6) for _ in range(rng.randint(1, 7))]
+        coeffs.append(rng.choice([-2, -1, 1, 3]))
+        if rng.random() < 0.3:
+            coeffs = [Fraction(c, rng.randint(1, 4)) for c in coeffs]
+        if rng.random() < 0.4:  # a repeated rational root, which an endpoint may hit
+            r = rng.randint(-3, 3)
+            for _ in range(2):
+                coeffs = [a - r * b for a, b in zip([0] + coeffs, coeffs + [0])]
+        chain = sturm_chain(coeffs)
+        poly = _poly([Fraction(c) for c in coeffs])
+        points = [Fraction(rng.randint(-30, 30), rng.randint(1, 4)) for _ in range(5)] + [Fraction(-100), Fraction(100)]
+        for lo in points:
+            for hi in points:
+                if lo < hi:
+                    assert count_roots_halfopen(chain, lo, hi) == _roots_in_halfopen(poly, lo, hi)
+
+
+def test_root_enclosures_contain_sympys_largest_root():
+    rng = random.Random(1412)
+    width = Fraction(1, 10**9)
+    eps = width / 1000
+    radii = []
+    for _ in range(25):
+        rows = random_matrix(rng, rng.randint(1, 10), max_entry=3, zero_chance=rng.choice([0.4, 0.7, 0.85]))
+        radii += [r for r in decompose(rows).radii if not r.is_zero]
+    radii += [decompose(rows).spectral_radius() for rows in (((2,),), ((1, 1), (1, 0)), ((0, 1), (3, 0)))]
+    radii += [AlgebraicRadius.from_rational(q, step) for q in (Fraction(7, 3), Fraction(1, 2)) for step in (1, 2)]
+    for radius in radii:
+        lo, hi = radius.root_enclosure(width)
+        assert hi - lo <= width
+        a, b = map(_fraction, _poly(list(radius.poly)).intervals(eps=eps)[-1][0])
+        assert lo - eps <= a and b <= hi + eps  # the largest real root lies in [a, b]
+
+
+def test_rational_roots_of_monic_int_match_sympy():
+    rng = random.Random(1413)
+    for _ in range(40):
+        coeffs = [1]
+        for _ in range(rng.randint(0, 4)):  # integer roots, some repeated
+            r = rng.randint(-6, 6)
+            coeffs = [a - r * b for a, b in zip([0] + coeffs, coeffs + [0])]
+        other = [rng.randint(-5, 5) for _ in range(rng.randint(0, 3))] + [1]
+        poly = [sum(coeffs[i] * other[k - i] for i in range(len(coeffs)) if 0 <= k - i < len(other))
+                for k in range(len(coeffs) + len(other) - 1)]
+        expected = sorted({int(r) for r in sympy.roots(_poly(poly), filter="Q")})
+        assert rational_roots_of_monic_int(poly) == expected
