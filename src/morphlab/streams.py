@@ -15,6 +15,8 @@ independent.
 from __future__ import annotations
 
 import os
+from itertools import chain, compress, count, islice
+from operator import ne
 
 from .errors import (
     BudgetExceededError,
@@ -51,39 +53,41 @@ class FixedPointStream:
         self.start = start
         self._images = [list(w.codes) for w in f.images]
         self._buffer = list(f.image(start).codes)
-        self._read = 1
+        # the read head: a list iterator sees what is appended to its list
+        self._reader = iter(self._buffer)
+        next(self._reader, None)
 
     def _ensure(self, n):
         buffer = self._buffer
+        if len(buffer) >= n:
+            return
         images = self._images
-        read = self._read
-        while len(buffer) < n:
-            if read >= len(buffer):
-                raise NotProlongableError(
-                    f"expansion stalled; the fixed point of {self.morphism!r} is finite"
-                )
-            buffer.extend(images[buffer[read]])
-            read += 1
-        self._read = read
+        for code in self._reader:
+            buffer.extend(images[code])
+            if len(buffer) >= n:
+                return
+        raise NotProlongableError(
+            f"expansion stalled; the fixed point of {self.morphism!r} is finite"
+        )
 
     def prefix(self, n):
         """The first n symbols of the fixed point."""
         if n < 0:
             raise DomainMismatchError("prefix length must be non-negative")
         self._ensure(n)
-        return Word(self.morphism.domain, tuple(self._buffer[:n]))
-
-    def symbol_at(self, i):
-        self._ensure(i + 1)
-        return self._buffer[i]
+        return Word(self.morphism.domain, tuple(islice(self._buffer, n)))
 
 
 class ImageStream:
-    """Applies a morphism symbol by symbol to a fixed-point stream.
+    """Applies a morphism to a fixed-point stream, block by block.
 
     Erasing images simply contribute nothing; `budget` caps how many
     source symbols may be consumed in total, turning a finite or very
-    dilute image into a diagnosable error instead of a hang.
+    dilute image into a diagnosable error instead of a hang.  After each
+    served request, `consumed` is the least number of source symbols
+    whose image holds the longest prefix requested so far: a round that
+    still needs d output symbols reads ceil(d/L) source symbols, L the
+    longest image, and no fewer of them could have produced d.
     """
 
     def __init__(self, g, f, start, budget=None, check=True):
@@ -93,28 +97,41 @@ class ImageStream:
         self.morphism = g
         self.budget = default_budget() if budget is None else budget
         self._images = [list(g.image(letter).codes) for letter in f.domain.letters]
+        self._longest = max(map(len, self._images))
+        self._reader = iter(self.source._buffer)
         self._buffer = []
         self.consumed = 0
 
     def _pump(self, n):
         buffer = self._buffer
         images = self._images
+        source = self.source
+        longest = self._longest
+        reader = self._reader
         while len(buffer) < n:
             if self.consumed >= self.budget:
                 raise BudgetExceededError(
                     f"consumed {self.consumed} source symbols for {len(buffer)} output symbols; "
                     "the image word is likely finite (budget exceeded)"
                 )
-            code = self.source.symbol_at(self.consumed)
-            self.consumed += 1
-            buffer.extend(images[code])
+            k = self.budget - self.consumed
+            if longest:
+                k = min(-(-(n - len(buffer)) // longest), k)
+            try:
+                source._ensure(self.consumed + k)
+            finally:
+                # a finite source stalls short of k: the symbols before the
+                # stall still count, as they would one by one
+                k = min(k, len(source._buffer) - self.consumed)
+                buffer.extend(chain.from_iterable(map(images.__getitem__, islice(reader, k))))
+                self.consumed += k
 
     def prefix(self, n):
         """The first n symbols of g(f^w(start))."""
         if n < 0:
             raise DomainMismatchError("prefix length must be non-negative")
         self._pump(n)
-        return Word(self.morphism.codomain, tuple(self._buffer[:n]))
+        return Word(self.morphism.codomain, tuple(islice(self._buffer, n)))
 
 
 def fixed_point_prefix(f, start, n):
@@ -133,12 +150,16 @@ def first_mismatch(w1, w2, n):
         raise InsufficientLengthError(
             f"prefix comparison needs {n} symbols, got {len(w1)} and {len(w2)}"
         )
-    a = w1.letters()
-    b = w2.letters()
-    for i in range(n):
-        if a[i] != b[i]:
-            return i
-    return None
+    a = w1.codes[:n]
+    b = w2.codes[:n]
+    if w1.alphabet != w2.alphabet:
+        # w2's codes in w1's alphabet; a letter w1 lacks matches nothing
+        target = w1.alphabet
+        table = [target.index(letter) if letter in target else -1 for letter in w2.alphabet]
+        b = tuple(map(table.__getitem__, b))
+    if a == b:
+        return None
+    return next(compress(count(), map(ne, a, b)))
 
 
 def prefix_equal(w1, w2, n):

@@ -20,7 +20,7 @@ class Alphabet:
     everything-erasing morphism; morphism domains must be non-empty.
     """
 
-    __slots__ = ("letters", "_index")
+    __slots__ = ("letters", "_index", "_codes")
 
     def __init__(self, letters):
         letters = tuple(letters)
@@ -33,6 +33,8 @@ class Alphabet:
             index[letter] = pos
         object.__setattr__(self, "letters", letters)
         object.__setattr__(self, "_index", index)
+        # the valid letter codes: Word checks its codes against them in one C call
+        object.__setattr__(self, "_codes", frozenset(range(len(letters))))
 
     def __setattr__(self, name, value):
         raise AttributeError("Alphabet is immutable")
@@ -86,10 +88,8 @@ class Word:
 
     def __init__(self, alphabet, codes=()):
         codes = tuple(codes)
-        n = len(alphabet)
-        for c in codes:
-            if not 0 <= c < n:
-                raise DomainMismatchError("letter code out of range")
+        if not alphabet._codes.issuperset(codes):
+            raise DomainMismatchError("letter code out of range")
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "codes", codes)
 

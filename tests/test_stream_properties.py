@@ -1,0 +1,126 @@
+"""Property tests: the block pump against a one-symbol-at-a-time reference."""
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import assume, given, settings, strategies as st
+
+from morphlab import (
+    BudgetExceededError,
+    ImageStream,
+    NotProlongableError,
+    apply,
+    fixed_point_prefix,
+    is_prolongable,
+    morphism_from_chars,
+)
+
+SETTINGS = settings(derandomize=True, deadline=None, max_examples=200)
+
+
+class ReferencePump:
+    """g(f^w(start)) one source symbol per step, as a per-symbol loop reads it."""
+
+    def __init__(self, f, g, start, budget):
+        self.f = f
+        self.g = g
+        self.budget = budget
+        self.source = list(f[start])
+        self.read = 1
+        self.out = []
+        self.consumed = 0
+
+    def symbol(self, i):
+        while len(self.source) <= i:
+            if self.read >= len(self.source):
+                raise NotProlongableError("expansion stalled")
+            self.source.extend(self.f[self.source[self.read]])
+            self.read += 1
+        return self.source[i]
+
+    def prefix(self, n):
+        while len(self.out) < n:
+            if self.consumed >= self.budget:
+                raise BudgetExceededError(
+                    f"consumed {self.consumed} source symbols for {len(self.out)} output symbols; "
+                    "the image word is likely finite (budget exceeded)"
+                )
+            code = self.symbol(self.consumed)
+            self.consumed += 1
+            self.out.extend(self.g[code])
+        return "".join(self.out[:n])
+
+
+@st.composite
+def presentations(draw, prolongable=True):
+    """(f, g) over a..d with f(a) = a u; erasing letters allowed in both."""
+    letters = "abcd"[: draw(st.integers(1, 4))]
+    word = lambda lo, hi, alphabet: st.text(alphabet, min_size=lo, max_size=hi)
+    f = {letter: draw(word(0, 3, letters)) for letter in letters}
+    f["a"] = "a" + draw(word(1 if prolongable else 0, 3, letters))
+    g = {letter: draw(word(0, 4, "xy")) for letter in letters}
+    return f, g
+
+
+requests = st.lists(st.integers(0, 80), min_size=1, max_size=6)
+budgets = st.integers(1, 300)
+
+
+def compare(stream, reference, n):
+    """Serve n from both; the outcome and the pump state must agree."""
+    try:
+        expected = reference.prefix(n)
+    except (BudgetExceededError, NotProlongableError) as error:
+        with pytest.raises(type(error)) as caught:
+            stream.prefix(n)
+        if isinstance(error, BudgetExceededError):
+            assert str(caught.value) == str(error)
+    else:
+        assert stream.prefix(n).text() == expected
+    assert stream.consumed == reference.consumed
+    assert len(stream._buffer) == len(reference.out)
+
+
+@SETTINGS
+@given(presentations(), requests, budgets)
+def test_block_pump_matches_per_symbol_pump(fg, ns, budget):
+    f, g = fg
+    fm, gm = morphism_from_chars(f), morphism_from_chars(g)
+    assume(is_prolongable(fm, "a"))
+    stream = ImageStream(gm, fm, "a", budget=budget)
+    reference = ReferencePump(f, g, "a", budget)
+    for n in ns:
+        compare(stream, reference, n)
+
+
+@SETTINGS
+@given(presentations(prolongable=False), requests, budgets)
+def test_block_pump_matches_per_symbol_pump_on_finite_sources(fg, ns, budget):
+    f, g = fg
+    stream = ImageStream(morphism_from_chars(g), morphism_from_chars(f), "a", budget=budget, check=False)
+    reference = ReferencePump(f, g, "a", budget)
+    for n in ns:
+        compare(stream, reference, n)
+
+
+@SETTINGS
+@given(presentations(), requests, budgets)
+def test_consumed_is_least(fg, ns, budget):
+    f, g = fg
+    fm, gm = morphism_from_chars(f), morphism_from_chars(g)
+    assume(is_prolongable(fm, "a"))
+    stream = ImageStream(gm, fm, "a", budget=budget)
+    served = 0
+    for n in ns:
+        try:
+            stream.prefix(n)
+        except BudgetExceededError:
+            assert stream.consumed == budget
+            break
+        served = max(served, n)
+        consumed = stream.consumed
+        if consumed:
+            # one source symbol fewer would not have served the longest request so far
+            shorter = apply(gm, fixed_point_prefix(fm, "a", consumed - 1))
+            assert len(shorter) < served
+        assert len(apply(gm, fixed_point_prefix(fm, "a", consumed))) >= served

@@ -6,6 +6,7 @@ import time
 import pytest
 
 from morphlab import (
+    Alphabet,
     BudgetExceededError,
     FixedPointStream,
     ImageStream,
@@ -51,6 +52,45 @@ def test_image_prefix_budget_exceeded_on_all_erasing():
     dead = morphism_from_chars({"a": "", "b": "", "c": "", "d": ""})
     with pytest.raises(BudgetExceededError):
         image_prefix(dead, sigma, "a", 1, max_pump=1000)
+    stream = ImageStream(dead, sigma, "a", budget=1000)
+    with pytest.raises(BudgetExceededError) as caught:
+        stream.prefix(1)
+    assert str(caught.value) == (
+        "consumed 1000 source symbols for 0 output symbols; "
+        "the image word is likely finite (budget exceeded)"
+    )
+    assert stream.consumed == 1000
+    assert stream.prefix(0).text() == ""
+
+
+def test_fixed_point_with_one_symbol_lead():
+    # the write head leads the read head by one symbol all the way
+    lead = morphism_from_chars({"a": "ab", "b": "b"})
+    n = 10**5
+    stream = FixedPointStream(lead, "a")
+    assert stream.prefix(n).text() == "a" + "b" * (n - 1)
+    image = ImageStream(morphism_from_chars({"a": "x", "b": "yy"}), lead, "a")
+    assert image.prefix(n).text() == "x" + "y" * (n - 1)
+    assert image.consumed == n // 2 + 1
+
+
+def test_stalled_fixed_point_raises_on_every_call():
+    # a -> acb, b -> c, c -> (empty): the fixed point is the finite word acbc
+    finite = morphism_from_chars({"a": "acb", "b": "c", "c": ""})
+    stream = FixedPointStream(finite, "a", check=False)
+    assert stream.prefix(3).text() == "acb"
+    for n in (10, 5, 10, 6):
+        with pytest.raises(NotProlongableError):
+            stream.prefix(n)
+    assert stream.prefix(4).text() == "acbc"
+    image = ImageStream(morphism_from_chars({"a": "x", "b": "", "c": "yy"}), finite, "a", check=False)
+    assert image.prefix(5).text() == "xyyyy"
+    for n in (6, 100):
+        with pytest.raises(NotProlongableError):
+            image.prefix(n)
+        # the symbols before the stall count, as they do one at a time
+        assert image.consumed == 4
+        assert image.prefix(5).text() == "xyyyy"
 
 
 def test_prefix_equal_and_mismatch():
@@ -61,6 +101,21 @@ def test_prefix_equal_and_mismatch():
     assert first_mismatch(w1, w2, 4) == 3
     with pytest.raises(InsufficientLengthError):
         prefix_equal(w1, w2, 10)
+    # alphabets in another order, or with a letter the first one lacks
+    ab = Word.from_letters(Alphabet("ab"), "abbab")
+    ba = Word.from_letters(Alphabet("ba"), "abbab")
+    assert ab.codes != ba.codes
+    assert first_mismatch(ab, ba, 5) is None
+    assert prefix_equal(ba, ab, 5)
+    other = Word.from_letters(Alphabet("ba"), "abbba")
+    assert first_mismatch(ab, other, 5) == 3
+    assert first_mismatch(other, ab, 5) == 3
+    # a letter the first alphabet lacks matches nothing
+    wider = Word.from_letters(Alphabet("cba"), "abcab")
+    assert first_mismatch(ab, wider, 5) == 2
+    assert first_mismatch(wider, ab, 2) is None
+    assert first_mismatch(wider, ab, 5) == 2
+    assert first_mismatch(ab, wider, 0) is None
 
 
 def test_prefix_consistency_and_idempotence():

@@ -38,6 +38,12 @@ def test_word_membership_checked():
     ab = Alphabet("ab")
     with pytest.raises(DomainMismatchError):
         Word.from_letters(ab, "abc")
+    assert Word(ab, ()).text() == ""
+    for bad in ((0, -1), (2,), (1, 0, 2)):
+        with pytest.raises(DomainMismatchError, match="letter code out of range"):
+            Word(ab, bad)
+    with pytest.raises(DomainMismatchError):
+        Word(Alphabet(()), (0,))
 
 
 def test_apply_baum_sweet_prefix():
