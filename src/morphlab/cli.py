@@ -14,11 +14,13 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import spectral, streams
-from .errors import MorphlabError, ParseError
+from .errors import BudgetExceededError, MorphlabError, ParseError
 from .fixtures import load_matrix_text
+from .intmat import transpose, vec_mat
 from .normalize import MorphicPresentation, normalize
 from .parser import format_morphism, parse_file
 from .streams import image_prefix, prefix_equal
+from .words import incidence_matrix
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -74,6 +76,33 @@ def _cmd_analyze(args):
     return EXIT_OK
 
 
+def _require_pump_budget(pres, n, budget):
+    """Raise at once when n symbols of g(f^w(a)) cannot come within `budget`.
+
+    f^w(a) starts with every f^k(a).  With k least such that
+    |g(f^k(a))| >= n, the pump has to read past f^(k-1)(a), so it fails
+    when |f^(k-1)(a)| >= budget.  Both lengths come from letter-count
+    vectors, and the search stops as soon as |f^k(a)| reaches the budget.
+    """
+    columns = transpose(incidence_matrix(pres.f).rows)  # counts of f(w) = Mat_f . counts of w
+    image_lengths = tuple(len(pres.g.image(b)) for b in pres.f.domain)
+    counts = tuple(int(b == pres.start) for b in pres.f.domain)
+    k = 0
+    while True:
+        visible = sum(c * l for c, l in zip(counts, image_lengths))
+        if visible >= n:
+            return
+        source = sum(counts)
+        if source >= budget:
+            raise BudgetExceededError(
+                f"{n} output symbols need more than {source} source symbols "
+                f"(g(f^{k}({pres.start})) has only {visible}), past the pump budget "
+                f"of {budget}; raise it with --budget"
+            )
+        counts = vec_mat(counts, columns)
+        k += 1
+
+
 def _cmd_normalize(args):
     mf = _load_file(args.file)
     pres = _resolve_pair(mf, args.pair, args.start)
@@ -81,6 +110,7 @@ def _cmd_normalize(args):
     payload = report.as_dict(include_stages=args.trace)
     if args.check:
         budget = args.budget if args.budget else streams.default_budget()
+        _require_pump_budget(pres, args.check, budget)
         original = image_prefix(pres.g, pres.f, pres.start, args.check, max_pump=budget)
         rebuilt = image_prefix(report.tau, report.sigma, report.start, args.check, max_pump=budget)
         payload["verified_prefix"] = args.check if prefix_equal(original, rebuilt, args.check) else None

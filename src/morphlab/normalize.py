@@ -261,12 +261,25 @@ def _settle_power(f, letter, limit):
     raise InvariantError(f"non-growing letter {letter!r} failed to settle")
 
 
-def monotone_powers(f, g):
+def monotone_powers(f, g, start):
     """(settle, stretch, new image lengths) for the monotonicity step.
 
     Everything is derived from the incidence matrix: the composed image
     lengths are |g(f^settle(b))| = sum_c |g(c)| (Mat_f^settle)_{c,b}, so
-    nothing large is materialised here.
+    nothing large is materialised here.  The stretch power q is the least
+    q >= 1 with lengths2 . Mat_f^q >= lengths2 componentwise, strictly at
+    `start`, searched one vector-matrix product per step.
+
+    The search stops at Q = m * max(lengths2), m = #B, which always
+    qualifies.  A growing letter b reaches a pumpable letter c (|f(c)| >= 2,
+    c on a cycle) within m steps, and c loops back to itself within m, each
+    loop adding a symbol; so |f^q(b)| >= lengths2[b] for q >= m *
+    lengths2[b], and |f^q(b)| never shrinks because f is non-erasing.  As
+    g' = g o f^settle is non-erasing, |g'(f^q(b))| >= |f^q(b)|.  The start
+    letter gains at least one symbol per step, so it is strict once
+    q >= lengths2[start].  Settled letters meet the condition with equality
+    for every q.  The q returned is at most every other qualifying power,
+    the witness bound max_b (hit + loop * (lengths2[b] - 1)) among them.
     """
     if not (f.is_non_erasing and g.is_non_erasing):
         raise DomainMismatchError("monotonicity step needs non-erasing morphisms")
@@ -286,28 +299,13 @@ def monotone_powers(f, g):
     lengths2 = lengths
     for _ in range(settle):
         lengths2 = vec_mat(lengths2, matrix.rows)
-    powers = [mat_pow(matrix.rows, n) for n in range(m + 1)]
-    stretch = 0
-    for bi, b in enumerate(f.domain):
-        if not growing[b]:
-            continue
-        best = None
-        for ci, c in enumerate(f.domain):
-            if len(f.image(c)) < 2:
-                continue
-            loop = next((l for l in range(1, m + 1) if powers[l][ci][ci] > 0), None)
-            if loop is None:
-                continue
-            hit = next((k for k in range(m + 1) if powers[k][ci][bi] > 0), None)
-            if hit is None:
-                continue
-            cost = hit + loop * (lengths2[bi] - 1)
-            if best is None or cost < best:
-                best = cost
-        if best is None:
-            raise InvariantError(f"growing letter {b!r} has no pumpable witness")
-        stretch = max(stretch, best)
-    return settle, max(stretch, 1), lengths2
+    si = f.domain.index(start)
+    after = lengths2
+    for q in range(1, m * max(lengths2) + 1):
+        after = vec_mat(after, matrix.rows)
+        if after[si] > lengths2[si] and all(x >= y for x, y in zip(after, lengths2)):
+            return settle, q, lengths2
+    raise InvariantError(f"no stretch power up to {m * max(lengths2)} is monotone; this is a bug")
 
 
 def make_monotone(f, g, start):
@@ -317,13 +315,13 @@ def make_monotone(f, g, start):
     form with primitive or zero diagonal (cyclicity 1), which is what
     eliminate_effacement produces.  Non-growing letters settle to a fixed
     word after at most #B - 1 steps; composing g with that power makes
-    them harmless, and a power f^q stretches every growing letter enough
-    to cover its image length.
+    them harmless, and the least power f^q that meets the condition
+    stretches every growing letter enough to cover its image length.
     """
     img = f.image(start)
     if len(img) < 2 or img.letters()[0] != start:
         raise NotProlongableError(f"generator is not prolongable on {start!r}")
-    settle, stretch, lengths2 = monotone_powers(f, g)
+    settle, stretch, lengths2 = monotone_powers(f, g, start)
     matrix = incidence_matrix(f)
     _assert_monotone(matrix.rows, lengths2, stretch, f.domain.index(start))
     g2 = compose(g, power(f, settle)) if settle else g

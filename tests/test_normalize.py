@@ -35,10 +35,12 @@ from morphlab.normalize import (
     eliminate_effacement,
     growth_trichotomy,
     make_monotone,
+    monotone_powers,
 )
+from morphlab.intmat import mat_pow
 from morphlab.spectral import cyclicity
 
-from util import random_presentations
+from util import meets_length_condition, random_presentations
 
 
 def test_remove_mortal_non_erasing_is_identity():
@@ -177,8 +179,36 @@ def test_make_monotone_stretch_guard():
     g = morphism_from_chars({"a": "a", "b": "b"})
     mono = make_monotone(f, g, "a")
     assert mono.settle_power == 0
-    assert mono.stretch_power == 1  # the computed maximum is 0; floor at 1
+    assert mono.stretch_power == 1  # the search starts at q = 1
     _assert_length_condition(mono.f, mono.g, "a")
+
+
+@pytest.mark.parametrize("long_image", [8, 16, 30])
+def test_make_monotone_stretch_family_takes_the_least_power(long_image):
+    # a witness-cost bound would give q = |g(b)| - 1; q = 1 already qualifies
+    f = morphism_from_chars({"a": "ab", "b": "bb"})
+    g = morphism_from_chars({"a": "0", "b": "1" * long_image})
+    assert monotone_powers(f, g, "a")[1] == 1  # before anything is built
+    report = normalize(MorphicPresentation(f, g, "a"))
+    assert report.stretch_power == 1
+    # sigma(a.0) = a.0 b.0 ... b.(L-1); the L letters b.i share alpha(bb)
+    assert sum(len(report.sigma.image(b)) for b in report.sigma.domain) == 3 * long_image + 1
+    out = image_prefix(report.tau, report.sigma, report.start, 300)
+    assert prefix_equal(image_prefix(g, f, "a", 300), out, 300)
+
+
+def test_stretch_power_is_the_least_that_meets_the_condition():
+    fixtures = (baum_sweet_erasing, baum_sweet_uniform, thue_morse_projection)
+    presentations = [MorphicPresentation(*fx()) for fx in fixtures]
+    for pres in presentations + random_presentations(random.Random(101), 12):
+        eff = eliminate_effacement(pres)
+        _, q, lengths2 = monotone_powers(eff.f_prime, eff.g_prime, pres.start)
+        rows = incidence_matrix(eff.f_prime).rows
+        si = eff.f_prime.domain.index(pres.start)
+        assert 1 <= q <= len(rows) * max(lengths2)
+        assert meets_length_condition(rows, lengths2, q, si)
+        for smaller in range(1, q):
+            assert not meets_length_condition(rows, lengths2, smaller, si), (pres, smaller)
 
 
 def test_make_monotone_settling_letters():
@@ -199,8 +229,6 @@ def test_make_monotone_requires_cyclicity_one():
 
 
 def test_growing_letter_witnesses_exist_within_alphabet_bound():
-    from morphlab.intmat import mat_pow
-
     rng = random.Random(101)
     for pres in random_presentations(rng, 12):
         eff = eliminate_effacement(pres)
@@ -343,7 +371,6 @@ def test_effacement_fixpoint_property():
 
 def test_effacement_matrix_is_submatrix_of_power():
     rng = random.Random(106)
-    from morphlab.intmat import mat_pow
 
     for pres in random_presentations(rng, 10):
         eff = eliminate_effacement(pres)
@@ -358,8 +385,6 @@ def test_non_growing_letters_match_word_stabilization():
     rng = random.Random(107)
     from morphlab.normalize import _is_bounded_letter
     from morphlab.spectral import decompose
-
-    from morphlab.intmat import mat_pow
 
     for pres in random_presentations(rng, 10):
         eff = eliminate_effacement(pres)

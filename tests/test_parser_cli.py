@@ -21,6 +21,14 @@ pair = sigma', tau';
 start = a;
 """
 
+# the README's projection: n visible symbols need about n^1.58 source symbols
+TM_FILE = """
+f { a -> a b c ; b -> b a c ; c -> c c c ; }
+g { a -> a ; b -> b ; c -> ; }
+pair = f, g;
+start = a;
+"""
+
 
 def run_cli(*args, env_extra=None):
     env = os.environ.copy()
@@ -250,6 +258,29 @@ def test_cli_normalize_check_and_emit(tmp_path):
         "--start2", payload["start"],
     )
     assert check.returncode == 0
+
+
+def test_cli_normalize_check_fails_fast_past_the_pump_budget(tmp_path):
+    path = tmp_path / "tm.mf"
+    path.write_text(TM_FILE)
+    result = run_cli("normalize", "--file", str(path), "--check", "10000", "--json")
+    assert result.returncode == 2
+    error = json.loads(result.stdout)["error"]
+    assert error["kind"] == "BudgetExceededError"
+    # |g(f^13(a))| = 2^13 < 10000, so the pump must read past |f^13(a)| = 3^13 symbols
+    assert "more than 1594323 source symbols" in error["message"]
+    assert "--budget" in error["message"]
+
+
+def test_cli_normalize_check_within_the_default_budget(tmp_path):
+    path = tmp_path / "tm.mf"
+    path.write_text(TM_FILE)
+    # 2^11 >= 2000 visible symbols lie within |f^11(a)| = 3^11 = 177147 source symbols
+    result = run_cli("normalize", "--file", str(path), "--check", "2000", "--json")
+    assert result.returncode == 0
+    payload = json.loads(result.stdout)
+    assert payload["verified_prefix"] == 2000
+    assert payload["q"] == 1
 
 
 def test_cli_parse_error_exit_code(tmp_path):

@@ -89,6 +89,14 @@ def ratio_band_ok(values, model, fit_range, check_range, slack=(0.8, 1.25)):
     )
 
 
+def meets_length_condition(rows, lengths, q, start_index):
+    """lengths . rows^q >= lengths componentwise, strictly at start_index."""
+    after = vec_mat(lengths, mat_pow(rows, q))
+    return after[start_index] > lengths[start_index] and all(
+        x >= y for x, y in zip(after, lengths)
+    )
+
+
 def random_presentations(rng, count, max_size=5, max_len=4, pipeline_cap=400):
     """Deterministically draw `count` valid presentations.
 
@@ -127,7 +135,7 @@ def random_presentations(rng, count, max_size=5, max_len=4, pipeline_cap=400):
             if sum(len(eff.g_prime.image(b)) for b in eff.g_prime.domain) > pipeline_cap:
                 continue
             # predict the paired-output size via matrices before materialising
-            settle, stretch, lengths2 = monotone_powers(eff.f_prime, eff.g_prime)
+            settle, stretch, lengths2 = monotone_powers(eff.f_prime, eff.g_prime, pres.start)
             if sum(lengths2) > pipeline_cap:
                 continue
             rows = incidence_matrix(eff.f_prime).rows
