@@ -18,8 +18,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-import numpy
-
 from .errors import DomainMismatchError, InvariantError
 from .intmat import clear_denominators
 
@@ -218,26 +216,45 @@ def rational_roots_of_monic_int(p):
     return sorted(roots)
 
 
-def _float_root_hint(p):
-    """Largest real root estimate via numpy; None if it cannot be formed."""
+# Each Newton step from above cuts x - r by at least the factor 1 - 1/deg
+# (p'/p is a sum of deg terms 1/(x - z), each of real part at most
+# 1/(x - r)), and close to the simple root r the steps converge
+# quadratically; a hint still moving after this many steps is left to the
+# exact acceptance test.
+_NEWTON_STEPS = 100
+
+
+def _float_root_hint(p, start):
+    """Float Newton estimate of the largest real root r of p, from start >= r.
+
+    For the Perron root r of a non-negative matrix, p has no root of
+    modulus above r (Perron-Frobenius); by Gauss-Lucas the roots of p'
+    and p'' then lie in |z| <= r too, so with a positive leading
+    coefficient p, p' and p'' are all positive on (r, oo) and Newton falls
+    monotonically to r.  For other polynomials the estimate may be wrong,
+    which the locator's exact acceptance test catches.  The iteration
+    stops when a step no longer lowers x.  None when a coefficient or
+    start is beyond the float range or a value is not finite.
+    """
     try:
-        coeffs = [float(c) for c in reversed(trim(p))]
-    except OverflowError:  # a coefficient beyond the float range
+        coeffs = [float(c) for c in reversed(p)]
+        x = float(start)
+    except OverflowError:
         return None
-    if len(coeffs) < 2:
-        return None
-    try:
-        roots = numpy.roots(coeffs)
-    except Exception:
-        return None
-    best = None
-    for z in roots:
-        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-            continue
-        if abs(z.imag) <= 1e-9 * (1.0 + abs(z.real)):
-            if best is None or z.real > best:
-                best = z.real
-    return best
+    for _ in range(_NEWTON_STEPS):
+        value = slope = 0.0
+        for c in coeffs:  # Horner for p(x) and p'(x) together
+            slope = slope * x + value
+            value = value * x + c
+        if not slope:
+            break
+        step = x - value / slope
+        if not math.isfinite(step):
+            return None
+        if not step < x:
+            break
+        x = step
+    return x
 
 
 class LargestRootLocator:
@@ -245,13 +262,13 @@ class LargestRootLocator:
 
     The caller guarantees the polynomial has a real root in (lo, hi] and
     none above hi.  refine() halves the bracket with Sturm counts, trying
-    one float-guided jump first so that tight widths do not need dozens of
-    exact bisection steps.
+    one float-guided jump first (a Newton estimate on the squarefree chain
+    head, from hi down) so that tight widths do not need dozens of exact
+    bisection steps.
     """
 
     def __init__(self, poly, lo, hi):
-        self.poly = trim(poly)
-        self.chain = sturm_chain(self.poly)
+        self.chain = sturm_chain(poly)
         self.lo = Fraction(lo)
         self.hi = Fraction(hi)
         self._tried_hint = False
@@ -259,7 +276,7 @@ class LargestRootLocator:
             raise ValueError("bracket does not contain a root")
 
     def _try_hint(self, width):
-        est = _float_root_hint(self.poly)
+        est = _float_root_hint(self.chain[0], self.hi)
         if est is None:
             return
         pad = max(Fraction(width) / 4, Fraction(1, 10**15))
@@ -294,7 +311,7 @@ class LargestRootLocator:
 
     def isolated(self):
         """True when [lo, hi] contains exactly one distinct root of poly."""
-        return count_roots_closed(self.poly, self.chain, self.lo, self.hi) == 1
+        return count_roots_closed(self.chain[0], self.chain, self.lo, self.hi) == 1
 
 
 def nth_root_bounds(x, n, width):
@@ -319,7 +336,7 @@ def integer_nth_root_exact(value, n):
     """The exact integer n-th root of value, or None."""
     if value < 0:
         return None
-    lo, hi = 0, max(1, value)
+    lo, hi = 0, 1 << (value.bit_length() // n + 1)  # above value**(1/n)
     while lo < hi:
         mid = (lo + hi) // 2
         if mid**n < value:

@@ -21,7 +21,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import floor, lcm
 
 from . import words
 from .errors import DomainMismatchError, InvariantError, NotPrimitiveError
@@ -39,10 +39,10 @@ from .polytools import (
     LargestRootLocator,
     count_roots_closed,
     count_roots_halfopen,
+    evaluate,
     nth_root_bounds,
     poly_gcd,
     rational_nth_root_exact,
-    rational_roots_of_monic_int,
     squarefree,
     sturm_chain,
     trim,
@@ -84,11 +84,18 @@ def scc_periods(rows):
     ]
 
 
+def _row_sum_bound(block):
+    """The largest row sum of block, or 1 when that is not positive: an
+    upper bound on its Perron root."""
+    hi = Fraction(max((sum(row) for row in block), default=0))
+    return hi if hi > 0 else Fraction(1)
+
+
 def _locator_for_block(block, poly):
-    hi = Fraction(max(sum(row) for row in block))
-    if hi <= 0:
-        hi = Fraction(1)
-    return LargestRootLocator(poly, Fraction(-1), hi)
+    """The radius engine: a locator for the Perron root of the non-negative
+    `block`, the largest real root of its characteristic polynomial `poly`,
+    in the bracket (-1, _row_sum_bound(block)]."""
+    return LargestRootLocator(poly, Fraction(-1), _row_sum_bound(block))
 
 
 class AlgebraicRadius:
@@ -217,16 +224,18 @@ class AlgebraicRadius:
             return Fraction(poly[0], poly[1]) * -1
         if not all(isinstance(c, int) for c in poly) or poly[-1] != 1:
             return None
-        candidates = rational_roots_of_monic_int(poly)
-        if not candidates:
-            return None
-        best = max(candidates)
-        # the dominant root is `best` exactly when no real root lies above it
-        chain = sturm_chain(poly)
-        hi = Fraction(max(sum(row) for row in self.block)) + 1
-        if count_roots_halfopen(chain, Fraction(best), hi) == 0:
-            return Fraction(best)
-        return None
+        # a rational root of a monic integer polynomial is an integer, so r
+        # is rational exactly when r = floor(r); floor(r) is found by
+        # bisecting the integers with exact counts, which leaves the
+        # locator's bracket as it was and never factors the constant term
+        lo, hi = 0, floor(_row_sum_bound(self.block))
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if self._compare_root(Fraction(mid)) >= 0:
+                lo = mid
+            else:
+                hi = mid - 1
+        return Fraction(lo) if self._compare_root(Fraction(lo)) == 0 else None
 
     def exact_rational_value(self):
         """r^(1/step) as a Fraction when that value is rational, else None."""
@@ -242,13 +251,15 @@ class AlgebraicRadius:
     def compare(self, other):
         """Exact trichotomy: -1, 0 or 1 as self <, =, > other.
 
-        Rescales both sides to a common exponent with integer block
-        powers, then refines enclosures until they separate; equality is
-        certified by locating a common root (a root of the polynomial gcd)
-        inside the overlap once each enclosure isolates its own root.
+        A rational `other` is decided by Sturm counts on this radius's
+        own chain (_compare_rational).  Two radii are rescaled to a
+        common exponent with integer block powers, then enclosures are
+        refined until they separate; equality is certified by locating a
+        common root (a root of the polynomial gcd) inside the overlap once
+        each enclosure isolates its own root.
         """
         if not isinstance(other, AlgebraicRadius):
-            other = AlgebraicRadius.from_rational(other)
+            return self._compare_rational(Fraction(other))
         if self.is_zero and other.is_zero:
             return 0
         if self.is_zero:
@@ -274,6 +285,34 @@ class AlgebraicRadius:
                 if count_roots_closed(g, g_chain, ilo, ihi) >= 1:
                     return 0
             width /= 16
+
+    def _compare_root(self, t):
+        """Exact sign of r - t for the defining root r and a rational t.
+
+        r is the largest real root and lies in the locator's bracket
+        (lo, hi], with no root above the row-sum bound; so r > t exactly
+        when a root lies in (t, bound], and otherwise r = t exactly when
+        t is a root.
+        """
+        loc = self._own_locator()
+        with self._lock:
+            lo, hi = loc.lo, loc.hi
+        if t <= lo:
+            return 1
+        if t > hi:
+            return -1
+        if count_roots_halfopen(loc.chain, t, _row_sum_bound(self.block)) >= 1:
+            return 1
+        return 0 if evaluate(loc.chain[0], t) == 0 else -1
+
+    def _compare_rational(self, c):
+        """compare() against a rational c >= 0: r^(1/step) against c is r
+        against c^step, decided on the radius's own Sturm chain."""
+        if c < 0:
+            raise DomainMismatchError("radii are non-negative")
+        if self.is_zero:
+            return 0 if c == 0 else -1
+        return self._compare_root(c**self.step)
 
     def is_root_of(self, poly):
         """Exactly decide whether the defining root r is a root of `poly`."""
@@ -321,7 +360,16 @@ class AlgebraicRadius:
         root = self._rational_root()
         if root is not None:
             return f"{root}^(1/{self.step})"
-        return f"~{self.value_float():.12g}"
+        # refine until both ends print alike: the printed digits are then
+        # those of the value itself, not of whichever enclosure was at hand
+        # (an irrational value never sits on a rounding boundary)
+        width = Fraction(1, 10**12)
+        while True:
+            lo, hi = self.value_enclosure(width)
+            text = f"{float(lo):.12g}"
+            if text == f"{float(hi):.12g}":
+                return f"~{text}"
+            width /= 1024
 
     def __repr__(self):
         return f"AlgebraicRadius({self.describe()})"
@@ -686,38 +734,20 @@ def is_primitive(rows):
     return component_period(comps[0], adj) == 1
 
 
-def perron_enclosure(block, width=Fraction(1, 10**6), max_power_iterations=200):
+def perron_enclosure(block, width=Fraction(1, 10**6)):
     """Certified rational interval around the Perron root of a primitive block.
 
-    Iterates the Collatz-Wielandt bounds min_i (Px)_i/x_i <= rho(P) <=
-    max_i (Px)_i/x_i with x replaced by Px (rescaled) in exact rational
-    arithmetic.  If the iteration converges slowly the remaining gap is
-    closed by Sturm bisection of the characteristic polynomial inside the
-    current bracket.  A 1x1 block gives an exact point interval.
+    The radius engine's locator on the characteristic polynomial: a
+    Newton-guided jump accepted by Sturm counts, then bisection.  A 1x1
+    block gives an exact point interval.
     """
     rows = block.rows if isinstance(block, IncidenceMatrix) else tuple(tuple(r) for r in block)
-    width = Fraction(width)
-    n = len(rows)
-    if n == 1:
+    if len(rows) == 1:
         v = Fraction(rows[0][0])
         return v, v
     if not is_primitive(rows):
-        raise NotPrimitiveError("Collatz-Wielandt bounds need a primitive matrix")
-    x = [Fraction(1)] * n
-    lo = Fraction(0)
-    hi = Fraction(max(sum(row) for row in rows))
-    for _ in range(max_power_iterations):
-        y = [sum(Fraction(rows[i][j]) * x[j] for j in range(n) if rows[i][j]) for i in range(n)]
-        ratios = [y[i] / x[i] for i in range(n)]
-        lo = max(lo, min(ratios))
-        hi = min(hi, max(ratios))
-        if hi - lo <= width:
-            return lo, hi
-        top = max(y)
-        x = [v / top for v in y]
-    locator = LargestRootLocator(charpoly(rows), lo - 1, hi)
-    blo, bhi = locator.refine(width)
-    return max(blo, lo), min(bhi, hi)
+        raise NotPrimitiveError("the Perron root enclosure needs a primitive matrix")
+    return _locator_for_block(rows, charpoly(rows)).refine(width)
 
 
 def spectral_radius_enclosure(rows, width=DEFAULT_WIDTH):
@@ -729,17 +759,15 @@ def spectral_radius_enclosure(rows, width=DEFAULT_WIDTH):
     """
     if isinstance(rows, IncidenceMatrix):
         rows = rows.rows
-    width = Fraction(width)
-    poly = charpoly(rows)
-    hi = Fraction(max((sum(row) for row in rows), default=0))
-    locator = LargestRootLocator(poly, Fraction(-1), max(hi, Fraction(1)))
-    lo, hi = locator.refine(width)
+    lo, hi = _locator_for_block(rows, charpoly(rows)).refine(width)
     return max(lo, Fraction(0)), hi
 
 
 def radius_compare(a, b):
     """Exact trichotomy between two radii: -1, 0 or 1."""
     if not isinstance(a, AlgebraicRadius):
+        if isinstance(b, AlgebraicRadius):
+            return -b.compare(a)
         a = AlgebraicRadius.from_rational(a)
     return a.compare(b)
 

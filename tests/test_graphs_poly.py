@@ -5,12 +5,14 @@ from fractions import Fraction
 
 import pytest
 
+from morphlab import polytools
 from morphlab.errors import DomainMismatchError
 from morphlab.fixtures import demo_matrix
 from morphlab.graphs import component_period, is_trivial_component, strongly_connected_components
 from morphlab.intmat import charpoly, mat_mul, mat_pow, support, support_pow
 from morphlab.polytools import (
     LargestRootLocator,
+    _float_root_hint,
     count_roots_closed,
     count_roots_halfopen,
     evaluate,
@@ -21,6 +23,7 @@ from morphlab.polytools import (
     squarefree,
     sturm_chain,
 )
+from morphlab.spectral import decompose
 
 from util import gcd_of, random_matrix, simple_cycle_lengths
 
@@ -247,5 +250,39 @@ def test_locator_without_float_hint_for_huge_coefficients():
     # 2^1100 exceeds the float range, so refinement bisects from the bracket alone
     poly = [-(2**1100), 1]
     loc = LargestRootLocator(poly, Fraction(-1), Fraction(2**1100))
+    assert _float_root_hint(loc.chain[0], loc.hi) is None
     lo, hi = loc.refine(Fraction(1, 10**9))
     assert lo < 2**1100 <= hi and hi - lo <= Fraction(1, 10**9)
+    # float coefficients, but p(start) overflows: the hint is not finite
+    poly = [-(2**1000)] + [0] * 39 + [1]  # x^40 - 2^1000, root 2^25
+    loc = LargestRootLocator(poly, Fraction(-1), Fraction(2**1000))
+    assert _float_root_hint(loc.chain[0], loc.hi) is None
+    lo, hi = loc.refine(Fraction(1, 10**9))
+    assert lo < 2**25 <= hi and hi - lo <= Fraction(1, 10**9)
+
+
+def test_newton_hint_is_accepted_on_perron_roots(monkeypatch):
+    """The Newton hint from the row-sum bound lands on the Perron root, so
+    refine(1e-9) takes the hint's two exact counts (four sign variations)
+    and no bisection step, where bisection alone would take about 35."""
+    rng = random.Random(76)
+    cases = [random_matrix(rng, rng.randint(1, 12), zero_chance=rng.choice((0.3, 0.55, 0.8)))
+             for _ in range(40)]
+    dec = decompose(demo_matrix())
+    cases += [dec.block_matrices[b] for b, kind in enumerate(dec.kinds) if kind == "primitive"]
+    calls = [0]
+    inner = polytools.sign_variations
+
+    def counted(chain, x):
+        calls[0] += 1
+        return inner(chain, x)
+
+    monkeypatch.setattr(polytools, "sign_variations", counted)
+    for rows in cases:
+        hi = Fraction(max(1, max(sum(row) for row in rows)))
+        loc = LargestRootLocator(charpoly(rows), Fraction(-1), hi)
+        calls[0] = 0
+        lo, hi = loc.refine(Fraction(1, 10**9))
+        assert calls[0] <= 4, rows
+        assert hi - lo <= Fraction(1, 10**9)
+        assert count_roots_halfopen(loc.chain, lo, hi) >= 1

@@ -296,3 +296,21 @@ def test_cli_domain_error_exit_code(tmp_path):
     path.write_text(BS_FILE)
     result = run_cli("expand", "--file", str(path), "--morphism", "nosuch", "--limit", "4")
     assert result.returncode == 3  # unknown name is reported by the parser layer
+
+
+def test_import_leaves_numpy_unloaded():
+    """The library has no runtime dependency: importing it, and running the
+    radius engine, loads no numpy."""
+    script = (
+        "import sys\n"
+        "import morphlab, morphlab.cli\n"
+        "from morphlab.fixtures import demo_matrix\n"
+        "morphlab.decompose(demo_matrix()).blocks_as_json()\n"
+        "morphlab.spectral_radius_enclosure(((1, 1), (1, 0)))\n"
+        "raise SystemExit(3 if 'numpy' in sys.modules else 0)\n"
+    )
+    env = os.environ.copy()
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH", "")]))
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr

@@ -12,6 +12,7 @@ import pytest
 
 from morphlab import (
     AlgebraicRadius,
+    DomainMismatchError,
     GrowthType,
     IncidenceMatrix,
     InvariantError,
@@ -180,6 +181,56 @@ def test_radius_compare_total_order_matches_midpoints():
                 assert cmp == -1
             if mids[i] > mids[j] + 2 * width:
                 assert cmp == 1
+
+
+def test_compare_with_a_rational_matches_the_two_radius_path():
+    """compare(c) decides r^(1/step) against c on the radius's own chain;
+    the answer equals the general path through a 1x1 from_rational radius."""
+    rng = random.Random(85)
+    cs = (0, 1, 2, Fraction(3, 2), Fraction(7, 3))
+    seen = 0
+    for _ in range(25):
+        dec = decompose(random_matrix(rng, rng.randint(1, 7), zero_chance=0.5))
+        for radius in dec.radii:
+            for c in cs:
+                expected = radius.compare(AlgebraicRadius.from_rational(c))
+                assert radius.compare(c) == expected, (radius, c)
+                assert radius_compare(c, radius) == -expected
+                seen += 1
+    assert seen > 200
+    # equality with a rational is certified on the chain, at any step
+    assert AlgebraicRadius.from_block(((4,),), 2).compare(2) == 0
+    assert AlgebraicRadius.from_block(((1, 1), (1, 1))).compare(Fraction(2)) == 0
+    assert SQRT3.compare(Fraction(7, 4)) == -1 and SQRT3.compare(Fraction(17, 10)) == 1
+    with pytest.raises(DomainMismatchError):
+        SQRT3.compare(-1)
+
+
+def test_describe_prints_the_value_whatever_the_enclosure_route():
+    """rho = 3.706808796565156... rounds to ...657 at 12 digits.  A midpoint
+    of a 1e-12 enclosure could print ...656, depending on how the locator
+    had been refined before."""
+    block = ((3, 0, 2, 0), (0, 0, 0, 3), (0, 3, 0, 0), (2, 0, 0, 0))
+    for k in (0, 1, 4, 20, 39):
+        radius = AlgebraicRadius.from_block(block)
+        if k:
+            radius.root_enclosure(Fraction(1, 2**k))
+        assert radius.describe() == "~3.70680879657", k
+    assert AlgebraicRadius.from_block(((1, 1), (1, 0))).describe() == "~1.61803398875"
+    assert AlgebraicRadius.from_block(((27,),), 6).describe() == "27^(1/6)"
+
+
+def test_describe_rational_radii_of_large_powers():
+    """A rational root is found by exact counts at integer points, not among
+    the divisors of the constant term, and exact n-th roots search only up
+    to 2^(bits/n + 1);
+    the first two cases each took over 20 s with the divisor search and the
+    unbounded root search."""
+    two = AlgebraicRadius.from_block(mat_pow(((1, 2), (1, 0)), 60), 60)  # rho 2^60, det 2^60
+    assert two.describe() == "2"
+    assert AlgebraicRadius.from_block(((2**600,),), 600).describe() == "2"
+    assert AlgebraicRadius.from_block(((3**600,),), 1200).describe() == f"{3**600}^(1/1200)"
+    assert AlgebraicRadius.from_block(((1, 1), (1, 0))).exact_rational_value() is None
 
 
 def test_radius_is_root_of_membership():
