@@ -16,7 +16,7 @@ from pathlib import Path
 from . import spectral, streams
 from .errors import BudgetExceededError, MorphlabError, ParseError
 from .fixtures import load_matrix_text
-from .intmat import transpose, vec_mat
+from .intmat import mat_mul, submatrix, transpose, vec_mat
 from .normalize import MorphicPresentation, normalize
 from .parser import format_morphism, parse_file
 from .streams import image_prefix, prefix_equal
@@ -76,31 +76,76 @@ def _cmd_analyze(args):
     return EXIT_OK
 
 
-def _require_pump_budget(pres, n, budget):
-    """Raise at once when n symbols of g(f^w(a)) cannot come within `budget`.
+def _reachable(f, seeds):
+    """The letters of the words f^k(w), k >= 0, w a letter of `seeds`."""
+    found = list(dict.fromkeys(seeds))
+    for letter in found:
+        for b in f.image(letter).letters():
+            if b not in found:
+                found.append(b)
+    return found
 
-    f^w(a) starts with every f^k(a).  With k least such that
-    |g(f^k(a))| >= n, the pump has to read past f^(k-1)(a), so it fails
-    when |f^(k-1)(a)| >= budget.  Both lengths come from letter-count
-    vectors, and the search stops as soon as |f^k(a)| reaches the budget.
+
+def _image_is_finite(f, g, start):
+    """True when g(f^w(start)) is a finite word.
+
+    With f(start) = start u, f^w(start) = start u f(u) f^2(u) ..., and a
+    letter lies in f^k(u) for infinitely many k exactly when a walk of
+    f's letter graph (b -> c when c occurs in f(b)) from a letter of u
+    passes a letter on a cycle on its way there.
     """
-    columns = transpose(incidence_matrix(pres.f).rows)  # counts of f(w) = Mat_f . counts of w
-    image_lengths = tuple(len(pres.g.image(b)) for b in pres.f.domain)
-    counts = tuple(int(b == pres.start) for b in pres.f.domain)
+    tail = _reachable(f, f.image(start).letters()[1:])
+    cyclic = [b for b in tail if b in _reachable(f, f.image(b).letters())]
+    return not any(len(g.image(b)) for b in _reachable(f, cyclic))
+
+
+def _require_pump_budget(f, g, start, n, budget):
+    """Raise at once when n symbols of g(f^w(start)) cannot come within `budget`.
+
+    f^w(start) starts with every f^k(start).  With k least such that
+    |g(f^k(start))| >= n, the pump has to read past f^(k-1)(start), so it
+    fails when |f^(k-1)(start)| >= budget.  Both lengths come from
+    letter-count vectors.  f is prolongable on start, so both grow with k
+    and |f^k(start)| without bound: the least k at which one of them
+    reaches its target exists, and binary lifting over the powers
+    Mat_f^(2^i) finds it in O(log k) vector-matrix products.  A finite
+    image word is left to the pump, whose error says it is finite: no
+    budget would serve it.
+    """
+    letters = _reachable(f, [start])  # only letters of some f^k(start) count
+    idx = [f.domain.index(b) for b in letters]
+    # counts of f(w) = counts of w . steps[0], and steps[i] = steps[0]^(2^i)
+    steps = [transpose(submatrix(incidence_matrix(f).rows, idx))]
+    lengths = tuple(len(g.image(b)) for b in letters)
+
+    def visible(counts):
+        return sum(c * l for c, l in zip(counts, lengths))
+
+    def settled(counts):
+        return visible(counts) >= n or sum(counts) >= budget
+
+    counts = tuple(int(b == start) for b in letters)
     k = 0
-    while True:
-        visible = sum(c * l for c, l in zip(counts, image_lengths))
-        if visible >= n:
-            return
-        source = sum(counts)
-        if source >= budget:
-            raise BudgetExceededError(
-                f"{n} output symbols need more than {source} source symbols "
-                f"(g(f^{k}({pres.start})) has only {visible}), past the pump budget "
-                f"of {budget}; raise it with --budget"
-            )
-        counts = vec_mat(counts, columns)
-        k += 1
+    if not settled(counts):
+        i = 0
+        while True:  # not settled(f^k); try f^(k + 2^i)
+            ahead = vec_mat(counts, steps[i])
+            if settled(ahead):
+                break
+            counts, k = ahead, k + (1 << i)
+            steps.append(mat_mul(steps[i], steps[i]))
+            i += 1
+        for i in range(i - 1, -1, -1):
+            ahead = vec_mat(counts, steps[i])
+            if not settled(ahead):
+                counts, k = ahead, k + (1 << i)
+        counts, k = vec_mat(counts, steps[0]), k + 1
+    if visible(counts) < n and not _image_is_finite(f, g, start):
+        raise BudgetExceededError(
+            f"{n} output symbols need more than {sum(counts)} source symbols "
+            f"(g(f^{k}({start})) has only {visible(counts)}), past the pump budget "
+            f"of {budget}; raise it with --budget"
+        )
 
 
 def _cmd_normalize(args):
@@ -110,7 +155,7 @@ def _cmd_normalize(args):
     payload = report.as_dict(include_stages=args.trace)
     if args.check:
         budget = args.budget if args.budget else streams.default_budget()
-        _require_pump_budget(pres, args.check, budget)
+        _require_pump_budget(pres.f, pres.g, pres.start, args.check, budget)
         original = image_prefix(pres.g, pres.f, pres.start, args.check, max_pump=budget)
         rebuilt = image_prefix(report.tau, report.sigma, report.start, args.check, max_pump=budget)
         payload["verified_prefix"] = args.check if prefix_equal(original, rebuilt, args.check) else None
@@ -159,7 +204,9 @@ def _cmd_expand(args):
     budget = args.budget if args.budget else streams.default_budget()
     if args.image:
         g = mf.morphism(args.image)
-        word = image_prefix(g, f, start, args.limit, max_pump=budget)
+        stream = streams.ImageStream(g, f, start, budget=budget)  # checks f and g first
+        _require_pump_budget(f, g, start, args.limit, budget)
+        word = stream.prefix(args.limit)
     else:
         word = streams.fixed_point_prefix(f, start, args.limit)
     if args.binary:
@@ -181,6 +228,8 @@ def _cmd_verify(args):
     pres1 = _resolve_pair(mf, args.pair1, args.start)
     pres2 = _resolve_pair(mf, args.pair2, args.start2 or args.start)
     budget = args.budget if args.budget else streams.default_budget()
+    for pres in (pres1, pres2):  # each presentation has checked that f is prolongable
+        _require_pump_budget(pres.f, pres.g, pres.start, args.len, budget)
     w1 = image_prefix(pres1.g, pres1.f, pres1.start, args.len, max_pump=budget)
     w2 = image_prefix(pres2.g, pres2.f, pres2.start, args.len, max_pump=budget)
     mismatch = streams.first_mismatch(w1, w2, args.len)

@@ -262,9 +262,9 @@ class LargestRootLocator:
 
     The caller guarantees the polynomial has a real root in (lo, hi] and
     none above hi.  refine() halves the bracket with Sturm counts, trying
-    one float-guided jump first (a Newton estimate on the squarefree chain
-    head, from hi down) so that tight widths do not need dozens of exact
-    bisection steps.
+    one guided jump first (the exact root of a linear squarefree chain
+    head, else a float Newton estimate on it, from hi down) so that tight
+    widths do not need dozens of exact bisection steps.
     """
 
     def __init__(self, poly, lo, hi):
@@ -276,14 +276,17 @@ class LargestRootLocator:
             raise ValueError("bracket does not contain a root")
 
     def _try_hint(self, width):
-        est = _float_root_hint(self.chain[0], self.hi)
-        if est is None:
-            return
+        head = self.chain[0]
+        if len(head) == 2:  # a linear head has the exact root -c0/c1
+            est = Fraction(-head[0], head[1])
+        else:
+            est = _float_root_hint(head, self.hi)
+            if est is None:
+                return
+            est = Fraction(est).limit_denominator(10**15)
         pad = max(Fraction(width) / 4, Fraction(1, 10**15))
-        lo = Fraction(est).limit_denominator(10**15) - pad
-        hi = Fraction(est).limit_denominator(10**15) + pad
-        lo = max(lo, self.lo)
-        hi = min(hi, self.hi)
+        lo = max(est - pad, self.lo)
+        hi = min(est + pad, self.hi)
         if lo >= hi:
             return
         # Accept only when the candidate provably brackets the largest root.

@@ -21,6 +21,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import floor, lcm
 
 from . import words
@@ -29,6 +30,7 @@ from .graphs import component_period, is_trivial_component, strongly_connected_c
 from .intmat import (
     IncidenceMatrix,
     charpoly,
+    freeze,
     mat_pow,
     submatrix,
     support,
@@ -56,6 +58,14 @@ def _adjacency(rows):
     return [[j for j in range(n) if rows[i][j] > 0] for i in range(n)]
 
 
+def _cyclic_components(rows):
+    """The non-trivial strongly connected components of the digraph G(rows),
+    in topological order, and their periods."""
+    adj = _adjacency(rows)
+    comps = [c for c in strongly_connected_components(len(rows), adj) if not is_trivial_component(c, adj)]
+    return comps, [component_period(c, adj) for c in comps]
+
+
 def cyclicity(matrix):
     """Least p such that M^p is permutation-similar to block triangular form
     with primitive or zero diagonal blocks.
@@ -64,24 +74,14 @@ def cyclicity(matrix):
     gcd of their cycle lengths; 1 when the digraph has no cycles at all.
     """
     rows = matrix.rows if isinstance(matrix, IncidenceMatrix) else matrix
-    adj = _adjacency(rows)
-    p = 1
-    for comp in strongly_connected_components(len(rows), adj):
-        if not is_trivial_component(comp, adj):
-            p = lcm(p, component_period(comp, adj))
-    return p
+    return lcm(1, *_cyclic_components(rows)[1])
 
 
 def scc_periods(rows):
     """Periods of the non-trivial strongly connected components of G(rows)."""
     if isinstance(rows, IncidenceMatrix):
         rows = rows.rows
-    adj = _adjacency(rows)
-    return [
-        component_period(comp, adj)
-        for comp in strongly_connected_components(len(rows), adj)
-        if not is_trivial_component(comp, adj)
-    ]
+    return _cyclic_components(rows)[1]
 
 
 def _row_sum_bound(block):
@@ -105,24 +105,27 @@ class AlgebraicRadius:
     defines r (its Perron root); `step` records that the matrix arose as a
     step-th power, so the per-step rate is the step-th root.  The zero
     radius (for ultimately vanishing quantities) is represented with
-    block None.  Enclosure refinement is memoised behind a per-instance
-    lock so concurrent readers can share one object; no two locks are
-    ever held at once.
+    block None.  A radius made by `on_demand` builds its block and
+    polynomial on first use.  Building and enclosure refinement are
+    memoised behind a per-instance lock so concurrent readers can share
+    one object; no two locks are ever held at once.
     """
 
-    __slots__ = ("block", "poly", "step", "_locator", "_powers", "_lock")
+    __slots__ = ("step", "_block", "_poly", "_build", "_base", "_locator", "_powers", "_lock")
 
     def __init__(self, block, step=1):
         if step < 1:
             raise DomainMismatchError("step must be positive")
         if block is not None:
-            block = tuple(tuple(x for x in row) for row in block)
+            block = freeze(block)
             poly = tuple(charpoly(block))
         else:
             poly = (0, 1)
-        object.__setattr__(self, "block", block)
         object.__setattr__(self, "step", step)
-        object.__setattr__(self, "poly", poly)
+        object.__setattr__(self, "_block", block)
+        object.__setattr__(self, "_poly", poly)
+        object.__setattr__(self, "_build", None)
+        object.__setattr__(self, "_base", None)
         object.__setattr__(self, "_locator", None)
         object.__setattr__(self, "_powers", {})
         object.__setattr__(self, "_lock", threading.Lock())
@@ -139,6 +142,18 @@ class AlgebraicRadius:
         return cls(block, step)
 
     @classmethod
+    def on_demand(cls, build, step=1, base=None):
+        """The radius of the non-negative block `build()`, a callable that
+        takes no lock; it is called once, on first use.  `base`, when
+        given, is a step-1 radius of an integer matrix whose root is this
+        radius's value; it decides whether the defining root is rational
+        and encloses the value."""
+        radius = cls(None, step)
+        object.__setattr__(radius, "_build", build)
+        object.__setattr__(radius, "_base", base)
+        return radius
+
+    @classmethod
     def from_rational(cls, value, step=1):
         value = Fraction(value)
         if value < 0:
@@ -147,26 +162,48 @@ class AlgebraicRadius:
             return cls.zero()
         return cls(((value,),), step)
 
+    def _materialise(self):
+        with self._lock:
+            if self._build is not None:
+                block = freeze(self._build())
+                object.__setattr__(self, "_block", block)
+                object.__setattr__(self, "_poly", tuple(charpoly(block)))
+                object.__setattr__(self, "_build", None)  # last: readers test it first
+
+    @property
+    def block(self):
+        if self._build is not None:
+            self._materialise()
+        return self._block
+
+    @property
+    def poly(self):
+        if self._build is not None:
+            self._materialise()
+        return self._poly
+
     @property
     def is_zero(self):
-        return self.block is None
+        return self._build is None and self._block is None  # _build first, as in block
 
     # -- refinement (all locator mutation happens under self._lock) -----------
 
     def _own_locator(self):
+        block, poly = self.block, self.poly  # built before the lock is taken
         with self._lock:
             if self._locator is None:
-                object.__setattr__(self, "_locator", _locator_for_block(self.block, self.poly))
+                object.__setattr__(self, "_locator", _locator_for_block(block, poly))
             return self._locator
 
     def _powered(self, e):
         """(poly, locator) for the dominant root of block^e."""
         if e == 1:
             return list(self.poly), self._own_locator()
+        block = self.block
         with self._lock:
             cached = self._powers.get(e)
             if cached is None:
-                block = mat_pow(self.block, e)
+                block = mat_pow(block, e)
                 poly = charpoly(block)
                 cached = (poly, _locator_for_block(block, poly))
                 self._powers[e] = cached
@@ -194,6 +231,8 @@ class AlgebraicRadius:
         """
         if self.is_zero:
             return Fraction(0), Fraction(0)
+        if self._base is not None:  # the same value, at step 1
+            return self._base.value_enclosure(width)
         width = Fraction(width)
         if self.step == 1:
             vlo, vhi = self.root_enclosure(width)
@@ -224,6 +263,8 @@ class AlgebraicRadius:
             return Fraction(poly[0], poly[1]) * -1
         if not all(isinstance(c, int) for c in poly) or poly[-1] != 1:
             return None
+        if self._base is not None:
+            return self._rational_root_from_base()
         # a rational root of a monic integer polynomial is an integer, so r
         # is rational exactly when r = floor(r); floor(r) is found by
         # bisecting the integers with exact counts, which leaves the
@@ -236,6 +277,25 @@ class AlgebraicRadius:
             else:
                 hi = mid - 1
         return Fraction(lo) if self._compare_root(Fraction(lo)) == 0 else None
+
+    def _rational_root_from_base(self):
+        """r = rho^step as an integer, or None, for rho the root of `_base`.
+
+        The k with rho^k rational are the multiples of the least one, d;
+        then x^d - rho^d is irreducible (Capelli: rho^d > 0 is no l-th
+        power of a rational for a prime l | d, or rho^(d/l) would be
+        rational), so it is the minimal polynomial of rho and d is at most
+        the size of the base block.  rho^k is the Perron root of the
+        k-th power of that integer block, rational only when an integer.
+        """
+        base = self._base
+        for d in range(1, min(self.step, len(base.block)) + 1):
+            if self.step % d == 0:
+                power = base if d == 1 else AlgebraicRadius(mat_pow(base.block, d))
+                root = power._rational_root()
+                if root is not None:
+                    return root ** (self.step // d)
+        return None
 
     def exact_rational_value(self):
         """r^(1/step) as a Fraction when that value is rational, else None."""
@@ -410,14 +470,12 @@ PRIMITIVE = "primitive"
 ZERO = "zero"
 
 
-class _RadiusKey:
-    __slots__ = ("radius",)
-
-    def __init__(self, radius):
-        self.radius = radius
-
-    def __lt__(self, other):
-        return self.radius.compare(other.radius) < 0
+def _power_block(comp_rows, h, positions, e):
+    """(M^p)[B, B] for a block B of M^p, at `positions` within a component C
+    of M of period h, with p = h e.  Walks from C back to C stay in C, and
+    C^h is block diagonal over the cyclic classes of C, one of which is B;
+    so the block is ((C^h)[B, B])^e."""
+    return mat_pow(submatrix(mat_pow(comp_rows, h), positions), e)
 
 
 class BlockDecomposition:
@@ -427,16 +485,24 @@ class BlockDecomposition:
     topological order (edges run from earlier blocks to later ones), so
     reordering vertices block by block puts M^p in upper block triangular
     form.  Each block is primitive or the 1x1 zero block.
+
+    Only the zero pattern of M^p is formed.  A primitive block lies in one
+    non-trivial component C of M and has radius rho(C)^p (the Frobenius
+    normal form), so radius classes come from comparing the components of
+    M, and a block's own matrix and polynomial are built on first use.
     """
 
     def __init__(self, matrix):
         if not isinstance(matrix, IncidenceMatrix):
             matrix = IncidenceMatrix(matrix)
         self.matrix = matrix
-        self.p = cyclicity(matrix)
-        self.power_rows = mat_pow(matrix.rows, self.p)
+        rows = matrix.rows
         n = matrix.size
-        adj = _adjacency(self.power_rows)
+        components, periods = _cyclic_components(rows)
+        self.p = lcm(1, *periods)
+        self.support = support(rows)
+        self.power_support = support_pow(self.support, self.p)
+        adj = [[j for j in range(n) if row >> j & 1] for row in self.power_support]
         self.blocks = tuple(strongly_connected_components(n, adj))
         kinds = []
         for comp in self.blocks:
@@ -453,33 +519,71 @@ class BlockDecomposition:
             for v in comp:
                 block_of[v] = b
         self.block_of = tuple(block_of)
-        self.block_matrices = tuple(submatrix(self.power_rows, comp) for comp in self.blocks)
+        component_radii = [AlgebraicRadius(submatrix(rows, comp)) for comp in components]
+        owners = self._block_owners(components)
         self.radii = tuple(
-            AlgebraicRadius.from_block(bm, self.p) if kind == PRIMITIVE else AlgebraicRadius.zero()
-            for bm, kind in zip(self.block_matrices, self.kinds)
+            AlgebraicRadius.zero() if c is None
+            else component_radii[c] if self.p == 1  # the block is its component
+            else self._block_radius(b, components[c], component_radii[c], periods[c])
+            for b, c in enumerate(owners)
         )
-        self._assign_radius_classes()
+        self._assign_radius_classes(owners, component_radii)
         self._build_reachability(adj)
-        self.support = support(matrix.rows)
-        self.power_support = support(self.power_rows)
 
-    def _assign_radius_classes(self):
-        """Group blocks by exactly equal radius; class ids ascend with the radius."""
-        reps = []
-        for b, radius in enumerate(self.radii):
-            for rep in reps:
-                if rep[0].compare(radius) == 0:
-                    rep[1].append(b)
+    def _block_owners(self, components):
+        """For each block, the index of the component of M holding it, or
+        None for a zero block."""
+        component_of = {v: c for c, comp in enumerate(components) for v in comp}
+        owners = []
+        for comp, kind in zip(self.blocks, self.kinds):
+            if kind == ZERO:
+                owners.append(None)
+                continue
+            held = {component_of.get(v) for v in comp}
+            if len(held) != 1 or None in held:
+                raise InvariantError("a primitive block of M^p lies in no single cyclic component of M")
+            owners.append(held.pop())
+        return owners
+
+    def _block_radius(self, b, component, base, h):
+        """Block b's radius at step p, its matrix built from M[C, C], the
+        block of the component radius `base`."""
+        comp_rows = base.block
+        positions = tuple(component.index(v) for v in self.blocks[b])
+        build = partial(_power_block, comp_rows, h, positions, self.p // h)
+        integral = all(isinstance(x, int) for row in comp_rows for x in row)
+        return AlgebraicRadius.on_demand(build, self.p, base if integral else None)
+
+    def _assign_radius_classes(self, owners, component_radii):
+        """Group blocks by exactly equal radius; class ids ascend with the radius.
+
+        Blocks of one component share its radius, and zero blocks the zero
+        class, so only the radii rho(C) of distinct components are
+        compared, at step 1: each joins its class, or starts one, by
+        binary search over the classes found so far.
+        """
+        ranked = []  # [(radius, [component ids])], strictly ascending
+        for c, radius in enumerate(component_radii):
+            lo, hi = 0, len(ranked)
+            while lo < hi:
+                mid = (lo + hi) // 2
+                sign = radius.compare(ranked[mid][0])
+                if sign == 0:
+                    ranked[mid][1].append(c)
                     break
+                if sign < 0:
+                    hi = mid
+                else:
+                    lo = mid + 1
             else:
-                reps.append((radius, [b]))
-        reps.sort(key=lambda rep: _RadiusKey(rep[0]))
-        class_of = [None] * len(self.radii)
-        for cid, (_, members) in enumerate(reps):
-            for b in members:
-                class_of[b] = cid
-        self.class_of_block = tuple(class_of)
-        self.class_radii = tuple(r for r, _ in reps)
+                ranked.insert(lo, (radius, [c]))
+        offset = int(ZERO in self.kinds)  # the zero class comes first
+        class_of_component = {c: offset + cid for cid, (_, members) in enumerate(ranked) for c in members}
+        self.class_of_block = tuple(0 if c is None else class_of_component[c] for c in owners)
+        # each class is represented by its first block, as a step-p radius
+        self.class_radii = tuple(
+            self.radii[self.class_of_block.index(cid)] for cid in range(offset + len(ranked))
+        )
 
     def _build_reachability(self, adj):
         nb = len(self.blocks)
@@ -526,9 +630,22 @@ class BlockDecomposition:
     def vertex_order(self):
         return tuple(v for comp in self.blocks for v in comp)
 
+    @property
+    def power_rows(self):
+        """M^p, formed anew on each read; the decomposition never needs it."""
+        return mat_pow(self.matrix.rows, self.p)
+
+    @property
+    def block_matrices(self):
+        """The diagonal blocks of M^p; a primitive block is built on first use."""
+        return tuple(
+            radius.block if kind == PRIMITIVE else ((0,),) for radius, kind in zip(self.radii, self.kinds)
+        )
+
     def permuted_power_matrix(self):
         order = self.vertex_order()
-        return tuple(tuple(self.power_rows[i][j] for j in order) for i in order)
+        power = self.power_rows
+        return tuple(tuple(power[i][j] for j in order) for i in order)
 
     def block_letters(self, b):
         return tuple(self.matrix.labels[v] for v in self.blocks[b])

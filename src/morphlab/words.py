@@ -288,14 +288,23 @@ def compose(g, f):
 
 
 def power(f, n):
-    """n-fold composition of an endomorphism; power(f, 0) is the identity."""
+    """n-fold composition of an endomorphism; power(f, 0) is the identity.
+
+    Square and multiply: composition is associative, so the powers of f
+    combine in any grouping to the same morphism.
+    """
     if not f.is_endomorphism:
         raise DomainMismatchError("powers need an endomorphism")
     if n < 0:
         raise DomainMismatchError("negative morphism power")
     result = identity_morphism(f.domain)
-    for _ in range(n):
-        result = compose(f, result)
+    base = f
+    while n:
+        if n & 1:
+            result = compose(base, result)
+        n >>= 1
+        if n:
+            base = compose(base, base)
     return result
 
 

@@ -247,7 +247,8 @@ def test_support_pow_is_zero_pattern_of_mat_pow():
 
 
 def test_locator_without_float_hint_for_huge_coefficients():
-    # 2^1100 exceeds the float range, so refinement bisects from the bracket alone
+    # 2^1100 exceeds the float range, so there is no float hint; the linear
+    # head's exact root still guides refinement
     poly = [-(2**1100), 1]
     loc = LargestRootLocator(poly, Fraction(-1), Fraction(2**1100))
     assert _float_root_hint(loc.chain[0], loc.hi) is None
@@ -259,6 +260,31 @@ def test_locator_without_float_hint_for_huge_coefficients():
     assert _float_root_hint(loc.chain[0], loc.hi) is None
     lo, hi = loc.refine(Fraction(1, 10**9))
     assert lo < 2**25 <= hi and hi - lo <= Fraction(1, 10**9)
+
+
+def test_linear_head_hint_is_its_exact_root(monkeypatch):
+    """A degree-1 chain head, as for a 1x1 block of M^p, hints its exact
+    root -c0/c1, so refine(1e-9) takes only the hint's counts even past the
+    float range, where a float estimate could never be accepted."""
+    calls = [0]
+    inner = polytools.sign_variations
+
+    def counted(chain, x):
+        calls[0] += 1
+        return inner(chain, x)
+
+    monkeypatch.setattr(polytools, "sign_variations", counted)
+    for poly, root in (
+        ([-(3**5000), 1], Fraction(3**5000)),
+        ([-(2**80 + 1), 1], Fraction(2**80 + 1)),  # floats round it to 2^80
+        ([-7, 3], Fraction(7, 3)),
+        ([-(5**300), 2**400], Fraction(5**300, 2**400)),
+    ):
+        loc = LargestRootLocator(poly, Fraction(-1), max(Fraction(1), 2 * root))
+        calls[0] = 0
+        lo, hi = loc.refine(Fraction(1, 10**9))
+        assert calls[0] <= 4, poly
+        assert lo <= root <= hi and hi - lo <= Fraction(1, 10**9)
 
 
 def test_newton_hint_is_accepted_on_perron_roots(monkeypatch):

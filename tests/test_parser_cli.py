@@ -2,15 +2,21 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from morphlab import ParseError, parse_file
+from morphlab import BudgetExceededError, MorphicPresentation, ParseError, incidence_matrix, parse_file
+from morphlab import cli
 from morphlab.fixtures import baum_sweet_erasing, baum_sweet_uniform
+from morphlab.intmat import mat_vec
 from morphlab.parser import format_file
+
+from util import random_presentations
 
 BS_FILE = """
 sigma' { a -> a b e ; b -> c e f b ; c -> b f d ; d -> d e f d ; e -> e f ; f -> ; }
@@ -30,7 +36,20 @@ start = a;
 """
 
 
-def run_cli(*args, env_extra=None):
+def cycles_file(lengths=(7, 8, 9, 11)):
+    """a -> a x0 y0 ... with one cycle of letters per length (cyclicity =
+    their lcm, 5544 by default); g keeps a and each cycle's first letter."""
+    names = "pqrs"[: len(lengths)]
+    f = ["a -> a " + " ".join(f"{c}0" for c in names)]
+    g = ["a -> a"]
+    for c, length in zip(names, lengths):
+        for t in range(length):
+            f.append(f"{c}{t} -> {c}{(t + 1) % length}")
+            g.append(f"{c}{t} -> {c}{t}" if t == 0 else f"{c}{t} ->")
+    return f"f {{ {' ; '.join(f)} ; }}\ng {{ {' ; '.join(g)} ; }}\npair = f, g;\nstart = a;\n"
+
+
+def run_cli(*args, env_extra=None, timeout=None):
     env = os.environ.copy()
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH", "")]))
@@ -41,6 +60,7 @@ def run_cli(*args, env_extra=None):
         capture_output=True,
         text=True,
         env=env,
+        timeout=timeout,
     )
 
 
@@ -281,6 +301,219 @@ def test_cli_normalize_check_within_the_default_budget(tmp_path):
     payload = json.loads(result.stdout)
     assert payload["verified_prefix"] == 2000
     assert payload["q"] == 1
+
+
+def _levels(pres, n):
+    """(k, |f^k(start)|, |g(f^k(start))|) for k = 0, 1, ... up to the first
+    level with n visible symbols, one level at a time."""
+    rows = incidence_matrix(pres.f).rows
+    lengths = [len(pres.g.image(b)) for b in pres.f.domain]
+    counts = [int(b == pres.start) for b in pres.f.domain]
+    k = 0
+    while True:
+        visible = sum(c * l for c, l in zip(counts, lengths))
+        yield k, sum(counts), visible
+        if visible >= n:
+            return
+        counts = mat_vec(rows, counts)
+        k += 1
+
+
+def _level_by_level(pres, n, budget):
+    """The pre-check's verdict from a level-by-level search: None, or the
+    level (k, |f^k(start)|, |g(f^k(start))|) at which it fails."""
+    for k, source, visible in _levels(pres, n):
+        if visible >= n:
+            return None
+        if source >= budget:
+            return k, source, visible
+
+
+def test_pump_precheck_agrees_with_the_level_by_level_search():
+    """Same verdict and message as a level-by-level search, at budgets
+    just below, at and above each |f^k(start)| on the way to n symbols."""
+    rng = random.Random(7201)
+    presentations = random_presentations(rng, 20)
+    for text in (TM_FILE, cycles_file((2, 3))):
+        mf = parse_file(text)
+        presentations.append(MorphicPresentation(mf.morphism("f"), mf.morphism("g"), "a"))
+    raised = 0
+    for pres in presentations:
+        for n in (1, 7, 50, 400, 3000):
+            sizes = [source for _, source, _ in _levels(pres, n)]
+            for budget in sorted({max(1, size + d) for size in sizes[:: max(1, len(sizes) // 8)] for d in (-1, 0, 1)}):
+                expected = _level_by_level(pres, n, budget)
+                try:
+                    cli._require_pump_budget(pres.f, pres.g, pres.start, n, budget)
+                except BudgetExceededError as exc:
+                    assert expected is not None, (pres, n, budget)
+                    k, source, visible = expected
+                    assert f"need more than {source} source symbols (g(f^{k}({pres.start})) has only {visible})" in str(exc)
+                    raised += 1
+                else:
+                    assert expected is None, (pres, n, budget)
+    assert raised > 100
+
+
+def test_pump_precheck_takes_logarithmically_many_steps(monkeypatch):
+    """On the 7/8/9/11-cycle presentation |g(f^k(a))| grows by about 0.47
+    per level, so 30000 symbols need some 64000 levels; binary lifting
+    visits O(log k) of them."""
+    mf = parse_file(cycles_file())
+    f, g = mf.morphism("f"), mf.morphism("g")
+    calls = [0]
+    inner = cli.vec_mat
+
+    def counted(v, a):
+        calls[0] += 1
+        return inner(v, a)
+
+    monkeypatch.setattr(cli, "vec_mat", counted)
+    cli._require_pump_budget(f, g, "a", 30000, 10**6)
+    assert calls[0] <= 2 * 17 + 1
+    calls[0] = 0
+    with pytest.raises(BudgetExceededError, match="more than 100001 source symbols"):
+        cli._require_pump_budget(f, g, "a", 30000, 10**5)
+    assert calls[0] <= 2 * 17 + 1
+
+
+def test_pump_precheck_counts_only_letters_reachable_from_start(monkeypatch):
+    """An unreachable letter c -> c c would put 2^(2^i)-sized entries into
+    the powers Mat_f^(2^i) while the linearly growing start letter needs
+    some 2^17 levels; only the letters of f^k(a) enter the powers."""
+    mf = parse_file("f { a -> a b ; b -> b ; c -> c c ; }\ng { a -> a ; b -> b ; c -> c ; }")
+    bits = [0]
+    inner = cli.mat_mul
+
+    def measured(x, y):
+        out = inner(x, y)
+        bits[0] = max(bits[0], max(v.bit_length() for row in out for v in row))
+        return out
+
+    monkeypatch.setattr(cli, "mat_mul", measured)
+    cli._require_pump_budget(mf.morphism("f"), mf.morphism("g"), "a", 10**5, 10**6)
+    assert 0 < bits[0] <= 20
+
+
+def test_cli_expand_image_fails_fast_past_the_pump_budget(tmp_path):
+    path = tmp_path / "tm.mf"
+    path.write_text(TM_FILE)
+    args = ("expand", "--file", str(path), "--morphism", "f", "--image", "g", "--limit", "10000")
+    result = run_cli(*args)
+    assert result.returncode == 2
+    error = json.loads(result.stdout)["error"]
+    assert error["kind"] == "BudgetExceededError"
+    assert "more than 1594323 source symbols" in error["message"]  # the pre-check, not the pump
+    result = run_cli(*args, "--budget", "20000000")
+    assert result.returncode == 0
+    assert len(result.stdout.strip()) == 10000
+
+
+def test_cli_verify_fails_fast_past_the_pump_budget(tmp_path):
+    path = tmp_path / "tm.mf"
+    path.write_text(TM_FILE)
+    result = run_cli("verify", "--file", str(path), "--pair1", "f,g", "--pair2", "f,g", "--len", "10000")
+    assert result.returncode == 2
+    error = json.loads(result.stdout)["error"]
+    assert error["kind"] == "BudgetExceededError"
+    assert "more than 1594323 source symbols" in error["message"]
+
+
+@pytest.mark.parametrize("text, length", [
+    ("f { a -> a ; }", 10),
+    ("f { a -> a b ; b -> ; }", 10),
+])
+def test_cli_verify_rejects_a_generator_that_is_not_prolongable(tmp_path, text, length):
+    """|f^k(a)| stays bounded, so the pre-check could never reach the
+    budget: each pair's presentation refuses f before it runs."""
+    path = tmp_path / "stuck.mf"
+    path.write_text(text + "\n")
+    result = run_cli("verify", "--file", str(path), "--pair1", "f,f", "--pair2", "f,f",
+                     "--len", str(length), "--start", "a", timeout=60)
+    assert result.returncode == 2
+    assert json.loads(result.stdout)["error"]["kind"] == "NotProlongableError"
+
+
+def test_cli_finite_image_word_keeps_the_pump_error(tmp_path):
+    """g(f^w(a)) = x: no budget would serve 10 symbols, so the pre-check
+    leaves the verdict to the pump, which says the word is finite."""
+    path = tmp_path / "finite.mf"
+    path.write_text("f { a -> a b ; b -> b ; }\ng { a -> x ; b -> ; }\n")
+    for args in (
+        ("expand", "--morphism", "f", "--image", "g", "--limit", "10", "--start", "a"),
+        ("verify", "--pair1", "f,g", "--pair2", "f,g", "--len", "10", "--start", "a"),
+    ):
+        result = run_cli(args[0], "--file", str(path), *args[1:], "--budget", "1000", timeout=60)
+        assert result.returncode == 2
+        error = json.loads(result.stdout)["error"]
+        assert error["kind"] == "BudgetExceededError"
+        assert "consumed 1000 source symbols for 1 output symbols" in error["message"]
+        assert "likely finite" in error["message"]
+
+
+def _finite_by_orbit(f, g, start):
+    """g(f^w(start)) is finite iff no letter set of f^k(u), k >= 2^m (m
+    letters, f(start) = start u), holds a letter g keeps: the sets
+    S_(k+1) = letters of f(S_k) repeat within 2^m steps."""
+    m = len(f.domain.letters)
+    current = set(f.image(start).letters()[1:])
+    for k in range(2 ** (m + 1)):
+        if k >= 2**m and any(len(g.image(b)) for b in current):
+            return False
+        current = {c for b in current for c in f.image(b).letters()}
+    return True
+
+
+def test_image_finiteness_matches_the_letter_set_orbit():
+    rng = random.Random(7411)
+    letters = "abcde"
+    verdicts = set()
+    for _ in range(300):
+        size = rng.randint(2, 5)
+        alphabet = letters[:size]
+        images = {b: " ".join(rng.choice(alphabet) for _ in range(rng.randint(0, 2))) for b in alphabet}
+        images["a"] = "a " + " ".join(rng.choice(alphabet) for _ in range(rng.randint(1, 2)))
+        kept = {b: rng.choice(("", "x")) for b in alphabet}
+        mf = parse_file(
+            "f { " + " ".join(f"{b} -> {w} ;" for b, w in images.items()) + " }\n"
+            + "g { " + " ".join(f"{b} -> {w} ;" for b, w in kept.items()) + " }\n"
+        )
+        f, g = mf.morphism("f"), mf.morphism("g")
+        verdict = cli._image_is_finite(f, g, "a")
+        assert verdict == _finite_by_orbit(f, g, "a"), (images, kept)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_cli_normalize_at_cyclicity_5544(tmp_path):
+    path = tmp_path / "cycles.mf"
+    path.write_text(cycles_file())
+    result = run_cli("normalize", "--file", str(path), "--check", "1000", "--json")
+    assert result.returncode == 0, result.stdout
+    payload = json.loads(result.stdout)
+    assert (payload["p"], payload["verified_prefix"]) == (5544, 1000)
+
+
+def test_cli_matrix_demo9_matches_the_pinned_table(capsys):
+    """The demo9 table equals tests/data/demo9_matrix.json in every field
+    but the enclosure endpoints, which must overlap the pinned ones and
+    keep the default width 1e-9."""
+    demo = Path(__file__).resolve().parents[1] / "src" / "morphlab" / "data" / "demo9.mat"
+    code = cli.main(["matrix", "--file", str(demo), "--entries", "1,2", "1,5", "1,7",
+                     "--rows", "1", "--cols", "9", "--json"])
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    pinned = json.loads((Path(__file__).parent / "data" / "demo9_matrix.json").read_text())
+
+    def enclosures(table):
+        return [[Fraction(x) for x in block["radius"].pop("enclosure")] for block in table["blocks"]]
+
+    got, want = enclosures(payload), enclosures(pinned)
+    assert payload == pinned
+    assert len(got) == len(want)
+    for (lo, hi), (plo, phi) in zip(got, want):
+        assert hi - lo <= Fraction(1, 10**9)
+        assert max(lo, plo) <= min(hi, phi)
 
 
 def test_cli_parse_error_exit_code(tmp_path):

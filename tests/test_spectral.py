@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import threading
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -32,11 +33,12 @@ from morphlab import (
     spectral_radius_enclosure,
 )
 from morphlab.fixtures import baum_sweet_uniform, demo_matrix, thue_morse_projection
+from morphlab import spectral
 from morphlab.intmat import charpoly, mat_pow, support_pow
-from morphlab.polytools import count_roots_halfopen, evaluate, sturm_chain
-from morphlab.spectral import _DECOMP_CACHE, _DECOMP_CACHE_SIZE, scc_periods
+from morphlab.polytools import count_roots_closed, count_roots_halfopen, evaluate, sturm_chain
+from morphlab.spectral import _DECOMP_CACHE, _DECOMP_CACHE_SIZE, BlockDecomposition, scc_periods
 
-from util import random_matrix, ratio_band_ok
+from util import ReferenceDecomposition, cycle_chain, random_dilation, random_matrix, ratio_band_ok
 
 SQRT3 = AlgebraicRadius.from_block(((3,),), 2)  # 3^(1/2)
 TWO = AlgebraicRadius.from_rational(2)
@@ -533,3 +535,177 @@ def test_decomposition_cache_is_a_bounded_lru():
         assert len(_DECOMP_CACHE) <= _DECOMP_CACHE_SIZE
     rebuilt = decompose(dropped)
     assert rebuilt is not old and rebuilt.p == old.p
+
+
+def _reference_cases():
+    rng = random.Random(7107)
+    cases = [random_matrix(rng, rng.randint(1, 8), zero_chance=rng.choice((0.5, 0.7, 0.8))) for _ in range(40)]
+    for _ in range(8):  # dilated pairs: the base and its dilation
+        base = random_matrix(rng, rng.randint(2, 4), zero_chance=0.5)
+        cases += [base, random_dilation(rng, base, [rng.randint(1, 3) for _ in base])]
+    cases += [
+        cycle_chain((2, 3, 5), (2, 3, 2)),
+        cycle_chain((3, 4, 5), (2, 1, 3)),
+        cycle_chain((2, 5, 7), (3, 3, 2)),
+        cycle_chain((3, 4), (1, 1), ((1, 2), (1, 0))),
+        cycle_chain((2, 3), (3, 2), ((0, 1), (1, 1))),
+        cycle_chain((2, 4), (4, 16)),  # two components of radius 2
+        cycle_chain((3, 3, 1), (2, 2, 1), ((1, 1), (1, 1))),
+        demo_matrix().rows,
+    ]
+    return cases
+
+
+def _holds_largest_root(radius, lo, hi):
+    """[lo, hi] contains the largest real root of the radius's polynomial."""
+    poly = list(radius.poly)
+    chain = sturm_chain(poly)
+    bound = Fraction(max(1, max(sum(row) for row in radius.block)))
+    return count_roots_closed(poly, chain, lo, hi) >= 1 and count_roots_halfopen(chain, hi, bound) == 0
+
+
+def test_decomposition_matches_the_direct_construction():
+    """Blocks read from the pattern of M^p and classes from the components
+    of M agree with the bignum M^p and block-by-block comparisons."""
+    for rows in _reference_cases():
+        dec = BlockDecomposition(rows)
+        ref = ReferenceDecomposition(rows)
+        assert (dec.p, dec.blocks, dec.kinds, dec.block_of) == (ref.p, ref.blocks, ref.kinds, ref.block_of), rows
+        assert dec.class_of_block == ref.class_of_block, rows
+        assert dec.block_matrices == ref.block_matrices
+        assert [r.poly for r in dec.radii] == [r.poly for r in ref.radii]
+        assert [r.poly for r in dec.class_radii] == [r.poly for r in ref.class_radii]
+        assert [r.describe() for r in dec.radii] == [r.describe() for r in ref.radii]
+        assert [r.describe() for r in dec.class_radii] == [r.describe() for r in ref.class_radii]
+        for radius in dec.radii:
+            if radius.is_zero:
+                continue
+            for width in (Fraction(1, 16), Fraction(1, 10**9)):
+                lo, hi = radius.root_enclosure(width)
+                assert hi - lo <= width and _holds_largest_root(radius, lo, hi), rows
+
+
+def test_decompose_at_p_5544_compares_components_and_forms_no_full_power(monkeypatch):
+    """Weighted 7-, 8-, 9- and 11-cycles and a primitive 2x2 block: the
+    classes come from comparing the five components at step 1, and no
+    power of the whole matrix is formed, not even for the block matrices."""
+    tail = ((1, 2), (1, 0))
+    rows = cycle_chain((7, 8, 9, 11), (2, 3, 2, 3), tail)
+    n = len(rows)
+    sizes = []
+    inner_pow = spectral.mat_pow
+    monkeypatch.setattr(spectral, "mat_pow", lambda a, e: sizes.append(len(a)) or inner_pow(a, e))
+    steps = []
+    inner_compare = AlgebraicRadius.compare
+
+    def compare(self, other):
+        if isinstance(other, AlgebraicRadius):
+            steps.append((self.step, other.step))
+        return inner_compare(self, other)
+
+    monkeypatch.setattr(AlgebraicRadius, "compare", compare)
+    dec = BlockDecomposition(rows)
+    assert dec.p == 5544
+    assert steps and set(steps) == {(1, 1)} and len(steps) <= 8
+    assert not sizes  # nothing is built yet
+    # 2^(1/9) < 2^(1/7) < 3^(1/11) < 3^(1/8) < 2, one class per component
+    expected = [1] * 7 + [3] * 8 + [0] * 9 + [2] * 11 + [4] * 2
+    assert [dec.class_of_block[dec.block_of[v]] for v in range(n)] == expected
+    mats = dec.block_matrices
+    assert n not in sizes
+    assert mats[dec.block_of[n - 1]] == mat_pow(tail, 5544)
+    assert mats[dec.block_of[0]] == ((2**792,),)  # (weight^(p/7)) for the 7-cycle
+    assert set(steps) == {(1, 1)}
+
+
+@pytest.mark.parametrize("tail, text", [(((1, 2), (1, 0)), "2"), (((1, 1), (1, 0)), "~1.61803398875")])
+def test_describe_at_p_5544_reads_the_value_off_the_components(monkeypatch, tail, text):
+    """The class radii of the p = 5544 chain print as the small matrices
+    say, and no Sturm count or refinement runs on a 5544-bit block
+    polynomial: whether the defining root is rational is decided by
+    trying rho(C)^d for the d <= |C| that divide p, on powers of the
+    component matrix, and the value is enclosed as rho(C) at step 1."""
+    rows = cycle_chain((7, 8, 9, 11), (2, 3, 2, 3), tail)
+    dec = BlockDecomposition(rows)
+    steps = []
+
+    def step_one_only(inner):
+        def watched(self, *args):
+            if self.step != 1:  # fail at once: this work runs for minutes
+                raise AssertionError(f"{inner.__name__} on a step-{self.step} radius")
+            steps.append(self.step)
+            return inner(self, *args)
+        return watched
+
+    for name in ("_compare_root", "root_enclosure"):
+        monkeypatch.setattr(AlgebraicRadius, name, step_one_only(getattr(AlgebraicRadius, name)))
+    texts = [radius.describe() for radius in dec.class_radii]
+    assert texts == [f"{w ** (5544 // h)}^(1/5544)" for w, h in ((2, 9), (2, 7), (3, 11), (3, 8))] + [text]
+    assert steps
+
+
+def test_rational_root_from_the_component_matches_the_block_bisection():
+    """Weighted cycles and primitive blocks at small p: the defining root
+    found from powers of the component is the one found by bisecting the
+    integers on the block's own polynomial."""
+    rng = random.Random(7311)
+    cases = [cycle_chain((2, 3, 4), (4, 2, 9), ((1, 1), (1, 0))), cycle_chain((2, 6), (9, 64), ((2, 0), (0, 2)))]
+    cases += [random_matrix(rng, rng.randint(2, 7), zero_chance=0.6) for _ in range(30)]
+    for rows in cases:
+        dec = BlockDecomposition(rows)
+        for radius in dec.radii:
+            if radius.is_zero or dec.p == 1:
+                continue
+            direct = AlgebraicRadius.from_block(radius.block, radius.step)
+            assert radius._rational_root() == direct._rational_root(), rows
+            assert radius.describe() == direct.describe(), rows
+
+
+def test_one_lazy_radius_is_built_once_from_eight_threads(monkeypatch):
+    built = []
+    inner = spectral._power_block
+
+    def slow(*args):
+        built.append(args)
+        time.sleep(0.05)  # let the other threads arrive while the block is built
+        return inner(*args)
+
+    monkeypatch.setattr(spectral, "_power_block", slow)
+    tail = ((1, 1), (1, 0))
+    rows = cycle_chain((2, 3), (3, 2), tail)  # p = 6
+    dec = BlockDecomposition(rows)
+    assert not built
+    radius = dec.radii[dec.block_of[len(rows) - 1]]
+    barrier = threading.Barrier(8)
+    results, errors = [], []
+
+    def work(polls):
+        try:
+            barrier.wait()
+            # a zero verdict read while another thread builds the block
+            # would send the radius below every other
+            if any(radius.is_zero for _ in range(polls)):
+                errors.append("is_zero")
+            results.append((radius.root_enclosure(Fraction(1, 10**9)), radius.poly, radius.describe()))
+        except Exception as exc:  # pragma: no cover
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(2000 * (k % 2),)) for k in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    assert len(built) == 1
+    assert len(results) == 8
+    for (lo, hi), poly, text in results:  # another thread may have refined further
+        assert hi - lo <= Fraction(1, 10**9) and _holds_largest_root(radius, lo, hi)
+        assert (poly, text) == results[0][1:]
+    assert radius.block == mat_pow(tail, 6)
+    assert radius.poly == tuple(charpoly(mat_pow(tail, 6)))

@@ -232,6 +232,25 @@ def test_power_addition_law_random():
                 assert power(f, m + n) == compose(power(f, m), power(f, n))
 
 
+def test_power_equals_repeated_composition_random():
+    """Square and multiply builds the same morphism as n compositions in a
+    row; powers stop once their total image length passes 4000 symbols."""
+    rng = random.Random(4007)
+    checked = 0
+    for _ in range(40):
+        f = random_endomorphism(rng, rng.randint(2, 4), max_len=2, erase_chance=0.3)
+        ones = (1,) * len(f.domain)
+        m = incidence_matrix(f).rows
+        folded = identity_morphism(f.domain)
+        for n in range(41):
+            if sum(mat_vec(mat_pow(m, n), ones)) > 4000:
+                break
+            assert power(f, n) == folded
+            folded = compose(f, folded)
+            checked += n > 8
+    assert checked > 100
+
+
 def test_restricted_incidence_is_sub_matrix():
     rng = random.Random(4005)
     found = 0

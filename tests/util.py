@@ -1,12 +1,14 @@
 """Shared helpers for the test suite: seeded random objects and oracles."""
 
+from functools import cmp_to_key
 from math import gcd
 
 from morphlab import Alphabet, MorphicPresentation, Morphism, incidence_matrix
 from morphlab.errors import FiniteWordError, MorphlabError, NotProlongableError
-from morphlab.intmat import mat_pow, vec_mat
+from morphlab.graphs import component_period, is_trivial_component, strongly_connected_components
+from morphlab.intmat import mat_pow, submatrix, vec_mat
 from morphlab.normalize import eliminate_effacement, monotone_powers
-from morphlab.spectral import cyclicity
+from morphlab.spectral import AlgebraicRadius, cyclicity
 
 LETTERS = "abcdefgh"
 
@@ -148,3 +150,68 @@ def random_presentations(rng, count, max_size=5, max_len=4, pipeline_cap=400):
             continue
         out.append(pres)
     return out
+
+
+def cycle_chain(lengths, weights=None, tail=None):
+    """Cycles of the given lengths, each linked to the next by one edge.
+
+    Cycle c runs through consecutive vertices; its first edge carries
+    weights[c] (default 1) and the rest weight 1.  `tail`, a square
+    block, is appended after the last cycle and entered from it.
+    """
+    weights = weights or [1] * len(lengths)
+    sizes = list(lengths) + ([len(tail)] if tail else [])
+    n = sum(sizes)
+    rows = [[0] * n for _ in range(n)]
+    starts = []
+    pos = 0
+    for length, weight in zip(lengths, weights):
+        for t in range(length):
+            rows[pos + t][pos + (t + 1) % length] = weight if t == 0 else 1
+        starts.append(pos)
+        pos += length
+    if tail:
+        for i, row in enumerate(tail):
+            rows[pos + i][pos : pos + len(tail)] = row
+        starts.append(pos)
+    for a, b in zip(starts, starts[1:]):
+        rows[a][b] = 1
+    return tuple(tuple(row) for row in rows)
+
+
+class ReferenceDecomposition:
+    """The direct construction that BlockDecomposition must agree with:
+    the blocks of the bignum M^p, each block's radius from its own matrix,
+    and radius classes by comparing every block with every class
+    representative."""
+
+    def __init__(self, rows):
+        n = len(rows)
+        self.p = cyclicity(rows)
+        power = mat_pow(rows, self.p)
+        adj = [[j for j in range(n) if power[i][j] > 0] for i in range(n)]
+        self.blocks = tuple(strongly_connected_components(n, adj))
+        self.kinds = tuple("zero" if is_trivial_component(c, adj) else "primitive" for c in self.blocks)
+        assert all(component_period(c, adj) == 1 for c, k in zip(self.blocks, self.kinds) if k == "primitive")
+        self.block_of = tuple(next(b for b, c in enumerate(self.blocks) if v in c) for v in range(n))
+        self.block_matrices = tuple(submatrix(power, c) for c in self.blocks)
+        self.radii = tuple(
+            AlgebraicRadius.from_block(m, self.p) if k == "primitive" else AlgebraicRadius.zero()
+            for m, k in zip(self.block_matrices, self.kinds)
+        )
+        reps = []
+        for b, radius in enumerate(self.radii):
+            for rep in reps:
+                if rep[0].compare(radius) == 0:
+                    rep[1].append(b)
+                    break
+            else:
+                reps.append((radius, [b]))
+        reps.sort(key=cmp_to_key(lambda x, y: x[0].compare(y[0])))
+        class_of = [None] * len(self.blocks)
+        for cid, (_, members) in enumerate(reps):
+            for b in members:
+                class_of[b] = cid
+        self.class_of_block = tuple(class_of)
+        self.class_radii = tuple(r for r, _ in reps)
+
