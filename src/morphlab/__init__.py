@@ -82,7 +82,6 @@ from .normalize import (
     make_monotone,
     monotone_powers,
     normalize,
-    remove_mortal,
 )
 from .parser import MorphismFile, format_file, format_morphism, parse_file
 

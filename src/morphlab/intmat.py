@@ -185,17 +185,11 @@ class IncidenceMatrix:
     def size(self):
         return len(self.rows)
 
-    def entry(self, i, j):
-        return self.rows[i][j]
-
     def index_of(self, label):
         try:
             return self.labels.index(label)
         except ValueError:
             raise DomainMismatchError(f"unknown label {label!r}") from None
-
-    def power(self, e):
-        return IncidenceMatrix(mat_pow(self.rows, e), self.labels)
 
     def transposed(self):
         return IncidenceMatrix(transpose(self.rows), self.labels)

@@ -29,7 +29,7 @@ from .errors import (
     InvariantError,
     NotProlongableError,
 )
-from .intmat import charpoly, mat_pow, vec_mat
+from .intmat import mat_pow, vec_mat
 from .spectral import AlgebraicRadius, GrowthType
 from .words import (
     Alphabet,
@@ -70,19 +70,6 @@ class PipelineStage:
     f: Morphism
     g: Morphism
     removed: tuple = ()
-
-
-def remove_mortal(f, start):
-    """Strip mortal letters: returns (f_I, k) with f^w(start) = f^k(f_I^w(start)).
-
-    f_I erases the mortal letters from every image and restricts to the
-    immortal sub-alphabet; k counts the mortal letters (after k steps
-    every mortal letter has died).
-    """
-    mortals = mortal_letters(f)
-    if start in mortals:
-        raise NotProlongableError(f"start letter {start!r} is mortal")
-    return erase_and_restrict(f, mortals), len(mortals)
 
 
 def largest_erasable(f, g):
@@ -215,14 +202,19 @@ def growth_trichotomy(f, start, f_prime, kept, p):
     if input_growth.rate.step != p:
         raise DomainMismatchError("cyclicity power does not match the growth analysis")
     target = AlgebraicRadius.from_block(input_growth.rate.block, 1)  # lambda^p exactly
-    discarded = [b for b in f.domain if b not in set(kept.letters)]
-    if discarded:
-        full_power = mat_pow(incidence_matrix(f).rows, p)
-        idx = [f.domain.index(b) for b in discarded]
-        sub = tuple(tuple(full_power[i][j] for j in idx) for i in idx)
-        in_discarded = target.is_root_of(charpoly(sub))
-    else:
-        in_discarded = False
+    # f^p maps the discarded letters into themselves, so they are a union
+    # of blocks of Mat_f^p and S is the union of the blocks' spectra; a
+    # zero block adds only 0, which lambda^p is not
+    discarded = set(f.domain.letters) - set(kept.letters)
+    dec = spectral.decompose(incidence_matrix(f))
+    polys = set()  # blocks from one component of Mat_f often share theirs
+    for b, kind in enumerate(dec.kinds):
+        inside = {x in discarded for x in dec.block_letters(b)}
+        if len(inside) != 1:
+            raise InvariantError("a block of Mat_f^p straddles the discarded letters; this is a bug")
+        if inside == {True} and kind == spectral.PRIMITIVE:
+            polys.add(dec.radii[b].poly)
+    in_discarded = any(target.is_root_of(poly) for poly in polys)
     new_growth = spectral.letter_growth(f_prime, start)
     cmp_rate = new_growth.rate.compare(target)
     if cmp_rate > 0:

@@ -53,6 +53,14 @@ from .polytools import (
 DEFAULT_WIDTH = Fraction(1, 10**9)
 
 
+def _bits(x):
+    """Indices of the set bits of the int x, ascending."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
 def _adjacency(rows):
     n = len(rows)
     return [[j for j in range(n) if rows[i][j] > 0] for i in range(n)]
@@ -142,12 +150,12 @@ class AlgebraicRadius:
         return cls(block, step)
 
     @classmethod
-    def on_demand(cls, build, step=1, base=None):
+    def on_demand(cls, build, step, base):
         """The radius of the non-negative block `build()`, a callable that
-        takes no lock; it is called once, on first use.  `base`, when
-        given, is a step-1 radius of an integer matrix whose root is this
-        radius's value; it decides whether the defining root is rational
-        and encloses the value."""
+        takes no lock; it is called once, on first use.  `base` is a
+        step-1 radius of an integer matrix whose root is this radius's
+        value; it decides whether the defining root is rational and
+        encloses the value."""
         radius = cls(None, step)
         object.__setattr__(radius, "_build", build)
         object.__setattr__(radius, "_base", base)
@@ -414,12 +422,10 @@ class AlgebraicRadius:
         """Exact rendering when possible, decimal approximation otherwise."""
         if self.is_zero:
             return "0"
-        exact = self.exact_rational_value()
-        if exact is not None:
-            return str(exact)
         root = self._rational_root()
         if root is not None:
-            return f"{root}^(1/{self.step})"
+            exact = rational_nth_root_exact(root, self.step)
+            return str(exact) if exact is not None else f"{root}^(1/{self.step})"
         # refine until both ends print alike: the printed digits are then
         # those of the value itself, not of whichever enclosure was at hand
         # (an irrational value never sits on a rounding boundary)
@@ -528,7 +534,7 @@ class BlockDecomposition:
             for b, c in enumerate(owners)
         )
         self._assign_radius_classes(owners, component_radii)
-        self._build_reachability(adj)
+        self._build_reachability()
 
     def _block_owners(self, components):
         """For each block, the index of the component of M holding it, or
@@ -551,8 +557,7 @@ class BlockDecomposition:
         comp_rows = base.block
         positions = tuple(component.index(v) for v in self.blocks[b])
         build = partial(_power_block, comp_rows, h, positions, self.p // h)
-        integral = all(isinstance(x, int) for row in comp_rows for x in row)
-        return AlgebraicRadius.on_demand(build, self.p, base if integral else None)
+        return AlgebraicRadius.on_demand(build, self.p, base)
 
     def _assign_radius_classes(self, owners, component_radii):
         """Group blocks by exactly equal radius; class ids ascend with the radius.
@@ -585,41 +590,26 @@ class BlockDecomposition:
             self.radii[self.class_of_block.index(cid)] for cid in range(offset + len(ranked))
         )
 
-    def _build_reachability(self, adj):
+    def _build_reachability(self):
+        """Block reachability as bitsets over block indices: `below[b]` holds
+        the blocks that b reaches, `above[b]` those that reach b (both hold
+        b), and `preds[b]` the blocks with an edge into b."""
         nb = len(self.blocks)
-        out_edges = [set() for _ in range(nb)]
-        for u in range(len(adj)):
-            bu = self.block_of[u]
-            for v in adj[u]:
-                bv = self.block_of[v]
-                if bu != bv:
-                    out_edges[bu].add(bv)
-        self.cond_out = tuple(tuple(sorted(s)) for s in out_edges)
-        in_edges = [set() for _ in range(nb)]
-        for u in range(nb):
-            for v in self.cond_out[u]:
-                in_edges[v].add(u)
-        self.cond_in = tuple(tuple(sorted(s)) for s in in_edges)
-        reach = [[False] * nb for _ in range(nb)]
-        for b in range(nb - 1, -1, -1):
-            reach[b][b] = True
-            for c in self.cond_out[b]:
-                row_c = reach[c]
-                row_b = reach[b]
-                for t in range(nb):
-                    if row_c[t]:
-                        row_b[t] = True
-        self.block_reach = tuple(tuple(row) for row in reach)
-        prim = [k == PRIMITIVE for k in self.kinds]
-        through = [
-            [
-                self.block_reach[s][t]
-                and any(prim[m] and self.block_reach[s][m] and self.block_reach[m][t] for m in range(nb))
-                for t in range(nb)
-            ]
-            for s in range(nb)
-        ]
-        self.through_primitive = tuple(tuple(row) for row in through)
+        to_block = tuple(1 << b for b in self.block_of)
+        succ = [0] * nb
+        for u, row in enumerate(self.power_support):
+            succ[self.block_of[u]] |= support_row_mul(row, to_block)
+        below = [0] * nb
+        for b in reversed(range(nb)):  # successors first; below[b] is still 0
+            below[b] = 1 << b | support_row_mul(succ[b], below)
+        self.preds = tuple(
+            sum(1 << u for u in range(nb) if u != b and succ[u] >> b & 1) for b in range(nb)
+        )
+        above = [0] * nb
+        for b in range(nb):  # predecessors first
+            above[b] = 1 << b | support_row_mul(self.preds[b], above)
+        self.below, self.above = tuple(below), tuple(above)
+        self._primitive = sum(1 << b for b, kind in enumerate(self.kinds) if kind == PRIMITIVE)
 
     # -- views ------------------------------------------------------------------
 
@@ -627,25 +617,12 @@ class BlockDecomposition:
     def size(self):
         return self.matrix.size
 
-    def vertex_order(self):
-        return tuple(v for comp in self.blocks for v in comp)
-
-    @property
-    def power_rows(self):
-        """M^p, formed anew on each read; the decomposition never needs it."""
-        return mat_pow(self.matrix.rows, self.p)
-
     @property
     def block_matrices(self):
         """The diagonal blocks of M^p; a primitive block is built on first use."""
         return tuple(
             radius.block if kind == PRIMITIVE else ((0,),) for radius, kind in zip(self.radii, self.kinds)
         )
-
-    def permuted_power_matrix(self):
-        order = self.vertex_order()
-        power = self.power_rows
-        return tuple(tuple(power[i][j] for j in order) for i in order)
 
     def block_letters(self, b):
         return tuple(self.matrix.labels[v] for v in self.blocks[b])
@@ -662,109 +639,52 @@ class BlockDecomposition:
 
     # -- growth ------------------------------------------------------------------
 
-    def _best_class_between(self, s, t):
-        reach = self.block_reach
-        best = -1
-        for m in range(len(self.blocks)):
-            if reach[s][m] and reach[m][t]:
-                cid = self.class_of_block[m]
-                if cid > best:
-                    best = cid
-        return best
-
-    def _max_count_source_to_target(self, s, t, cid):
-        """Max number of class-cid blocks on one block path from s to t."""
-        reach = self.block_reach
-        members = [m for m in range(len(self.blocks)) if reach[s][m] and reach[m][t]]
-        member_set = set(members)
-        dp = {}
-        for m in members:  # block indices ascend topologically
-            base = 1 if self.class_of_block[m] == cid else 0
-            if m == s:
-                dp[m] = base
-            else:
-                dp[m] = base + max((dp[u] for u in self.cond_in[m] if u in member_set), default=0)
-        return dp[t]
-
-    def _entry_lambda_d(self, i, k):
-        """(class id, degree) for (M^{pn})_{i,k}, or None when ultimately zero."""
-        s = self.block_of[i]
-        t = self.block_of[k]
-        if not self.through_primitive[s][t]:
-            return None
-        cid = self._best_class_between(s, t)
-        if self.class_radii[cid].is_zero:
-            return None
-        return cid, self._max_count_source_to_target(s, t, cid) - 1
+    def _growth(self, members):
+        """Growth over the blocks in the bitset `members`, a union of block
+        intervals: zero when none of them is primitive; else the rate is
+        the largest class among them and d + 1 the most blocks of that
+        class on one path inside `members`."""
+        if not members & self._primitive:
+            return GrowthType(AlgebraicRadius.zero(), 0)
+        order = list(_bits(members))  # ascending: predecessors first
+        best = max(self.class_of_block[b] for b in order)
+        count = {}
+        for b in order:
+            before = max((count[u] for u in _bits(self.preds[b] & members)), default=0)
+            count[b] = before + (self.class_of_block[b] == best)
+        return GrowthType(self.class_radii[best], max(count.values()) - 1)
 
     def entry_growth(self, i, j, r=0):
         """Growth type of (M^{pn+r})_{i,j} as n grows.
 
-        The rate is reported per single application of M: the defining
-        block lives in M^p and carries the 1/p root marker.
+        The admissible blocks lie below block(i) and above block(k) for
+        some k with (M^r)_{k,j} > 0; a path through them lies between
+        block(i) and one such block(k).  The rate is reported per single
+        application of M: the defining block lives in M^p and carries the
+        1/p root marker.
         """
         i = self._resolve(i)
         j = self._resolve(j)
         if not 0 <= r < self.p:
             raise DomainMismatchError(f"residue must lie in [0, {self.p})")
         sr = support_pow(self.support, r)
-        candidates = []
+        ends = 0
         for k in range(self.size):
             if sr[k] >> j & 1:
-                ld = self._entry_lambda_d(i, k)
-                if ld is not None:
-                    candidates.append(ld)
-        result = self._combine(candidates)
+                ends |= self.above[self.block_of[k]]
+        result = self._growth(self.below[self.block_of[i]] & ends)
         self._check_vanishing(i, j, r, result.is_vanishing, sr)
         return result
 
     def column_growth(self, j):
-        """Growth of the j-th column sum of M^n, valid for every n.
-
-        The maximising residue-free form: the rate is the largest radius
-        among blocks that reach block(j), and d + 1 the longest chain of
-        such maximal blocks on one path into block(j).
-        """
-        j = self._resolve(j)
-        t = self.block_of[j]
-        members = [b for b in range(len(self.blocks)) if self.block_reach[b][t]]
-        best = max(self.class_of_block[b] for b in members)
-        if self.class_radii[best].is_zero:
-            return GrowthType(AlgebraicRadius.zero(), 0)
-        member_set = set(members)
-        dp = {}
-        for b in reversed(members):  # successors first
-            base = 1 if self.class_of_block[b] == best else 0
-            if b == t:
-                dp[b] = base
-            else:
-                dp[b] = base + max((dp[u] for u in self.cond_out[b] if u in member_set), default=0)
-        return GrowthType(self.class_radii[best], max(dp.values()) - 1)
+        """Growth of the j-th column sum of M^n, valid for every n: the
+        walk over the blocks that reach block(j)."""
+        return self._growth(self.above[self.block_of[self._resolve(j)]])
 
     def row_growth(self, i):
-        """Growth of the i-th row sum of M^n, valid for every n."""
-        i = self._resolve(i)
-        s = self.block_of[i]
-        members = [b for b in range(len(self.blocks)) if self.block_reach[s][b]]
-        best = max(self.class_of_block[b] for b in members)
-        if self.class_radii[best].is_zero:
-            return GrowthType(AlgebraicRadius.zero(), 0)
-        member_set = set(members)
-        dp = {}
-        for b in members:  # predecessors first
-            base = 1 if self.class_of_block[b] == best else 0
-            if b == s:
-                dp[b] = base
-            else:
-                dp[b] = base + max((dp[u] for u in self.cond_in[b] if u in member_set), default=0)
-        return GrowthType(self.class_radii[best], max(dp.values()) - 1)
-
-    def _combine(self, candidates):
-        if not candidates:
-            return GrowthType(AlgebraicRadius.zero(), 0)
-        best = max(c for c, _ in candidates)
-        degree = max(d for c, d in candidates if c == best)
-        return GrowthType(self.class_radii[best], degree)
+        """Growth of the i-th row sum of M^n, valid for every n: the walk
+        over the blocks that block(i) reaches."""
+        return self._growth(self.below[self.block_of[self._resolve(i)]])
 
     def _check_vanishing(self, i, j, r, vanishing, sr):
         """Cross-check the combinatorial verdict on zero patterns; `sr` is

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from morphlab import (
+    Alphabet,
     DomainMismatchError,
     FiniteWordError,
     GrowthType,
@@ -24,7 +25,6 @@ from morphlab import (
     normalize,
     power,
     prefix_equal,
-    remove_mortal,
     Word,
 )
 from morphlab.fixtures import baum_sweet_erasing, baum_sweet_uniform, thue_morse_projection
@@ -37,7 +37,7 @@ from morphlab.normalize import (
     make_monotone,
     monotone_powers,
 )
-from morphlab.intmat import mat_pow
+from morphlab.intmat import charpoly, mat_pow, submatrix
 from morphlab.spectral import cyclicity
 
 from util import meets_length_condition, random_presentations
@@ -45,13 +45,13 @@ from util import meets_length_condition, random_presentations
 
 def test_remove_mortal_non_erasing_is_identity():
     sigma, _, _ = baum_sweet_uniform()
-    f_i, k = remove_mortal(sigma, "a")
+    f_i, k = erase_and_restrict(sigma, mortal_letters(sigma)), len(mortal_letters(sigma))
     assert k == 0 and f_i == sigma
 
 
 def test_remove_mortal_baum_sweet_erasing():
     sp, _, _ = baum_sweet_erasing()
-    f_i, k = remove_mortal(sp, "a")
+    f_i, k = erase_and_restrict(sp, mortal_letters(sp)), len(mortal_letters(sp))
     assert k == 1
     assert f_i.domain.letters == ("a", "b", "c", "d", "e")
     expected = {"a": "abe", "b": "ceb", "c": "bd", "d": "ded", "e": "e"}
@@ -62,7 +62,7 @@ def test_remove_mortal_baum_sweet_erasing():
 def test_remove_mortal_composition_identity():
     # f^l o f_I^n agrees with f^(n+l) on immortal letters, for l >= k
     sp, _, a = baum_sweet_erasing()
-    f_i, k = remove_mortal(sp, a)
+    f_i, k = erase_and_restrict(sp, mortal_letters(sp)), len(mortal_letters(sp))
     for l in range(k, k + 2):
         for n in range(0, 3):
             fl = power(sp, l)
@@ -164,6 +164,34 @@ def test_growth_trichotomy_case_three():
     case, growth = growth_trichotomy(f, "a", eff.f_prime, eff.kept, eff.p)
     assert case == 3
     assert growth == GrowthType(AlgebraicRadius.from_rational(2), 0)
+
+
+def test_growth_trichotomy_matches_the_spectrum_of_the_full_power():
+    """S read off the blocks of Mat_f^p inside the discarded letters decides
+    as the characteristic polynomial of the discarded sub-block of the
+    bignum Mat_f^p does."""
+    presentations = random_presentations(random.Random(2718), 60) + [
+        MorphicPresentation(*thue_morse_projection()),  # case 2
+        MorphicPresentation(morphism_from_chars({"a": "abb", "b": "bb", "c": "cc"}),
+                            morphism_from_chars({"a": "a", "b": "b", "c": ""}), "a"),  # case 3
+    ]
+    cases = []
+    for pres in presentations:
+        eff = eliminate_effacement(pres)
+        case, new_growth = growth_trichotomy(pres.f, pres.start, eff.f_prime, eff.kept, eff.p)
+        power = mat_pow(incidence_matrix(pres.f).rows, eff.p)
+        idx = [k for k, b in enumerate(pres.f.domain) if b not in eff.kept]
+        rate = letter_growth(pres.f, pres.start).rate
+        in_s = bool(idx) and AlgebraicRadius.from_block(rate.block, 1).is_root_of(charpoly(submatrix(power, idx)))
+        assert case == (3 if in_s and new_growth.rate.compare(rate) == 0 else 2 if in_s else 1), pres
+        cases.append(case)
+    assert set(cases) == {1, 2, 3}
+
+
+def test_growth_trichotomy_rejects_a_discarded_set_that_splits_a_block():
+    f, _, a = thue_morse_projection()  # the blocks of Mat_f are {a, b} and {c}
+    with pytest.raises(InvariantError):
+        growth_trichotomy(f, a, f, Alphabet("a"), 1)
 
 
 def test_make_monotone_uniform_case():

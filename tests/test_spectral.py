@@ -99,7 +99,9 @@ def test_block_triangular_form_and_primitivity_bound():
     for _ in range(25):
         rows = random_matrix(rng, rng.randint(1, 6), zero_chance=0.6)
         dec = decompose(IncidenceMatrix(rows))
-        permuted = dec.permuted_power_matrix()
+        power = mat_pow(rows, dec.p)
+        order = [v for block in dec.blocks for v in block]
+        permuted = [[power[i][j] for j in order] for i in order]
         sizes = [len(b) for b in dec.blocks]
         offsets = [0]
         for s in sizes:
@@ -452,6 +454,79 @@ def test_row_growth_matches_transposed_column():
         b = a.transposed()
         for i in range(m):
             assert row_growth(a, i) == column_growth(b, i)
+
+
+def _path_summaries(rows, ref):
+    """{(s, t): (best class, most blocks of it on one path)} over every
+    simple path s -> ... -> t of the condensation of the zero pattern of
+    the bignum M^p; a block alone is the path from it to itself."""
+    power = mat_pow(rows, ref.p)
+    n, nb = len(rows), len(ref.blocks)
+    succ = [set() for _ in range(nb)]
+    for u in range(n):
+        for v in range(n):
+            if power[u][v] > 0 and ref.block_of[u] != ref.block_of[v]:
+                succ[ref.block_of[u]].add(ref.block_of[v])
+    out = {}
+
+    def extend(s, path):
+        classes = [ref.class_of_block[b] for b in path]
+        top = max(classes)
+        summary = (top, classes.count(top))
+        out[s, path[-1]] = max(out.get((s, path[-1]), summary), summary)
+        for c in succ[path[-1]]:
+            assert c not in path  # the condensation has no cycle
+            extend(s, path + [c])
+
+    for s in range(nb):
+        extend(s, [s])
+    return out
+
+
+def _oracle_growth(ref, summaries, sources, targets):
+    """(vanishes, class, degree) over the paths from `sources` to `targets`."""
+    found = [summaries[s, t] for s in sources for t in targets if (s, t) in summaries]
+    if not found or ref.class_radii[max(found)[0]].is_zero:
+        return True, None, 0
+    top, count = max(found)
+    return False, top, count - 1
+
+
+def test_growth_matches_a_block_path_oracle():
+    """Entry, row and column growth against the simple paths of the block
+    graph of M^p: the rate is the largest class on an admissible path and
+    d + 1 the most blocks of that class on one path."""
+    rng = random.Random(8801)
+    cases = [random_matrix(rng, rng.randint(1, 6), zero_chance=rng.choice((0.5, 0.65, 0.8))) for _ in range(40)]
+    cases += [demo_matrix().rows, cycle_chain((3, 4, 5), (2, 3, 2), ((1, 2), (1, 0)))]
+    for rows in cases:
+        dec = BlockDecomposition(rows)
+        ref = ReferenceDecomposition(rows)
+        assert (dec.p, dec.block_of) == (ref.p, ref.block_of), rows
+        summaries = _path_summaries(rows, ref)
+        seen = {}
+
+        def verdict(growth):
+            if growth.is_vanishing:
+                return True, None, growth.degree
+            if id(growth.rate) not in seen:  # the rate object is kept alive in seen
+                cid = next(c for c, x in enumerate(ref.class_radii) if x.compare(growth.rate) == 0)
+                seen[id(growth.rate)] = (growth.rate, cid)
+            return False, seen[id(growth.rate)][1], growth.degree
+
+        n, every = len(rows), range(len(ref.blocks))
+        for i in range(n):
+            expected = _oracle_growth(ref, summaries, [ref.block_of[i]], every)
+            assert verdict(dec.row_growth(i)) == expected, (rows, i)
+            expected = _oracle_growth(ref, summaries, every, [ref.block_of[i]])
+            assert verdict(dec.column_growth(i)) == expected, (rows, i)
+        for r in range(dec.p):
+            mr = mat_pow(rows, r)
+            for j in range(n):
+                targets = {ref.block_of[k] for k in range(n) if mr[k][j] > 0}
+                for i in range(n):
+                    expected = _oracle_growth(ref, summaries, [ref.block_of[i]], targets)
+                    assert verdict(dec.entry_growth(i, j, r)) == expected, (rows, i, j, r)
 
 
 def test_letter_growth_examples():
