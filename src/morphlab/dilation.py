@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DomainMismatchError
-from .intmat import IncidenceMatrix, charpoly, clear_denominators
+from .intmat import IncidenceMatrix, charpoly
 from .polytools import evaluate, rational_roots_of_monic_int
 from .spectral import DEFAULT_WIDTH, spectral_radius_enclosure
 
@@ -71,19 +71,9 @@ def dilate_vector(x, kvec):
 
 
 def rational_radius_enclosure(rows, width=DEFAULT_WIDTH):
-    """rho enclosure for a non-negative matrix with rational entries.
-
-    Scales by the common denominator to land on an integer matrix, then
-    rescales the certified enclosure.
-    """
-    rows = _as_rows(rows)
-    for row in rows:
-        for x in row:
-            if x < 0:
-                raise DomainMismatchError("radius enclosures need a non-negative matrix")
-    scaled, denom = clear_denominators(rows)
-    lo, hi = spectral_radius_enclosure(scaled, Fraction(width) * denom)
-    return lo / denom, hi / denom
+    """rho enclosure for a non-negative matrix with rational entries (or
+    anything `Fraction` reads as one), by spectral_radius_enclosure."""
+    return spectral_radius_enclosure(_as_rows(rows), width)
 
 
 def check_radius_preserved(d, m, kvec, width=DEFAULT_WIDTH):
@@ -96,8 +86,8 @@ def check_radius_preserved(d, m, kvec, width=DEFAULT_WIDTH):
     m = _as_rows(m)
     if not is_dilated(d, m, kvec):
         raise DomainMismatchError("matrix is not a dilated version of the base matrix")
-    dlo, dhi = rational_radius_enclosure(d, width)
-    mlo, mhi = rational_radius_enclosure(m, width)
+    dlo, dhi = spectral_radius_enclosure(d, width)
+    mlo, mhi = spectral_radius_enclosure(m, width)
     return max(dlo, mlo) <= min(dhi, mhi)
 
 

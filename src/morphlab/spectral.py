@@ -30,6 +30,7 @@ from .graphs import component_period, is_trivial_component, strongly_connected_c
 from .intmat import (
     IncidenceMatrix,
     charpoly,
+    clear_denominators,
     freeze,
     mat_pow,
     submatrix,
@@ -61,15 +62,10 @@ def _bits(x):
         x ^= low
 
 
-def _adjacency(rows):
-    n = len(rows)
-    return [[j for j in range(n) if rows[i][j] > 0] for i in range(n)]
-
-
 def _cyclic_components(rows):
     """The non-trivial strongly connected components of the digraph G(rows),
     in topological order, and their periods."""
-    adj = _adjacency(rows)
+    adj = [[j for j, x in enumerate(row) if x > 0] for row in rows]
     comps = [c for c in strongly_connected_components(len(rows), adj) if not is_trivial_component(c, adj)]
     return comps, [component_period(c, adj) for c in comps]
 
@@ -116,7 +112,8 @@ class AlgebraicRadius:
     block None.  A radius made by `on_demand` builds its block and
     polynomial on first use.  Building and enclosure refinement are
     memoised behind a per-instance lock so concurrent readers can share
-    one object; no two locks are ever held at once.
+    one object.  A build may take the lock of its component's shared
+    power (`_once`), which takes no other lock, so locks never cycle.
     """
 
     __slots__ = ("step", "_block", "_poly", "_build", "_base", "_locator", "_powers", "_lock")
@@ -476,12 +473,24 @@ PRIMITIVE = "primitive"
 ZERO = "zero"
 
 
-def _power_block(comp_rows, h, positions, e):
+def _once(make):
+    """A callable returning make(), which it calls on first use only, under
+    its own lock; make must take no lock."""
+    lock, made = threading.Lock(), []
+    def get():
+        with lock:
+            if not made:
+                made.append(make())
+            return made[0]
+    return get
+
+
+def _power_block(power, positions, e):
     """(M^p)[B, B] for a block B of M^p, at `positions` within a component C
-    of M of period h, with p = h e.  Walks from C back to C stay in C, and
-    C^h is block diagonal over the cyclic classes of C, one of which is B;
-    so the block is ((C^h)[B, B])^e."""
-    return mat_pow(submatrix(mat_pow(comp_rows, h), positions), e)
+    of M of period h, with p = h e and `power()` giving C^h.  Walks from C
+    back to C stay in C, and C^h is block diagonal over the cyclic classes
+    of C, one of which is B; so the block is ((C^h)[B, B])^e."""
+    return mat_pow(submatrix(power(), positions), e)
 
 
 class BlockDecomposition:
@@ -526,11 +535,12 @@ class BlockDecomposition:
                 block_of[v] = b
         self.block_of = tuple(block_of)
         component_radii = [AlgebraicRadius(submatrix(rows, comp)) for comp in components]
+        powers = [_once(partial(mat_pow, r.block, h)) for r, h in zip(component_radii, periods)]
         owners = self._block_owners(components)
         self.radii = tuple(
             AlgebraicRadius.zero() if c is None
             else component_radii[c] if self.p == 1  # the block is its component
-            else self._block_radius(b, components[c], component_radii[c], periods[c])
+            else self._block_radius(b, components[c], component_radii[c], powers[c], periods[c])
             for b, c in enumerate(owners)
         )
         self._assign_radius_classes(owners, component_radii)
@@ -551,12 +561,11 @@ class BlockDecomposition:
             owners.append(held.pop())
         return owners
 
-    def _block_radius(self, b, component, base, h):
-        """Block b's radius at step p, its matrix built from M[C, C], the
-        block of the component radius `base`."""
-        comp_rows = base.block
+    def _block_radius(self, b, component, base, power, h):
+        """Block b's radius at step p, its matrix built from `power()`, the
+        h-th power of M[C, C], the block of the component radius `base`."""
         positions = tuple(component.index(v) for v in self.blocks[b])
-        build = partial(_power_block, comp_rows, h, positions, self.p // h)
+        build = partial(_power_block, power, positions, self.p // h)
         return AlgebraicRadius.on_demand(build, self.p, base)
 
     def _assign_radius_classes(self, owners, component_radii):
@@ -761,43 +770,44 @@ def is_primitive(rows):
     """Strongly connected with cycle-length gcd 1 (so some power is positive)."""
     if isinstance(rows, IncidenceMatrix):
         rows = rows.rows
-    n = len(rows)
-    if n == 0:
-        return False
-    adj = _adjacency(rows)
-    comps = strongly_connected_components(n, adj)
-    if len(comps) != 1 or is_trivial_component(comps[0], adj):
-        return False
-    return component_period(comps[0], adj) == 1
+    components, periods = _cyclic_components(rows)
+    return periods == [1] and len(components[0]) == len(rows)
+
+
+def _nonnegative(rows):
+    """rows as a tuple of tuples; a negative entry raises DomainMismatchError."""
+    rows = rows.rows if isinstance(rows, IncidenceMatrix) else freeze(rows)
+    if any(x < 0 for row in rows for x in row):
+        raise DomainMismatchError("radius enclosures need a non-negative matrix")
+    return rows
 
 
 def perron_enclosure(block, width=Fraction(1, 10**6)):
-    """Certified rational interval around the Perron root of a primitive block.
-
-    The radius engine's locator on the characteristic polynomial: a
-    Newton-guided jump accepted by Sturm counts, then bisection.  A 1x1
-    block gives an exact point interval.
-    """
-    rows = block.rows if isinstance(block, IncidenceMatrix) else tuple(tuple(r) for r in block)
+    """Certified rational interval around the Perron root of a primitive
+    block, from spectral_radius_enclosure.  A 1x1 block gives an exact
+    point interval."""
+    rows = _nonnegative(block)
     if len(rows) == 1:
-        v = Fraction(rows[0][0])
-        return v, v
+        return (Fraction(rows[0][0]),) * 2
     if not is_primitive(rows):
         raise NotPrimitiveError("the Perron root enclosure needs a primitive matrix")
-    return _locator_for_block(rows, charpoly(rows)).refine(width)
+    return spectral_radius_enclosure(rows, width)
 
 
 def spectral_radius_enclosure(rows, width=DEFAULT_WIDTH):
-    """Enclosure of rho(M) for any non-negative integer matrix.
+    """Enclosure of rho(M), of width <= `width`, for a non-negative matrix
+    with integer or rational entries.
 
-    For non-negative M the spectral radius is itself an eigenvalue, hence
-    the largest real root of the characteristic polynomial; no block
-    structure is needed.
+    rho(M) is the largest radius of a strongly connected component of M
+    (the Frobenius normal form), so it is read off `decompose` and its
+    cache.  A rational M = B/d is enclosed as rho(B)/d, at width d *
+    `width` for the integer B.  A nilpotent matrix gives (0, 0).
     """
-    if isinstance(rows, IncidenceMatrix):
-        rows = rows.rows
-    lo, hi = _locator_for_block(rows, charpoly(rows)).refine(width)
-    return max(lo, Fraction(0)), hi
+    if isinstance(rows, IncidenceMatrix):  # checked, integral, cached under its labels
+        return decompose(rows).spectral_radius().value_enclosure(width)
+    scaled, d = clear_denominators(_nonnegative(rows))
+    lo, hi = decompose(scaled).spectral_radius().value_enclosure(Fraction(width) * d)
+    return (lo, hi) if d == 1 else (lo / d, hi / d)
 
 
 def radius_compare(a, b):

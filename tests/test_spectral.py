@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import time
+from collections import OrderedDict
 from fractions import Fraction
 from pathlib import Path
 
@@ -29,6 +30,7 @@ from morphlab import (
     perron_eigenvalue,
     perron_enclosure,
     radius_compare,
+    rational_radius_enclosure,
     row_growth,
     spectral_radius_enclosure,
 )
@@ -38,7 +40,15 @@ from morphlab.intmat import charpoly, mat_pow, support_pow
 from morphlab.polytools import count_roots_closed, count_roots_halfopen, evaluate, sturm_chain
 from morphlab.spectral import _DECOMP_CACHE, _DECOMP_CACHE_SIZE, BlockDecomposition, scc_periods
 
-from util import ReferenceDecomposition, cycle_chain, random_dilation, random_matrix, ratio_band_ok
+from util import (
+    ReferenceDecomposition,
+    cycle_chain,
+    encloses_radius,
+    random_dilation,
+    random_matrix,
+    ratio_band_ok,
+    reference_radius_enclosure,
+)
 
 SQRT3 = AlgebraicRadius.from_block(((3,),), 2)  # 3^(1/2)
 TWO = AlgebraicRadius.from_rational(2)
@@ -554,9 +564,139 @@ def test_perron_eigenvalue_agrees_with_direct_enclosure():
         dec = decompose(IncidenceMatrix(f_rows))
         radius = dec.spectral_radius()
         width = Fraction(1, 10**9)
-        direct_lo, direct_hi = spectral_radius_enclosure(f_rows, width)
+        direct_lo, direct_hi = reference_radius_enclosure(f_rows, width)
         block_lo, block_hi = radius.value_enclosure(width)
         assert max(direct_lo, block_lo) <= min(direct_hi, block_hi)
+
+
+@pytest.mark.parametrize("rows", [((-3,),), ((0, 1), (-1, 0)), ((Fraction(1, 2), 1), (1, Fraction(-1, 3)))])
+def test_radius_enclosures_reject_negative_entries(rows):
+    for enclose in (spectral_radius_enclosure, rational_radius_enclosure, perron_enclosure):
+        with pytest.raises(DomainMismatchError):
+            enclose(rows)
+
+
+def test_radius_enclosure_of_nilpotent_empty_and_rational_matrices():
+    assert spectral_radius_enclosure(((0, 1), (0, 0))) == (0, 0)  # exact, not (0, width/4)
+    assert spectral_radius_enclosure(((0, 1, 2), (0, 0, 3), (0, 0, 0))) == (0, 0)
+    assert spectral_radius_enclosure(()) == (0, 0)
+    assert rational_radius_enclosure(((0,),)) == (0, 0)
+    width = Fraction(1, 10**9)
+    rows = ((Fraction(1, 2), Fraction(1, 3)), (Fraction(3, 4), 0))  # rho = (1 + sqrt 5) / 4
+    text_rows = (("1/2", "1/3"), ("3/4", "0"))
+    for lo, hi in (
+        spectral_radius_enclosure(rows, width),
+        rational_radius_enclosure(text_rows, width),
+        perron_enclosure(rows, width),
+    ):
+        assert hi - lo <= width and (4 * lo - 1) ** 2 <= 5 <= (4 * hi - 1) ** 2
+    lo, hi = spectral_radius_enclosure(((Fraction(2, 3), 0), (0, Fraction(1, 7))), width)
+    assert lo <= Fraction(2, 3) <= hi and hi - lo <= width
+
+
+def _radius_oracle_cases():
+    rng = random.Random(9109)
+    cases = [random_matrix(rng, rng.randint(1, 10), zero_chance=rng.choice((0.5, 0.7, 0.85))) for _ in range(60)]
+    for _ in range(8):  # dilated pairs: the base and its dilation
+        base = random_matrix(rng, rng.randint(2, 4), zero_chance=0.5)
+        cases += [base, random_dilation(rng, base, [rng.randint(1, 3) for _ in base])]
+    for _ in range(12):  # rational entries with mixed denominators
+        size = rng.randint(1, 6)
+        cases.append(tuple(
+            tuple(Fraction(rng.randint(1, 9), rng.randint(1, 6)) if rng.random() < 0.45 else 0 for _ in range(size))
+            for _ in range(size)
+        ))
+    cases.append(cycle_chain((7, 8, 9, 11), (2, 3, 2, 3), ((1, 2), (1, 0))))  # p = 5544, rho = 2
+    return cases
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_radius_enclosures_match_the_full_charpoly_reference(monkeypatch, warm):
+    """rho(M) read off the components holds the exact radius, overlaps the
+    enclosure of the whole n x n characteristic polynomial and keeps the
+    width asked for, from a cold cache and after the analyze pattern
+    (decompose, then its block report) has refined the locators."""
+    monkeypatch.setattr(spectral, "_DECOMP_CACHE", OrderedDict())
+    widths = (Fraction(1, 16), Fraction(1, 10**9))
+    for rows in _radius_oracle_cases():
+        integral = all(type(x) is int for row in rows for x in row)
+        if warm and integral:
+            decompose(rows).blocks_as_json(widths[0])
+        for width in widths:
+            if not warm:
+                spectral._DECOMP_CACHE.clear()
+            enclosures = [spectral_radius_enclosure(rows, width), rational_radius_enclosure(rows, width)]
+            if is_primitive(rows):
+                enclosures.append(perron_enclosure(rows, width))
+            rlo, rhi = reference_radius_enclosure(rows, width)
+            for lo, hi in enclosures:
+                assert hi - lo <= width and encloses_radius(rows, lo, hi), (rows, width)
+                assert max(lo, rlo) <= min(hi, rhi), (rows, width)
+
+
+def test_radius_enclosure_forms_no_charpoly_larger_than_a_component(monkeypatch):
+    """On the weighted 7/8/9/11-cycle chain with a 2x2 tail (37 vertices),
+    rho(M) comes from the components: no 37 x 37 characteristic polynomial."""
+    rows = cycle_chain((7, 8, 9, 11), (2, 3, 2, 3), ((1, 2), (1, 0)))
+    sizes = []
+    inner = spectral.charpoly
+    monkeypatch.setattr(spectral, "charpoly", lambda a: sizes.append(len(a)) or inner(a))
+    monkeypatch.setattr(spectral, "_DECOMP_CACHE", OrderedDict())
+    lo, hi = spectral_radius_enclosure(rows)
+    assert lo <= 2 <= hi and hi - lo <= spectral.DEFAULT_WIDTH
+    assert sizes and max(sizes) <= 11
+
+
+def test_blocks_of_one_component_share_its_power(monkeypatch):
+    """Weighted 3-, 4- and 5-cycles (p = 60): the block report forms C^h
+    once per component and one e-th power per 1x1 block, 3 + 12 powers."""
+    calls = []
+    inner = spectral.mat_pow
+    monkeypatch.setattr(spectral, "mat_pow", lambda a, e: calls.append((len(a), e)) or inner(a, e))
+    rows = cycle_chain((3, 4, 5), (2, 3, 5))
+    dec = BlockDecomposition(rows)
+    dec.blocks_as_json()
+    assert sorted(calls) == sorted([(3, 3), (4, 4), (5, 5)] + [(1, 20)] * 3 + [(1, 15)] * 4 + [(1, 12)] * 5)
+    assert dec.block_matrices == ReferenceDecomposition(rows).block_matrices
+
+
+def test_blocks_built_from_eight_threads_share_one_component_power(monkeypatch):
+    calls = []
+    inner = spectral.mat_pow
+
+    def slow(a, e):
+        if len(a) == 8:  # C^h: let the other threads arrive while it is formed
+            calls.append(e)
+            time.sleep(0.05)
+        return inner(a, e)
+
+    monkeypatch.setattr(spectral, "mat_pow", slow)
+    rows = cycle_chain((8,), (3,))  # p = 8: eight 1x1 blocks of one component
+    dec = BlockDecomposition(rows)
+    barrier = threading.Barrier(8)
+    results, errors = {}, []
+
+    def work(b):
+        try:
+            barrier.wait()
+            results[b] = dec.radii[b].block
+        except Exception as exc:  # pragma: no cover
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(b,)) for b in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    assert calls == [8]  # C^8 of the 8-cycle, formed once for its eight blocks
+    assert [results[b] for b in range(8)] == [((3,),)] * 8
 
 
 def test_geometric_sum_model():

@@ -1,14 +1,16 @@
 """Shared helpers for the test suite: seeded random objects and oracles."""
 
+from fractions import Fraction
 from functools import cmp_to_key
 from math import gcd
 
 from morphlab import Alphabet, MorphicPresentation, Morphism, incidence_matrix
 from morphlab.errors import FiniteWordError, MorphlabError, NotProlongableError
 from morphlab.graphs import component_period, is_trivial_component, strongly_connected_components
-from morphlab.intmat import mat_pow, submatrix, vec_mat
+from morphlab.intmat import charpoly, mat_pow, submatrix, vec_mat
 from morphlab.normalize import eliminate_effacement, monotone_powers
-from morphlab.spectral import AlgebraicRadius, cyclicity
+from morphlab.polytools import count_roots_closed, count_roots_halfopen, sturm_chain
+from morphlab.spectral import AlgebraicRadius, _locator_for_block, cyclicity
 
 LETTERS = "abcdefgh"
 
@@ -215,3 +217,22 @@ class ReferenceDecomposition:
         self.class_of_block = tuple(class_of)
         self.class_radii = tuple(r for r, _ in reps)
 
+
+
+def reference_radius_enclosure(rows, width):
+    """rho(M) the direct way, without the block structure: the largest real
+    root of the characteristic polynomial of the whole n x n matrix (rho
+    is an eigenvalue of a non-negative M), by the radius engine's locator."""
+    rows = tuple(tuple(row) for row in rows)
+    lo, hi = _locator_for_block(rows, charpoly(rows)).refine(width)
+    return max(lo, Fraction(0)), hi
+
+
+def encloses_radius(rows, lo, hi):
+    """[lo, hi] holds rho(M) exactly: the interval holds a root of the
+    characteristic polynomial and none of its real roots lies above hi
+    (none lies above the largest row sum either)."""
+    poly = charpoly(rows)
+    chain = sturm_chain(poly)
+    bound = max(Fraction(hi), Fraction(max(sum(row) for row in rows)))
+    return count_roots_closed(poly, chain, lo, hi) >= 1 and count_roots_halfopen(chain, hi, bound) == 0
