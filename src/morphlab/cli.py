@@ -14,13 +14,13 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import spectral, streams
-from .errors import BudgetExceededError, MorphlabError, ParseError
+from .errors import BudgetExceededError, DomainMismatchError, MorphlabError, ParseError
 from .fixtures import load_matrix_text
-from .intmat import mat_mul, submatrix, transpose, vec_mat
-from .normalize import MorphicPresentation, normalize
+from .intmat import mat_mul, submatrix, support_pow, transpose, vec_mat
+from .normalize import MorphicPresentation, largest_erasable, normalize
 from .parser import format_morphism, parse_file
 from .streams import image_prefix, prefix_equal
-from .words import incidence_matrix
+from .words import _letter_graph, incidence_matrix
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -76,27 +76,17 @@ def _cmd_analyze(args):
     return EXIT_OK
 
 
-def _reachable(f, seeds):
-    """The letters of the words f^k(w), k >= 0, w a letter of `seeds`."""
-    found = list(dict.fromkeys(seeds))
-    for letter in found:
-        for b in f.image(letter).letters():
-            if b not in found:
-                found.append(b)
-    return found
-
-
 def _image_is_finite(f, g, start):
     """True when g(f^w(start)) is a finite word.
 
-    With f(start) = start u, f^w(start) = start u f(u) f^2(u) ..., and a
-    letter lies in f^k(u) for infinitely many k exactly when a walk of
-    f's letter graph (b -> c when c occurs in f(b)) from a letter of u
-    passes a letter on a cycle on its way there.
+    With f(start) = start u, f^w(start) = start u f(u) f^2(u) ...  A walk
+    of #A steps in f's letter graph passes a cycle, so each letter of
+    f^#A(u), and each letter it reaches, recurs in infinitely many f^k(u).
+    Those are all the letters of later f^k(u): g must erase all of them.
     """
-    tail = _reachable(f, f.image(start).letters()[1:])
-    cyclic = [b for b in tail if b in _reachable(f, f.image(b).letters())]
-    return not any(len(g.image(b)) for b in _reachable(f, cyclic))
+    reach = support_pow(_letter_graph(f), len(f.domain))
+    erasable = sum(1 << f.domain.index(b) for b in largest_erasable(f, g))
+    return not any(reach[c] & ~erasable for c in f.image(start).codes[1:])
 
 
 def _require_pump_budget(f, g, start, n, budget):
@@ -112,11 +102,12 @@ def _require_pump_budget(f, g, start, n, budget):
     image word is left to the pump, whose error says it is finite: no
     budget would serve it.
     """
-    letters = _reachable(f, [start])  # only letters of some f^k(start) count
-    idx = [f.domain.index(b) for b in letters]
+    si = f.domain.index(start)
+    reached = _letter_graph(f, closed=True)[si]  # only letters of some f^k(start) count
+    idx = [c for c in range(len(f.domain)) if reached >> c & 1]
     # counts of f(w) = counts of w . steps[0], and steps[i] = steps[0]^(2^i)
     steps = [transpose(submatrix(incidence_matrix(f).rows, idx))]
-    lengths = tuple(len(g.image(b)) for b in letters)
+    lengths = tuple(len(g.image(f.domain.letters[c])) for c in idx)
 
     def visible(counts):
         return sum(c * l for c, l in zip(counts, lengths))
@@ -124,7 +115,7 @@ def _require_pump_budget(f, g, start, n, budget):
     def settled(counts):
         return visible(counts) >= n or sum(counts) >= budget
 
-    counts = tuple(int(b == start) for b in letters)
+    counts = tuple(int(c == si) for c in idx)
     k = 0
     if not settled(counts):
         i = 0
@@ -246,11 +237,19 @@ def _cmd_verify(args):
 def _parse_entry_list(spec_list):
     entries = []
     for item in spec_list:
-        parts = item.split(",")
-        if len(parts) != 2:
-            raise MorphlabError(f"entries look like i,j (1-based), got {item!r}")
-        entries.append((int(parts[0]), int(parts[1])))
+        try:
+            i, j = (int(x) for x in item.split(","))
+        except ValueError:
+            raise MorphlabError(f"entries look like i,j (1-based), got {item!r}") from None
+        entries.append((i, j))
     return entries
+
+
+def _index(k, n, what):
+    """The 0-based index of the 1-based `k`, which must lie in 1..n."""
+    if not 1 <= k <= n:
+        raise DomainMismatchError(f"{what} {k} is out of range 1..{n}")
+    return k - 1
 
 
 def _growth_payload(growth):
@@ -271,14 +270,16 @@ def _cmd_matrix(args):
         "rows": [],
         "cols": [],
     }
+    n = dec.size
     for i, j in _parse_entry_list(args.entries or []):
+        row, col = _index(i, n, "row"), _index(j, n, "column")
         for r in range(dec.p):
-            growth = dec.entry_growth(i - 1, j - 1, r)
+            growth = dec.entry_growth(row, col, r)
             payload["entries"].append({"i": i, "j": j, "r": r, **_growth_payload(growth)})
     for i in args.rows or []:
-        payload["rows"].append({"i": i, **_growth_payload(dec.row_growth(i - 1))})
+        payload["rows"].append({"i": i, **_growth_payload(dec.row_growth(_index(i, n, "row")))})
     for j in args.cols or []:
-        payload["cols"].append({"j": j, **_growth_payload(dec.column_growth(j - 1))})
+        payload["cols"].append({"j": j, **_growth_payload(dec.column_growth(_index(j, n, "column")))})
     if args.json:
         _print_json(payload)
     else:
@@ -309,22 +310,20 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def command(name, func, about, width=False):
+        p = sub.add_parser(name, help=about)
+        p.set_defaults(func=func)
         p.add_argument("--json", action="store_true", help="emit JSON")
-        p.add_argument(
-            "--width",
-            type=_width_fraction,
-            default=spectral.DEFAULT_WIDTH,
-            help="enclosure width for radius reports (default 1/10^9)",
-        )
+        if width:  # only the radius reports read it
+            p.add_argument("--width", type=_width_fraction, default=spectral.DEFAULT_WIDTH,
+                           help="enclosure width for radius reports (default 1/10^9)")
+        return p
 
-    p = sub.add_parser("analyze", help="spectral report for one endomorphism")
+    p = command("analyze", _cmd_analyze, "spectral report for one endomorphism", width=True)
     p.add_argument("--file", required=True)
     p.add_argument("--morphism", required=True)
-    add_common(p)
-    p.set_defaults(func=_cmd_analyze)
 
-    p = sub.add_parser("normalize", help="remove erasure from a presentation")
+    p = command("normalize", _cmd_normalize, "remove erasure from a presentation")
     p.add_argument("--file", required=True)
     p.add_argument("--pair", help="names 'f,g' (defaults to the file's pair directive)")
     p.add_argument("--start", help="start letter (defaults to the file's start directive)")
@@ -334,10 +333,8 @@ def build_parser():
     p.add_argument("--emit", help="write the normalized morphisms to this file")
     p.add_argument("--emit-sigma", default="normalized_sigma", help="emitted generator name")
     p.add_argument("--emit-tau", default="normalized_tau", help="emitted coding name")
-    add_common(p)
-    p.set_defaults(func=_cmd_normalize)
 
-    p = sub.add_parser("expand", help="print a prefix of f^w(start) or g(f^w(start))")
+    p = command("expand", _cmd_expand, "print a prefix of f^w(start) or g(f^w(start))")
     p.add_argument("--file", required=True)
     p.add_argument("--morphism", required=True)
     p.add_argument("--start")
@@ -345,10 +342,8 @@ def build_parser():
     p.add_argument("--image", help="apply this morphism to the fixed point")
     p.add_argument("--budget", type=int, default=0, help="source-symbol pump budget")
     p.add_argument("--binary", action="store_true", help="length-prefixed binary symbols")
-    add_common(p)
-    p.set_defaults(func=_cmd_expand)
 
-    p = sub.add_parser("verify", help="compare two presentations symbol by symbol")
+    p = command("verify", _cmd_verify, "compare two presentations symbol by symbol")
     p.add_argument("--file", required=True)
     p.add_argument("--pair1", required=True, help="names 'f,g'")
     p.add_argument("--pair2", required=True, help="names 'f,g'")
@@ -356,16 +351,12 @@ def build_parser():
     p.add_argument("--start", help="start letter for both pairs")
     p.add_argument("--start2", help="start letter for the second pair, when different")
     p.add_argument("--budget", type=int, default=0, help="source-symbol pump budget")
-    add_common(p)
-    p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("matrix", help="growth table for a whitespace integer grid")
+    p = command("matrix", _cmd_matrix, "growth table for a whitespace integer grid", width=True)
     p.add_argument("--file", required=True, help="path to a .mat file")
     p.add_argument("--entries", nargs="*", help="entries i,j (1-based)")
     p.add_argument("--rows", nargs="*", type=int, help="row-sum growth (1-based)")
     p.add_argument("--cols", nargs="*", type=int, help="column-sum growth (1-based)")
-    add_common(p)
-    p.set_defaults(func=_cmd_matrix)
 
     return parser
 

@@ -7,8 +7,10 @@ The three-letter endomorphism whose visible part is the Thue-Morse word
 shows that erasure can change the growth rate (3 down to 2).
 """
 
+import re
 from importlib import resources
 
+from .errors import ParseError
 from .intmat import IncidenceMatrix
 from .words import morphism_from_chars
 
@@ -44,10 +46,16 @@ def demo_matrix():
 
 
 def load_matrix_text(text):
-    """Parse a whitespace integer grid into an IncidenceMatrix."""
-    rows = [
-        [int(tok) for tok in line.split()]
-        for line in text.strip().splitlines()
-        if line.strip()
-    ]
+    """Parse a whitespace integer grid into an IncidenceMatrix; a token
+    that is not an integer raises ParseError at its line and column."""
+    rows = []
+    for line, row_text in enumerate(text.splitlines(), 1):
+        row = []
+        for tok in re.finditer(r"\S+", row_text):
+            try:
+                row.append(int(tok[0]))
+            except ValueError:
+                raise ParseError(f"{tok[0]!r} is not an integer", line, tok.start() + 1) from None
+        if row:
+            rows.append(row)
     return IncidenceMatrix(rows)

@@ -29,12 +29,13 @@ from .errors import (
     InvariantError,
     NotProlongableError,
 )
-from .intmat import mat_pow, vec_mat
+from .intmat import mat_pow, support_row_mul, vec_mat
 from .spectral import AlgebraicRadius, GrowthType
 from .words import (
     Alphabet,
     Morphism,
     Word,
+    _letter_graph,
     apply,
     compose,
     erase_and_restrict,
@@ -73,20 +74,13 @@ class PipelineStage:
 
 
 def largest_erasable(f, g):
-    """The largest C inside g^-1(empty) with f(C) stable, as a letter tuple.
-
-    Greatest fixpoint: start from all letters erased by g and repeatedly
-    drop letters whose f-image uses a letter outside the current set.
-    """
+    """The largest C inside g^-1(empty) with f(C) stable, as a letter tuple:
+    the letters whose closure in f's letter graph g erases."""
     if set(f.domain.letters) != set(g.domain.letters):
         raise DomainMismatchError("morphisms must share an alphabet")
-    current = {b for b in f.domain if len(g.image(b)) == 0}
-    while True:
-        stable = {b for b in current if all(x in current for x in f.image(b))}
-        if stable == current:
-            break
-        current = stable
-    return tuple(b for b in f.domain if b in current)
+    erased = sum(1 << i for i, b in enumerate(f.domain) if len(g.image(b)) == 0)
+    closure = _letter_graph(f, closed=True)
+    return tuple(b for b, row in zip(f.domain, closure) if not row & ~erased)
 
 
 @dataclass(frozen=True)
@@ -238,8 +232,18 @@ class MonotoneResult:
     stretch_power: int
 
 
-def _is_bounded_letter(growth):
-    return growth.is_vanishing or (growth.degree == 0 and growth.rate.compare(1) == 0)
+def _growing_letters(f):
+    """The letters b of a non-erasing endomorphism with |f^n(b)| unbounded:
+    those whose closure in the letter graph holds a pump, a letter c on a
+    cycle with |f(c)| >= 2, each turn of which adds a symbol.  Without one,
+    each cycle b reaches maps its letters to single letters, so a path of
+    the derivation tree of b branches off cycles only, fewer than #B times."""
+    graph, closure = _letter_graph(f), _letter_graph(f, closed=True)
+    pumps = 0
+    for c, row in enumerate(graph):
+        if len(f.images[c]) >= 2 and support_row_mul(row, closure) >> c & 1:
+            pumps |= 1 << c
+    return tuple(b for b, row in zip(f.domain, closure) if row & pumps)
 
 
 def _settle_power(f, letter, limit):
@@ -279,16 +283,12 @@ def monotone_powers(f, g, start):
     if spectral.cyclicity(matrix) != 1:
         raise DomainMismatchError("the generator must have cyclicity 1 here")
     m = len(f.domain)
-    dec = spectral.decompose(matrix)
-    growing = {
-        b: not _is_bounded_letter(dec.column_growth(matrix.index_of(b))) for b in f.domain
-    }
+    growing = _growing_letters(f)
     settle = 0
     for b in f.domain:
-        if not growing[b]:
+        if b not in growing:
             settle = max(settle, _settle_power(f, b, m - 1))
-    lengths = tuple(len(g.image(b)) for b in f.domain)
-    lengths2 = lengths
+    lengths2 = _image_length_vector(g, f.domain)
     for _ in range(settle):
         lengths2 = vec_mat(lengths2, matrix.rows)
     si = f.domain.index(start)

@@ -9,7 +9,7 @@ immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 from .errors import DomainMismatchError, NotASubMorphismError
-from .intmat import IncidenceMatrix
+from .intmat import IncidenceMatrix, support_pow
 
 
 class Alphabet:
@@ -365,36 +365,35 @@ def incidence_matrix(f):
     return IncidenceMatrix(rows, f.domain.letters)
 
 
-def mortal_letters(f):
-    """Letters b with f^n(b) empty for some n; decided with exponent #A.
-
-    Computed by shrinking the erased-set fixpoint: a letter is mortal after
-    k+1 steps iff its image uses only letters mortal after k steps.
-    """
+def _letter_graph(f, closed=False):
+    """f's letter graph as bitset rows: bit c of row b is set when c occurs
+    in f(b).  Row b of its k-th power (intmat.support_pow) holds the letters
+    of f^k(b).  With `closed`, return support_pow(graph | I, #A) instead,
+    whose row b holds every letter of every f^k(b), k >= 0: a shortest
+    walk between two letters has fewer than #A steps."""
     if not f.is_endomorphism:
-        raise DomainMismatchError("mortality needs an endomorphism")
-    n = len(f.domain)
-    mortal = [len(w) == 0 for w in f.images]
-    for _ in range(n):
-        changed = False
-        for b in range(n):
-            if not mortal[b] and all(mortal[c] for c in f.images[b].codes):
-                mortal[b] = True
-                changed = True
-        if not changed:
-            break
-    return tuple(l for b, l in enumerate(f.domain.letters) if mortal[b])
+        raise DomainMismatchError("letter graphs need an endomorphism")
+    rows = tuple(sum(1 << c for c in set(w.codes)) for w in f.images)
+    if closed:
+        return support_pow(tuple(row | 1 << b for b, row in enumerate(rows)), len(rows))
+    return rows
+
+
+def mortal_letters(f):
+    """Letters b with f^n(b) empty for some n: those with f^#A(b) empty, as
+    a walk of #A steps in the letter graph passes a cycle and so extends to
+    walks of every length."""
+    dead = support_pow(_letter_graph(f), len(f.domain))
+    return tuple(l for l, row in zip(f.domain.letters, dead) if not row)
 
 
 def is_prolongable(f, letter):
-    """True iff f(letter) = letter u with u non-empty and |f^n(letter)| unbounded."""
+    """True iff f(letter) = letter u with u non-empty and |f^n(letter)| unbounded,
+    i.e. u holds a letter that is not mortal: f^n(letter) = letter u f(u) ... f^(n-1)(u)."""
     if not f.is_endomorphism:
         raise DomainMismatchError("prolongability needs an endomorphism")
     code = f.domain.index(letter)
     img = f.images[code]
     if len(img) < 2 or img.codes[0] != code:
         return False
-    from . import spectral  # deferred: spectral imports this module
-
-    growth = spectral.letter_growth(f, letter)
-    return growth.is_unbounded
+    return not set(mortal_letters(f)).issuperset(img.letters()[1:])

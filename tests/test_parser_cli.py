@@ -16,7 +16,7 @@ from morphlab.fixtures import baum_sweet_erasing, baum_sweet_uniform
 from morphlab.intmat import mat_vec
 from morphlab.parser import format_file
 
-from util import random_presentations
+from util import finite_by_orbit, random_presentations
 
 BS_FILE = """
 sigma' { a -> a b e ; b -> c e f b ; c -> b f d ; d -> d e f d ; e -> e f ; f -> ; }
@@ -451,19 +451,6 @@ def test_cli_finite_image_word_keeps_the_pump_error(tmp_path):
         assert "likely finite" in error["message"]
 
 
-def _finite_by_orbit(f, g, start):
-    """g(f^w(start)) is finite iff no letter set of f^k(u), k >= 2^m (m
-    letters, f(start) = start u), holds a letter g keeps: the sets
-    S_(k+1) = letters of f(S_k) repeat within 2^m steps."""
-    m = len(f.domain.letters)
-    current = set(f.image(start).letters()[1:])
-    for k in range(2 ** (m + 1)):
-        if k >= 2**m and any(len(g.image(b)) for b in current):
-            return False
-        current = {c for b in current for c in f.image(b).letters()}
-    return True
-
-
 def test_image_finiteness_matches_the_letter_set_orbit():
     rng = random.Random(7411)
     letters = "abcde"
@@ -480,7 +467,7 @@ def test_image_finiteness_matches_the_letter_set_orbit():
         )
         f, g = mf.morphism("f"), mf.morphism("g")
         verdict = cli._image_is_finite(f, g, "a")
-        assert verdict == _finite_by_orbit(f, g, "a"), (images, kept)
+        assert verdict == finite_by_orbit(f, g, "a"), (images, kept)
         verdicts.add(verdict)
     assert verdicts == {True, False}
 
@@ -547,3 +534,53 @@ def test_import_leaves_numpy_unloaded():
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH", "")]))
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
     assert result.returncode == 0, result.stderr
+
+
+def test_cli_width_belongs_to_the_radius_reports(tmp_path, capsys):
+    """Only analyze and matrix report radii, so only they take --width;
+    elsewhere it is a usage error."""
+    mf = tmp_path / "fib.mf"
+    mf.write_text("f { a -> a b ; b -> a ; }\ng { a -> a ; b -> b ; }\npair = f, g;\nstart = a;\n")
+    mat = tmp_path / "fib.mat"
+    mat.write_text("1 1\n1 0\n")
+    for args in (
+        ("normalize", "--file", str(mf)),
+        ("expand", "--file", str(mf), "--morphism", "f", "--limit", "4"),
+        ("verify", "--file", str(mf), "--pair1", "f,g", "--pair2", "f,g", "--len", "4"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*args, "--width", "1/10"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --width" in capsys.readouterr().err
+
+    def enclosure(*args):
+        assert cli.main([*args, "--json"]) == 0
+        lo, hi = json.loads(capsys.readouterr().out)["blocks"][0]["radius"]["enclosure"]
+        return Fraction(lo), Fraction(hi)
+
+    for args in (("analyze", "--file", str(mf), "--morphism", "f"), ("matrix", "--file", str(mat))):
+        lo, hi = enclosure(*args, "--width", "1/10")
+        assert hi - lo <= Fraction(1, 10) and (2 * lo - 1) ** 2 <= 5 <= (2 * hi - 1) ** 2  # phi
+    coarse, fine = enclosure("matrix", "--file", str(mat), "--width", "1/10"), enclosure("matrix", "--file", str(mat))
+    assert fine[1] - fine[0] <= Fraction(1, 10**9) < coarse[1] - coarse[0]
+
+
+@pytest.mark.parametrize("grid, args, code, kind, message", [
+    ("1 1\n1 x\n", (), 3, "parse", "line 2, column 3: 'x' is not an integer"),
+    ("\n1 2.5\n1 0\n", (), 3, "parse", "line 2, column 3: '2.5' is not an integer"),
+    ("1 1\n1 0\n", ("--entries", "a,b"), 2, "MorphlabError", "entries look like i,j (1-based), got 'a,b'"),
+    ("1 1\n1 0\n", ("--entries", "1"), 2, "MorphlabError", "entries look like i,j (1-based), got '1'"),
+    ("1 1\n1 0\n", ("--rows", "0"), 2, "DomainMismatchError", "row 0 is out of range 1..2"),
+    ("1 1\n1 0\n", ("--entries", "0,1"), 2, "DomainMismatchError", "row 0 is out of range 1..2"),
+    ("1 1\n1 0\n", ("--entries", "1,3"), 2, "DomainMismatchError", "column 3 is out of range 1..2"),
+    ("1 1\n1 0\n", ("--cols", "3"), 2, "DomainMismatchError", "column 3 is out of range 1..2"),
+])
+def test_cli_matrix_malformed_input_is_a_typed_error(tmp_path, capsys, grid, args, code, kind, message):
+    """A bad grid token is a parse error at its line and column; a bad
+    entry spec or a 1-based index outside 1..n is a domain error that
+    names what was given."""
+    path = tmp_path / "bad.mat"
+    path.write_text(grid)
+    assert cli.main(["matrix", "--file", str(path), *args, "--json"]) == code
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert (error["kind"], error["message"]) == (kind, message)

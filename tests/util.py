@@ -10,7 +10,7 @@ from morphlab.graphs import component_period, is_trivial_component, strongly_con
 from morphlab.intmat import charpoly, mat_pow, submatrix, vec_mat
 from morphlab.normalize import eliminate_effacement, monotone_powers
 from morphlab.polytools import count_roots_closed, count_roots_halfopen, sturm_chain
-from morphlab.spectral import AlgebraicRadius, _locator_for_block, cyclicity
+from morphlab.spectral import AlgebraicRadius, _locator_for_block, cyclicity, decompose, letter_growth
 
 LETTERS = "abcdefgh"
 
@@ -236,3 +236,67 @@ def encloses_radius(rows, lo, hi):
     chain = sturm_chain(poly)
     bound = max(Fraction(hi), Fraction(max(sum(row) for row in rows)))
     return count_roots_closed(poly, chain, lo, hi) >= 1 and count_roots_halfopen(chain, hi, bound) == 0
+
+
+# Letter facts the way the library decided them before the letter-graph
+# closure: fixpoints, the spectral growth type, and a letter-set orbit.
+
+
+def reference_mortal_letters(f):
+    """Shrinking fixpoint: b is mortal after k + 1 steps iff its image uses
+    only letters mortal after k steps."""
+    n = len(f.domain)
+    mortal = [len(w) == 0 for w in f.images]
+    for _ in range(n):
+        changed = False
+        for b in range(n):
+            if not mortal[b] and all(mortal[c] for c in f.images[b].codes):
+                mortal[b] = True
+                changed = True
+        if not changed:
+            break
+    return tuple(l for b, l in enumerate(f.domain.letters) if mortal[b])
+
+
+def reference_largest_erasable(f, g):
+    """Greatest fixpoint: start from the letters g erases and drop those
+    whose f-image leaves the current set."""
+    current = {b for b in f.domain if len(g.image(b)) == 0}
+    while True:
+        stable = {b for b in current if all(x in current for x in f.image(b))}
+        if stable == current:
+            break
+        current = stable
+    return tuple(b for b in f.domain if b in current)
+
+
+def reference_is_prolongable(f, letter):
+    """f(letter) = letter u, u non-empty, and the spectral growth type of
+    |f^n(letter)| unbounded."""
+    img = f.image(letter).letters()
+    return len(img) >= 2 and img[0] == letter and letter_growth(f, letter).is_unbounded
+
+
+def reference_growing_letters(f):
+    """Letters whose column growth is neither vanishing nor bounded (degree
+    0 at rate exactly 1, decided by an exact compare)."""
+    matrix = incidence_matrix(f)
+    dec = decompose(matrix)
+
+    def bounded(growth):
+        return growth.is_vanishing or (growth.degree == 0 and growth.rate.compare(1) == 0)
+
+    return tuple(b for b in f.domain if not bounded(dec.column_growth(matrix.index_of(b))))
+
+
+def finite_by_orbit(f, g, start):
+    """g(f^w(start)) is finite iff no letter set of f^k(u), k >= 2^m (m
+    letters, f(start) = start u), holds a letter g keeps: the sets
+    S_(k+1) = letters of f(S_k) repeat within 2^m steps."""
+    m = len(f.domain.letters)
+    current = set(f.image(start).letters()[1:])
+    for k in range(2 ** (m + 1)):
+        if k >= 2**m and any(len(g.image(b)) for b in current):
+            return False
+        current = {c for b in current for c in f.image(b).letters()}
+    return True
