@@ -216,100 +216,95 @@ def rational_roots_of_monic_int(p):
     return sorted(roots)
 
 
-# Each Newton step from above cuts x - r by at least the factor 1 - 1/deg
-# (p'/p is a sum of deg terms 1/(x - z), each of real part at most
-# 1/(x - r)), and close to the simple root r the steps converge
-# quadratically; a hint still moving after this many steps is left to the
-# exact acceptance test.
-_NEWTON_STEPS = 100
-
-
-def _float_root_hint(p, start):
-    """Float Newton estimate of the largest real root r of p, from start >= r.
-
-    For the Perron root r of a non-negative matrix, p has no root of
-    modulus above r (Perron-Frobenius); by Gauss-Lucas the roots of p'
-    and p'' then lie in |z| <= r too, so with a positive leading
-    coefficient p, p' and p'' are all positive on (r, oo) and Newton falls
-    monotonically to r.  For other polynomials the estimate may be wrong,
-    which the locator's exact acceptance test catches.  The iteration
-    stops when a step no longer lowers x.  None when a coefficient or
-    start is beyond the float range or a value is not finite.
-    """
-    try:
-        coeffs = [float(c) for c in reversed(p)]
-        x = float(start)
-    except OverflowError:
-        return None
-    for _ in range(_NEWTON_STEPS):
-        value = slope = 0.0
-        for c in coeffs:  # Horner for p(x) and p'(x) together
-            slope = slope * x + value
-            value = value * x + c
-        if not slope:
-            break
-        step = x - value / slope
-        if not math.isfinite(step):
-            return None
-        if not step < x:
-            break
-        x = step
-    return x
+def _root_bound(h):
+    """A bound on the moduli of the roots of h (degree d >= 1, positive
+    leading coefficient), after Fujiwara: 2 max_k ceil((|h_(d-k)|/h_d)^(1/k))."""
+    lead = h[-1]
+    return 2 * max(_ceil_root(-(-abs(c) // lead), k) for k, c in enumerate(reversed(h[:-1]), 1))
 
 
 class LargestRootLocator:
     """Tracks a shrinking rational bracket (lo, hi] around the largest real root.
 
     The caller guarantees the polynomial has a real root in (lo, hi] and
-    none above hi.  refine() halves the bracket with Sturm counts, trying
-    one guided jump first (the exact root of a linear squarefree chain
-    head, else a float Newton estimate on it, from hi down) so that tight
-    widths do not need dozens of exact bisection steps.
-    """
+    none above hi.  refine() proposes a bracket by exact Newton on the
+    squarefree chain head h (degree d), accepts it only by Sturm counts,
+    and otherwise halves the bracket with Sturm counts.
+
+    For the Perron root r of a non-negative matrix, h has no root of
+    modulus above r (Perron-Frobenius), so for x >= r every root z has
+    0 <= Re 1/(x - z) <= 1/(x - r).  Their sum h'/h shows that the step
+    s = h(x)/h'(x) keeps x - d s <= r <= x - s: Newton falls monotonically
+    to r, by at least the factor 1 - 1/d per step, and every step brackets
+    r.  Off the Perron case the counts catch a wrong bracket."""
 
     def __init__(self, poly, lo, hi):
         self.chain = sturm_chain(poly)
         self.lo = Fraction(lo)
         self.hi = Fraction(hi)
-        self._tried_hint = False
-        if count_roots_halfopen(self.chain, self.lo, self.hi) < 1:
+        self._v_hi = sign_variations(self.chain, self.hi)
+        if self.lo >= self.hi or sign_variations(self.chain, self.lo) <= self._v_hi:
             raise ValueError("bracket does not contain a root")
+        self._bound = Fraction(_root_bound(self.chain[0]))
 
-    def _try_hint(self, width):
-        head = self.chain[0]
-        if len(head) == 2:  # a linear head has the exact root -c0/c1
-            est = Fraction(-head[0], head[1])
-        else:
-            est = _float_root_hint(head, self.hi)
-            if est is None:
-                return
-            est = Fraction(est).limit_denominator(10**15)
-        pad = max(Fraction(width) / 4, Fraction(1, 10**15))
-        lo = max(est - pad, self.lo)
-        hi = min(est + pad, self.hi)
-        if lo >= hi:
-            return
-        # Accept only when the candidate provably brackets the largest root.
-        if (
-            count_roots_halfopen(self.chain, lo, hi) >= 1
-            and count_roots_halfopen(self.chain, hi, self.hi) == 0
-        ):
-            self.lo, self.hi = lo, hi
+    def _newton(self, width):
+        """A bracket (lo, hi) narrower than `width` from exact Newton on the
+        chain head, started at min(hi, Fujiwara's root bound); None on a stall.
+
+        Iterates a / 2^k are rounded up to a grid of spacing about s^2 and
+        below width / (16 d), so every step that the stop test (d - 1) s <=
+        width / 2 lets through moves x down.  [x - d s, x - s] is rounded
+        outward, lo strictly below.  The step cap is what the contraction
+        by 1 - 1/d needs for a Perron root, rounding aside.
+        """
+        h = self.chain[0]
+        d = len(h) - 1
+        wn, wd = width.numerator, width.denominator
+        kw = (16 * d * wd // wn).bit_length()
+        x = min(self.hi, self._bound)
+        k = kw
+        a = -((-x.numerator << k) // x.denominator)
+        lo_num, lo_den = self.lo.numerator, self.lo.denominator
+        steps = d * math.ceil(2 * d * (x - self.lo) / width).bit_length() + d
+        for _ in range(steps):
+            value, slope = h[-1], 0  # 2^(kd) h(a / 2^k) and its derivative in a
+            for shift, c in enumerate(reversed(h[:-1]), 1):
+                slope = slope * a + value
+                value = value * a + (c << k * shift)
+            if value < 0 or slope <= 0:
+                return None
+            top = a * slope - value  # x - s = top / (slope 2^k)
+            if 2 * (d - 1) * value * wd <= wn * (slope << k):
+                den = slope << k
+                hi = -((-top << kw) // den)
+                lo = ((top - (d - 1) * value) << kw) // den - 1
+                return Fraction(lo, 1 << kw), Fraction(hi, 1 << kw)
+            grid = max(kw, 2 * (slope.bit_length() + k - value.bit_length()))
+            a_next = -((-top << grid) // (slope << k))
+            if a_next << k >= a << grid or a_next * lo_den <= lo_num << grid:
+                return None  # no progress, or at or below lo
+            a, k = a_next, grid
+        return None
 
     def refine(self, width):
         width = Fraction(width)
-        if not self._tried_hint and self.hi - self.lo > width:
-            self._tried_hint = True
-            self._try_hint(width)
+        if width <= 0:
+            raise DomainMismatchError("enclosure width must be positive")
         if self.hi - self.lo > width:
-            v_hi = sign_variations(self.chain, self.hi)
-            while self.hi - self.lo > width:
-                mid = (self.lo + self.hi) / 2
-                v_mid = sign_variations(self.chain, mid)
-                if v_mid > v_hi:  # a root in (mid, hi]
-                    self.lo = mid
-                else:
-                    self.hi, v_hi = mid, v_mid
+            bracket = self._newton(width)
+            if bracket is not None:
+                lo, hi = max(bracket[0], self.lo), min(bracket[1], self.hi)
+                v_hi = self._v_hi if hi == self.hi else sign_variations(self.chain, hi)
+                # accept only a provable bracket of the largest root
+                if lo < hi and v_hi == self._v_hi and sign_variations(self.chain, lo) > v_hi:
+                    self.lo, self.hi = lo, hi
+        while self.hi - self.lo > width:
+            mid = (self.lo + self.hi) / 2
+            v_mid = sign_variations(self.chain, mid)
+            if v_mid > self._v_hi:  # a root in (mid, hi]
+                self.lo = mid
+            else:
+                self.hi, self._v_hi = mid, v_mid
         return self.lo, self.hi
 
     def isolated(self):
@@ -335,18 +330,23 @@ def nth_root_bounds(x, n, width):
     return lo, hi
 
 
+def _ceil_root(value, n):
+    """The least integer m >= 0 with m**n >= value, for an int value: integer
+    Newton falls from 2^ceil(bits/n) to the floor of the root."""
+    if value <= 0:
+        return 0
+    x = 1 << -(-value.bit_length() // n)
+    while True:
+        y = ((n - 1) * x + value // x ** (n - 1)) // n
+        if y >= x:
+            return x if x**n >= value else x + 1
+        x = y
+
+
 def integer_nth_root_exact(value, n):
     """The exact integer n-th root of value, or None."""
-    if value < 0:
-        return None
-    lo, hi = 0, 1 << (value.bit_length() // n + 1)  # above value**(1/n)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if mid**n < value:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo if lo**n == value else None
+    root = _ceil_root(value, n)
+    return root if value >= 0 and root**n == value else None
 
 
 def rational_nth_root_exact(q, n):

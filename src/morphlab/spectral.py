@@ -17,6 +17,7 @@ gcd-plus-Sturm certificate for equality), never by tolerance.
 
 from __future__ import annotations
 
+import copy
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -46,7 +47,6 @@ from .polytools import (
     nth_root_bounds,
     poly_gcd,
     rational_nth_root_exact,
-    squarefree,
     sturm_chain,
     trim,
 )
@@ -201,18 +201,17 @@ class AlgebraicRadius:
             return self._locator
 
     def _powered(self, e):
-        """(poly, locator) for the dominant root of block^e."""
+        """The locator for the dominant root of block^e."""
         if e == 1:
-            return list(self.poly), self._own_locator()
+            return self._own_locator()
         block = self.block
         with self._lock:
-            cached = self._powers.get(e)
-            if cached is None:
+            locator = self._powers.get(e)
+            if locator is None:
                 block = mat_pow(block, e)
-                poly = charpoly(block)
-                cached = (poly, _locator_for_block(block, poly))
-                self._powers[e] = cached
-            return cached
+                locator = _locator_for_block(block, charpoly(block))
+                self._powers[e] = locator
+            return locator
 
     def _refine(self, locator, width):
         with self._lock:
@@ -332,10 +331,9 @@ class AlgebraicRadius:
         if other.is_zero:
             return 1
         common = lcm(self.step, other.step)
-        pa, la = self._powered(common // self.step)
-        pb, lb = other._powered(common // other.step)
-        g = poly_gcd(squarefree(pa), squarefree(pb))
-        g_chain = sturm_chain(g) if len(trim(g)) > 1 else None
+        la = self._powered(common // self.step)
+        lb = other._powered(common // other.step)
+        g = g_chain = None  # formed once both enclosures isolate and overlap
         width = Fraction(1, 16)
         while True:
             alo, ahi = self._refine(la, width)
@@ -344,10 +342,11 @@ class AlgebraicRadius:
                 return -1
             if bhi <= alo:
                 return 1
-            if g_chain is not None and self._isolated(la) and other._isolated(lb):
-                ilo = max(alo, blo)
-                ihi = min(ahi, bhi)
-                if count_roots_closed(g, g_chain, ilo, ihi) >= 1:
+            if (g is None or g_chain is not None) and self._isolated(la) and other._isolated(lb):
+                if g is None:  # the chain heads are the squarefree polynomials
+                    g = poly_gcd(la.chain[0], lb.chain[0])
+                    g_chain = sturm_chain(g) if len(g) > 1 else None
+                if g_chain is not None and count_roots_closed(g, g_chain, max(alo, blo), min(ahi, bhi)) >= 1:
                     return 0
             width /= 16
 
@@ -384,16 +383,15 @@ class AlgebraicRadius:
         poly = trim(list(poly))
         if self.is_zero:
             return bool(poly) and Fraction(poly[0]) == 0
-        g = poly_gcd(squarefree(list(self.poly)), squarefree(poly))
-        if len(trim(g)) <= 1:
-            return False
-        g_chain = sturm_chain(g)
         loc = self._own_locator()
+        g = poly_gcd(loc.chain[0], poly)  # the chain head is the squarefree part
+        if len(g) <= 1:
+            return False
         width = Fraction(1, 16)
         while True:
             lo, hi = self._refine(loc, width)
             if self._isolated(loc):
-                return count_roots_closed(g, g_chain, lo, hi) >= 1
+                return count_roots_closed(g, sturm_chain(g), lo, hi) >= 1
             width /= 16
 
     def __eq__(self, other):
@@ -633,6 +631,15 @@ class BlockDecomposition:
             radius.block if kind == PRIMITIVE else ((0,),) for radius, kind in zip(self.radii, self.kinds)
         )
 
+    def _relabelled(self, matrix):
+        """This decomposition under the labels of `matrix`, which has the same
+        entries: a shallow view sharing blocks, radii and their locators."""
+        if matrix.labels == self.matrix.labels:
+            return self
+        view = copy.copy(self)
+        view.matrix = matrix
+        return view
+
     def block_letters(self, b):
         return tuple(self.matrix.labels[v] for v in self.blocks[b])
 
@@ -747,23 +754,24 @@ _DECOMP_LOCK = threading.Lock()
 
 
 def decompose(matrix):
-    """Block decomposition of a matrix, memoised per (labels, entries) in
-    a least-recently-used cache of _DECOMP_CACHE_SIZE entries."""
+    """Block decomposition of a matrix, memoised per entries in a
+    least-recently-used cache of _DECOMP_CACHE_SIZE entries; the labels
+    only name the letters, so other labels get a view (`_relabelled`)."""
     if not isinstance(matrix, IncidenceMatrix):
         matrix = IncidenceMatrix(matrix)
-    key = (matrix.labels, matrix.rows)
+    key = matrix.rows
     with _DECOMP_LOCK:
         cached = _DECOMP_CACHE.get(key)
         if cached is not None:
             _DECOMP_CACHE.move_to_end(key)
-            return cached
+            return cached._relabelled(matrix)
     built = BlockDecomposition(matrix)
     with _DECOMP_LOCK:
         cached = _DECOMP_CACHE.setdefault(key, built)
         _DECOMP_CACHE.move_to_end(key)
         while len(_DECOMP_CACHE) > _DECOMP_CACHE_SIZE:
             _DECOMP_CACHE.popitem(last=False)
-    return cached
+    return cached._relabelled(matrix)
 
 
 def is_primitive(rows):
@@ -803,7 +811,7 @@ def spectral_radius_enclosure(rows, width=DEFAULT_WIDTH):
     cache.  A rational M = B/d is enclosed as rho(B)/d, at width d *
     `width` for the integer B.  A nilpotent matrix gives (0, 0).
     """
-    if isinstance(rows, IncidenceMatrix):  # checked, integral, cached under its labels
+    if isinstance(rows, IncidenceMatrix):  # checked and integral
         return decompose(rows).spectral_radius().value_enclosure(width)
     scaled, d = clear_denominators(_nonnegative(rows))
     lo, hi = decompose(scaled).spectral_radius().value_enclosure(Fraction(width) * d)

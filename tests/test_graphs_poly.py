@@ -5,14 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from morphlab import polytools
 from morphlab.errors import DomainMismatchError
 from morphlab.fixtures import demo_matrix
 from morphlab.graphs import component_period, is_trivial_component, strongly_connected_components
 from morphlab.intmat import charpoly, mat_mul, mat_pow, support, support_pow
 from morphlab.polytools import (
     LargestRootLocator,
-    _float_root_hint,
     count_roots_closed,
     count_roots_halfopen,
     evaluate,
@@ -197,6 +195,9 @@ def test_largest_root_locator():
     assert lo < 3 <= hi
     assert hi - lo <= Fraction(1, 10**9)
     assert loc.isolated()
+    for width in (0, Fraction(-1, 10)):  # bisection would never stop
+        with pytest.raises(DomainMismatchError):
+            loc.refine(width)
 
 
 def test_locator_follows_largest_root_not_first_bracket():
@@ -246,34 +247,26 @@ def test_support_pow_is_zero_pattern_of_mat_pow():
             power = mat_mul(power, m)
 
 
-def test_locator_without_float_hint_for_huge_coefficients():
-    # 2^1100 exceeds the float range, so there is no float hint; the linear
-    # head's exact root still guides refinement
-    poly = [-(2**1100), 1]
-    loc = LargestRootLocator(poly, Fraction(-1), Fraction(2**1100))
-    assert _float_root_hint(loc.chain[0], loc.hi) is None
-    lo, hi = loc.refine(Fraction(1, 10**9))
-    assert lo < 2**1100 <= hi and hi - lo <= Fraction(1, 10**9)
-    # float coefficients, but p(start) overflows: the hint is not finite
-    poly = [-(2**1000)] + [0] * 39 + [1]  # x^40 - 2^1000, root 2^25
-    loc = LargestRootLocator(poly, Fraction(-1), Fraction(2**1000))
-    assert _float_root_hint(loc.chain[0], loc.hi) is None
-    lo, hi = loc.refine(Fraction(1, 10**9))
-    assert lo < 2**25 <= hi and hi - lo <= Fraction(1, 10**9)
+def test_locator_without_float_hint_for_huge_coefficients(sign_counts):
+    """Coefficients and brackets past the float range: exact Newton from
+    Fujiwara's root bound lands on the root, so refine(1e-9) takes the
+    three counts of the Sturm acceptance test, where bisecting the 2^1000
+    bracket took 1,031."""
+    for poly, hi, root in (
+        ([-(2**1100), 1], 2**1100, 2**1100),
+        ([-(2**1000)] + [0] * 39 + [1], 2**1000, 2**25),  # x^40 - 2^1000
+    ):
+        loc = LargestRootLocator(poly, Fraction(-1), Fraction(hi))
+        sign_counts[0] = 0
+        lo, hi = loc.refine(Fraction(1, 10**9))
+        assert sign_counts[0] <= 4, poly
+        assert lo < root <= hi and hi - lo <= Fraction(1, 10**9)
 
 
-def test_linear_head_hint_is_its_exact_root(monkeypatch):
-    """A degree-1 chain head, as for a 1x1 block of M^p, hints its exact
-    root -c0/c1, so refine(1e-9) takes only the hint's counts even past the
-    float range, where a float estimate could never be accepted."""
-    calls = [0]
-    inner = polytools.sign_variations
-
-    def counted(chain, x):
-        calls[0] += 1
-        return inner(chain, x)
-
-    monkeypatch.setattr(polytools, "sign_variations", counted)
+def test_linear_head_hint_is_its_exact_root(sign_counts):
+    """A degree-1 chain head, as for a 1x1 block of M^p, has its exact
+    root -c0/c1 as the first Newton step, so refine(1e-9) takes only the
+    acceptance counts even past the float range."""
     for poly, root in (
         ([-(3**5000), 1], Fraction(3**5000)),
         ([-(2**80 + 1), 1], Fraction(2**80 + 1)),  # floats round it to 2^80
@@ -281,34 +274,44 @@ def test_linear_head_hint_is_its_exact_root(monkeypatch):
         ([-(5**300), 2**400], Fraction(5**300, 2**400)),
     ):
         loc = LargestRootLocator(poly, Fraction(-1), max(Fraction(1), 2 * root))
-        calls[0] = 0
+        sign_counts[0] = 0
         lo, hi = loc.refine(Fraction(1, 10**9))
-        assert calls[0] <= 4, poly
+        assert sign_counts[0] <= 4, poly
         assert lo <= root <= hi and hi - lo <= Fraction(1, 10**9)
 
 
-def test_newton_hint_is_accepted_on_perron_roots(monkeypatch):
-    """The Newton hint from the row-sum bound lands on the Perron root, so
-    refine(1e-9) takes the hint's two exact counts (four sign variations)
-    and no bisection step, where bisection alone would take about 35."""
+def test_rejected_newton_bracket_falls_back_to_bisection():
+    """Off the Perron case Newton's bracket is only a proposal.  Complex
+    roots 5 +- i/1000 right of the largest real root 1 stall the
+    iteration near 5, and the Sturm test rejects its bracket; complex
+    roots +-10i, of real part below 1, still give a true bracket.  Either
+    way refine returns a correct enclosure of the largest root."""
+    near = poly_mul([-1, 1], [25 * 10**6 + 1, -(10**7), 10**6])  # (x - 1)(10^6 (x - 5)^2 + 1)
+    loc = LargestRootLocator(near, Fraction(0), Fraction(10))
+    lo, hi = loc._newton(Fraction(1, 16))
+    assert 4 < lo < hi < 6  # the proposal misses the root 1
+    for poly in (near, poly_mul([-1, 1], [100, 0, 1])):  # (x - 1)(x^2 + 100)
+        loc = LargestRootLocator(poly, Fraction(0), Fraction(10))
+        for width in (Fraction(1, 16), Fraction(1, 10**9)):
+            lo, hi = loc.refine(width)
+            assert lo < 1 <= hi and hi - lo <= width, (poly, width)
+            assert count_roots_halfopen(loc.chain, hi, Fraction(10)) == 0
+
+
+def test_newton_hint_is_accepted_on_perron_roots(sign_counts):
+    """Exact Newton from the row-sum bound lands on the Perron root, so
+    refine(1e-9) takes only the counts of the Sturm acceptance test and no
+    bisection step, where bisection alone would take about 35."""
     rng = random.Random(76)
     cases = [random_matrix(rng, rng.randint(1, 12), zero_chance=rng.choice((0.3, 0.55, 0.8)))
              for _ in range(40)]
     dec = decompose(demo_matrix())
     cases += [dec.block_matrices[b] for b, kind in enumerate(dec.kinds) if kind == "primitive"]
-    calls = [0]
-    inner = polytools.sign_variations
-
-    def counted(chain, x):
-        calls[0] += 1
-        return inner(chain, x)
-
-    monkeypatch.setattr(polytools, "sign_variations", counted)
     for rows in cases:
         hi = Fraction(max(1, max(sum(row) for row in rows)))
         loc = LargestRootLocator(charpoly(rows), Fraction(-1), hi)
-        calls[0] = 0
+        sign_counts[0] = 0
         lo, hi = loc.refine(Fraction(1, 10**9))
-        assert calls[0] <= 4, rows
+        assert sign_counts[0] <= 4, rows
         assert hi - lo <= Fraction(1, 10**9)
         assert count_roots_halfopen(loc.chain, lo, hi) >= 1

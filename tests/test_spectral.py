@@ -752,6 +752,28 @@ def test_decomposition_cache_is_a_bounded_lru():
     assert rebuilt is not old and rebuilt.p == old.p
 
 
+def test_decomposition_cache_is_keyed_on_entries_alone(monkeypatch):
+    """Labels only name the letters: after analyze_morphism(f), the same
+    entries under the default labels are a view of the cached
+    decomposition, with no second cache entry and no new locator, and its
+    block report names the caller's labels."""
+    monkeypatch.setattr(spectral, "_DECOMP_CACHE", OrderedDict())
+    f = morphism_from_chars({"a": "ab", "b": "ba"})
+    report = spectral.analyze_morphism(f)
+    made = []
+    inner = spectral._locator_for_block
+    monkeypatch.setattr(spectral, "_locator_for_block", lambda *args: made.append(args) or inner(*args))
+    rows = incidence_matrix(f).rows
+    lo, hi = spectral_radius_enclosure(rows)
+    assert lo <= 2 <= hi
+    assert len(spectral._DECOMP_CACHE) == 1 and not made
+    view = decompose(rows)
+    assert view.radii is decompose(incidence_matrix(f)).radii
+    assert [b["letters"] for b in report["blocks"]] == [["a", "b"]]
+    assert [b["letters"] for b in view.blocks_as_json()] == [["1", "2"]]
+    assert len(spectral._DECOMP_CACHE) == 1 and not made
+
+
 def _reference_cases():
     rng = random.Random(7107)
     cases = [random_matrix(rng, rng.randint(1, 8), zero_chance=rng.choice((0.5, 0.7, 0.8))) for _ in range(40)]
@@ -831,6 +853,23 @@ def test_decompose_at_p_5544_compares_components_and_forms_no_full_power(monkeyp
     assert mats[dec.block_of[n - 1]] == mat_pow(tail, 5544)
     assert mats[dec.block_of[0]] == ((2**792,),)  # (weight^(p/7)) for the 7-cycle
     assert set(steps) == {(1, 1)}
+
+
+@pytest.mark.parametrize("tail", [((1, 2), (1, 0)), ((1, 1), (1, 0))])
+def test_block_report_at_p_5544_refines_by_exact_newton(sign_counts, tail):
+    """The 2x2 tail's block of M^5544 has a root of about 5,545 bits, past
+    the float range; bisecting it to 1e-9 took 5,718 sign counts for the
+    whole report.  Exact Newton from the root bound needs at most 400, and
+    every enclosure holds its block's largest root at the width asked."""
+    rows = cycle_chain((7, 8, 9, 11), (2, 3, 2, 3), tail)
+    dec = BlockDecomposition(rows)
+    width = Fraction(1, 10**9)
+    sign_counts[0] = 0
+    report = dec.blocks_as_json(width)
+    assert sign_counts[0] <= 400
+    for radius, block in zip(dec.radii, report):
+        lo, hi = map(Fraction, block["radius"]["enclosure"])
+        assert hi - lo <= width and _holds_largest_root(radius, lo, hi), block["letters"]
 
 
 @pytest.mark.parametrize("tail, text", [(((1, 2), (1, 0)), "2"), (((1, 1), (1, 0)), "~1.61803398875")])

@@ -9,8 +9,8 @@ from morphlab.errors import FiniteWordError, MorphlabError, NotProlongableError
 from morphlab.graphs import component_period, is_trivial_component, strongly_connected_components
 from morphlab.intmat import charpoly, mat_pow, submatrix, vec_mat
 from morphlab.normalize import eliminate_effacement, monotone_powers
-from morphlab.polytools import count_roots_closed, count_roots_halfopen, sturm_chain
-from morphlab.spectral import AlgebraicRadius, _locator_for_block, cyclicity, decompose, letter_growth
+from morphlab.polytools import count_roots_closed, count_roots_halfopen, sign_variations, sturm_chain
+from morphlab.spectral import AlgebraicRadius, cyclicity, decompose, letter_growth
 
 LETTERS = "abcdefgh"
 
@@ -220,11 +220,20 @@ class ReferenceDecomposition:
 
 
 def reference_radius_enclosure(rows, width):
-    """rho(M) the direct way, without the block structure: the largest real
-    root of the characteristic polynomial of the whole n x n matrix (rho
-    is an eigenvalue of a non-negative M), by the radius engine's locator."""
-    rows = tuple(tuple(row) for row in rows)
-    lo, hi = _locator_for_block(rows, charpoly(rows)).refine(width)
+    """rho(M) the direct way, without the block structure or the radius
+    engine: the largest real root of the characteristic polynomial of the
+    whole n x n matrix (rho is an eigenvalue of a non-negative M), by
+    plain Sturm bisection of (-1, max(1, largest row sum)]."""
+    chain = sturm_chain(charpoly(rows))
+    lo, hi = Fraction(-1), Fraction(max(1, max(sum(row) for row in rows)))
+    v_hi = sign_variations(chain, hi)
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        v_mid = sign_variations(chain, mid)
+        if v_mid > v_hi:  # a root in (mid, hi]
+            lo = mid
+        else:
+            hi, v_hi = mid, v_mid
     return max(lo, Fraction(0)), hi
 
 
