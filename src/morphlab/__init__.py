@@ -33,6 +33,7 @@ from .words import (
     identity_morphism,
     incidence_matrix,
     is_prolongable,
+    largest_erasable,
     morphism_from_chars,
     mortal_letters,
     parikh,
@@ -78,7 +79,6 @@ from .normalize import (
     build_sigma_tau,
     eliminate_effacement,
     growth_trichotomy,
-    largest_erasable,
     make_monotone,
     monotone_powers,
     normalize,

@@ -17,10 +17,10 @@ from . import spectral, streams
 from .errors import BudgetExceededError, DomainMismatchError, MorphlabError, ParseError
 from .fixtures import load_matrix_text
 from .intmat import mat_mul, submatrix, support_pow, transpose, vec_mat
-from .normalize import MorphicPresentation, largest_erasable, normalize
+from .normalize import MorphicPresentation, normalize
 from .parser import format_morphism, parse_file
 from .streams import image_prefix, prefix_equal
-from .words import _letter_graph, incidence_matrix
+from .words import _letter_graph, incidence_matrix, largest_erasable
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1

@@ -41,6 +41,7 @@ from .words import (
     erase_and_restrict,
     incidence_matrix,
     is_prolongable,
+    largest_erasable,
     mortal_letters,
     power,
 )
@@ -71,16 +72,6 @@ class PipelineStage:
     f: Morphism
     g: Morphism
     removed: tuple = ()
-
-
-def largest_erasable(f, g):
-    """The largest C inside g^-1(empty) with f(C) stable, as a letter tuple:
-    the letters whose closure in f's letter graph g erases."""
-    if set(f.domain.letters) != set(g.domain.letters):
-        raise DomainMismatchError("morphisms must share an alphabet")
-    erased = sum(1 << i for i, b in enumerate(f.domain) if len(g.image(b)) == 0)
-    closure = _letter_graph(f, closed=True)
-    return tuple(b for b, row in zip(f.domain, closure) if not row & ~erased)
 
 
 @dataclass(frozen=True)

@@ -8,14 +8,28 @@ prolongable morphism the read head can never catch up with the write
 head: if it did, f would fix (or shrink) that prefix and |f^n(a)| would
 stay bounded.
 
+An image stream skips the letters g erases forever.  The largest set E
+of letters whose closure in f's letter graph g erases is closed under
+f, so with D the erasure of E, D(f(w)) = f_K(D(w)) for f_K = D o f, and
+g(f^w(a)) = g(f_K^w(a)).  The stream pumps P = f_K^w(a) only, and
+recovers the position in f^w(a) of each kept letter it needs from Parikh
+vectors: a kept letter v at offset o of f(w), w its parent, sits at
+|pi(v)|, where pi(v) = Mat_f pi(w) + Parikh(f(w)[:o]) counts the letters
+of f^w(a) before v, and pi(a) = 0.
+
 Streams are single-consumer stateful objects; distinct streams are
 independent.
 """
 
 from __future__ import annotations
 
+import math
 import os
-from itertools import chain, compress, count, islice
+from array import array
+from bisect import bisect_left, bisect_right
+from collections import Counter
+from functools import cached_property
+from itertools import accumulate, chain, compress, count, islice
 from operator import ne
 
 from .errors import (
@@ -24,7 +38,7 @@ from .errors import (
     InsufficientLengthError,
     NotProlongableError,
 )
-from .words import Word, is_prolongable
+from .words import Word, is_prolongable, largest_erasable
 
 DEFAULT_PUMP_BUDGET = 10**6
 BUDGET_ENV_VAR = "MORPHLAB_BUDGET"
@@ -44,18 +58,34 @@ def default_budget():
 
 
 class FixedPointStream:
-    """Grows a prefix of f^w(start) on demand."""
+    """Grows a prefix of f^w(start) on demand.
+
+    f(start) must start with start; `check=False` skips only the test
+    that |f^n(start)| grows, so a finite fixed point stalls on demand.
+    """
 
     def __init__(self, f, start, check=True):
-        if check and not is_prolongable(f, start):
+        image = f.image(start).codes
+        if (check and not is_prolongable(f, start)) or image[:1] != (f.domain.index(start),):
             raise NotProlongableError(f"morphism is not prolongable on {start!r}")
         self.morphism = f
         self.start = start
         self._images = [list(w.codes) for w in f.images]
-        self._buffer = list(f.image(start).codes)
+        self._buffer = list(image)
         # the read head: a list iterator sees what is appended to its list
         self._reader = iter(self._buffer)
         next(self._reader, None)
+
+    def _delete(self, erased):
+        """Grow D(f^w(start)) = f_K^w(start) from now on, D the erasure of
+        the letters in the bitset `erased`, a set closed under f.  Call it
+        before the first read."""
+        def kept(codes):
+            return [c for c in codes if not erased >> c & 1]
+
+        self._images = list(map(kept, self._images))
+        # the reader has passed position 0, where start is: gone with start erased
+        self._buffer[:] = kept(self._buffer)
 
     def _ensure(self, n):
         buffer = self._buffer
@@ -78,16 +108,30 @@ class FixedPointStream:
         return Word(self.morphism.domain, tuple(islice(self._buffer, n)))
 
 
+def _descend(parikh, steps, head):
+    """Mat_f parikh + head, with steps[b] the (letter, count) pairs of f(b):
+    the letter counts of f(u) v for u, v with Parikh vectors parikh, head."""
+    out = list(head)
+    for x, step in zip(parikh, steps):
+        if x:
+            for c, k in step:
+                out[c] += x * k
+    return out
+
+
 class ImageStream:
     """Applies a morphism to a fixed-point stream, block by block.
 
-    Erasing images simply contribute nothing; `budget` caps how many
-    source symbols may be consumed in total, turning a finite or very
-    dilute image into a diagnosable error instead of a hang.  After each
-    served request, `consumed` is the least number of source symbols
-    whose image holds the longest prefix requested so far: a round that
-    still needs d output symbols reads ceil(d/L) source symbols, L the
-    longest image, and no fewer of them could have produced d.
+    Erasing images simply contribute nothing; the letters g erases
+    forever are never pumped at all (see the module docstring).  `budget`
+    caps how many symbols of f^w(start) may be consumed in total, turning
+    a finite or very dilute image into a diagnosable error instead of a
+    hang.  After each served request, `consumed` is the least number of
+    symbols of f^w(start) whose image holds the longest prefix requested
+    so far, as a symbol-by-symbol pump leaves it: a round that still needs
+    d output symbols reads ceil(d/L) kept letters, L the longest image, no
+    fewer of which could have produced d, and `consumed` is one past the
+    position of the last of them.
     """
 
     def __init__(self, g, f, start, budget=None, check=True):
@@ -98,33 +142,106 @@ class ImageStream:
         self.budget = default_budget() if budget is None else budget
         self._images = [list(g.image(letter).codes) for letter in f.domain.letters]
         self._longest = max(map(len, self._images))
-        self._reader = iter(self.source._buffer)
+        erased = largest_erasable(f, g.restrict_domain(f.domain.letters))
+        self._erased = sum(1 << f.domain.index(b) for b in erased)
+        self.source._delete(self._erased)
         self._buffer = []
+        self._read = 0  # kept letters read
         self.consumed = 0
+        # sums[r] = |f_K(P[:r])| for the kept letters P, and pi by kept index
+        self._sums = array("q", [0])
+        self._parikh = {0: [0] * len(f.domain)}
+
+    @cached_property
+    def _steps(self):
+        """The (letter, count) pairs of f(b) for each letter b."""
+        return [tuple(Counter(w.codes).items()) for w in self.source.morphism.images]
+
+    @cached_property
+    def _heads(self):
+        """For each letter b, the Parikh vectors of the prefixes of f(b)
+        that end before a kept letter, in order."""
+        f = self.source.morphism
+        heads = []
+        for w in f.images:
+            counts, before = [0] * len(f.domain), []
+            for c in w.codes:
+                if not self._erased >> c & 1:
+                    before.append(tuple(counts))
+                counts[c] += 1
+            heads.append(before)
+        return heads
+
+    def _position(self, j):
+        """Position in f^w(start) of the kept letter P[j], |pi(P[j])|."""
+        if not self._erased:
+            return j
+        kept, sums, memo = self.source._buffer, self._sums, self._parikh
+        while sums[-1] <= j:
+            # parents r < j: the read head of f_K^w(start) stays behind its write head
+            r = len(sums) - 1
+            lengths = map(len, map(self.source._images.__getitem__, kept[r : 2 * r + 64]))
+            sums.extend(accumulate(lengths, initial=sums.pop()))
+        path = []
+        while j not in memo:
+            r = bisect_right(sums, j) - 1
+            path.append((j, r))
+            j = r
+        parikh = memo[j]
+        for j, r in reversed(path):
+            parikh = memo[j] = _descend(parikh, self._steps, self._heads[kept[r]][j - sums[r]])
+        return sum(parikh)
+
+    def _source_length(self):
+        """|f^w(start)|, possibly infinite.  With f(start) = start u,
+        |f^(k+1)(start)| - |f^k(start)| = |f^k(u)|, and f^#A(u) is empty when
+        any f^k(u) is: a walk of #A steps in the letter graph passes a cycle."""
+        f = self.source.morphism
+        parikh = [0] * len(f.domain)
+        parikh[f.domain.index(self.source.start)] = 1
+        length = 1
+        for _ in range(len(f.domain) + 1):
+            parikh = _descend(parikh, self._steps, [0] * len(parikh))
+            if sum(parikh) == length:
+                return length
+            length = sum(parikh)
+        return math.inf
 
     def _pump(self, n):
         buffer = self._buffer
         images = self._images
         source = self.source
+        kept = source._buffer
         longest = self._longest
-        reader = self._reader
         while len(buffer) < n:
             if self.consumed >= self.budget:
                 raise BudgetExceededError(
                     f"consumed {self.consumed} source symbols for {len(buffer)} output symbols; "
                     "the image word is likely finite (budget exceeded)"
                 )
+            # each kept letter takes a position of its own
             k = self.budget - self.consumed
             if longest:
                 k = min(-(-(n - len(buffer)) // longest), k)
+            read = self._read
+            stall = None
             try:
-                source._ensure(self.consumed + k)
-            finally:
-                # a finite source stalls short of k: the symbols before the
-                # stall still count, as they would one by one
-                k = min(k, len(source._buffer) - self.consumed)
-                buffer.extend(chain.from_iterable(map(images.__getitem__, islice(reader, k))))
-                self.consumed += k
+                source._ensure(read + k)
+            except NotProlongableError as error:
+                # g erases the rest of f^w(start), or f^w(start) ends
+                stall = error
+            end = min(read + k, len(kept))
+            limit = self.budget if stall is None else min(self.budget, self._source_length())
+            if stall is None and (last := self._position(end - 1)) < limit:
+                self.consumed = last + 1
+            else:
+                # keep the kept letters before position `limit`
+                end = read + bisect_left(range(read, end), limit, key=self._position)
+                self.consumed = limit
+            buffer.extend(chain.from_iterable(map(images.__getitem__, kept[read:end])))
+            self._read = end
+            if stall is not None and limit < self.budget:
+                raise stall
 
     def prefix(self, n):
         """The first n symbols of g(f^w(start))."""

@@ -379,6 +379,18 @@ def _letter_graph(f, closed=False):
     return rows
 
 
+def largest_erasable(f, g):
+    """The largest C inside g^-1(empty) with f(C) stable, as a letter tuple:
+    the letters whose closure in f's letter graph g erases."""
+    if set(f.domain.letters) != set(g.domain.letters):
+        raise DomainMismatchError("morphisms must share an alphabet")
+    erased = sum(1 << i for i, b in enumerate(f.domain) if len(g.image(b)) == 0)
+    if not erased:
+        return ()
+    closure = _letter_graph(f, closed=True)
+    return tuple(b for b, row in zip(f.domain, closure) if not row & ~erased)
+
+
 def mortal_letters(f):
     """Letters b with f^n(b) empty for some n: those with f^#A(b) empty, as
     a walk of #A steps in the letter graph passes a cycle and so extends to

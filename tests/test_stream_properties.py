@@ -12,6 +12,7 @@ from morphlab import (
     apply,
     fixed_point_prefix,
     is_prolongable,
+    largest_erasable,
     morphism_from_chars,
 )
 
@@ -59,6 +60,20 @@ def presentations(draw, prolongable=True):
     f = {letter: draw(word(0, 3, letters)) for letter in letters}
     f["a"] = "a" + draw(word(1 if prolongable else 0, 3, letters))
     g = {letter: draw(word(0, 4, "xy")) for letter in letters}
+    return f, g
+
+
+@st.composite
+def decorated(draw, prolongable=True):
+    """presentations() with a letter e that g erases and f grows, e -> e^2 or
+    e^3, inserted into images: the letters g erases forever are never empty."""
+    f, g = draw(presentations(prolongable))
+    f["e"] = "e" * draw(st.integers(2, 3))
+    g["e"] = ""
+    for letter in draw(st.lists(st.sampled_from(sorted(f)), max_size=4)):
+        word = f[letter]
+        at = draw(st.integers(int(letter == "a"), len(word)))
+        f[letter] = word[:at] + "e" + word[at:]
     return f, g
 
 
@@ -124,3 +139,36 @@ def test_consumed_is_least(fg, ns, budget):
             shorter = apply(gm, fixed_point_prefix(fm, "a", consumed - 1))
             assert len(shorter) < served
         assert len(apply(gm, fixed_point_prefix(fm, "a", consumed))) >= served
+
+
+@SETTINGS
+@given(decorated(), requests, budgets)
+def test_block_pump_matches_per_symbol_pump_with_erased_letters(fg, ns, budget):
+    f, g = fg
+    fm, gm = morphism_from_chars(f), morphism_from_chars(g)
+    assume(is_prolongable(fm, "a"))
+    assert "e" in largest_erasable(fm, gm)
+    stream = ImageStream(gm, fm, "a", budget=budget)
+    reference = ReferencePump(f, g, "a", budget)
+    for n in ns:
+        compare(stream, reference, n)
+
+
+@SETTINGS
+@given(decorated(prolongable=False), requests, budgets)
+def test_block_pump_matches_per_symbol_pump_with_erased_letters_on_finite_sources(fg, ns, budget):
+    f, g = fg
+    stream = ImageStream(morphism_from_chars(g), morphism_from_chars(f), "a", budget=budget, check=False)
+    reference = ReferencePump(f, g, "a", budget)
+    for n in ns:
+        compare(stream, reference, n)
+
+
+def test_thue_morse_projection_pumps_only_kept_letters():
+    # g erases c, and c -> ccc: the n kept letters sit among about n^1.58 source symbols
+    f = {"a": "abc", "b": "bac", "c": "ccc"}
+    g = {"a": "a", "b": "b", "c": ""}
+    n, budget = 10**4, 10**7
+    stream = ImageStream(morphism_from_chars(g), morphism_from_chars(f), "a", budget=budget)
+    compare(stream, ReferencePump(f, g, "a", budget), n)
+    assert len(stream.source._buffer) <= n + len(f["a"])

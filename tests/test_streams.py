@@ -20,6 +20,7 @@ from morphlab import (
     morphism_from_chars,
     prefix_equal,
 )
+from morphlab import streams
 from morphlab.fixtures import baum_sweet_erasing, baum_sweet_uniform
 
 from util import random_presentations
@@ -38,6 +39,17 @@ def test_fixed_point_requires_prolongability():
     bad = morphism_from_chars({"a": "ba", "b": "b"})
     with pytest.raises(NotProlongableError):
         fixed_point_prefix(bad, "a", 5)
+
+
+def test_unchecked_fixed_point_still_starts_with_its_letter():
+    # f(a) = ba: the one-pass expansion would give bababbba, which is no f^n(a)
+    bad = morphism_from_chars({"a": "ba", "b": "bb"})
+    with pytest.raises(NotProlongableError):
+        FixedPointStream(bad, "a", check=False)
+    with pytest.raises(NotProlongableError):
+        ImageStream(bad, bad, "a", check=False)
+    with pytest.raises(NotProlongableError):
+        FixedPointStream(morphism_from_chars({"a": "", "b": "b"}), "a", check=False)
 
 
 def test_image_prefix_examples():
@@ -91,6 +103,23 @@ def test_stalled_fixed_point_raises_on_every_call():
         # the symbols before the stall count, as they do one at a time
         assert image.consumed == 4
         assert image.prefix(5).text() == "xyyyy"
+
+
+def test_deep_chain_walks_one_parikh_step_per_kept_letter(monkeypatch):
+    # y is erased for good; the kept word is a b b b ..., each b the child of the b before it
+    f = morphism_from_chars({"a": "aby", "b": "b", "y": "y"})
+    g = morphism_from_chars({"a": "x", "b": "z", "y": ""})
+    steps = []
+    descend = streams._descend
+    monkeypatch.setattr(streams, "_descend", lambda *args: steps.append(args) or descend(*args))
+    stream = ImageStream(g, f, "a", budget=10**6)
+    n = 3000
+    for k in range(1, n + 1):
+        stream.prefix(k)
+    assert len(steps) <= n
+    # f^w(a) = a (b y)^w: the k-th b is at position 2k - 1
+    assert stream.prefix(n).text() == "x" + "z" * (n - 1)
+    assert stream.consumed == 2 * (n - 1)
 
 
 def test_prefix_equal_and_mismatch():
