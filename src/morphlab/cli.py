@@ -35,6 +35,15 @@ def _width_fraction(text):
     return value
 
 
+def _positive_budget(text):
+    """--budget: a positive integer, refused as a bad MORPHLAB_BUDGET is."""
+    return streams.parse_budget(text, "--budget")
+
+
+def _budget(args):
+    return streams.default_budget() if args.budget is None else args.budget
+
+
 def _load_file(path):
     return parse_file(Path(path).read_text())
 
@@ -145,7 +154,7 @@ def _cmd_normalize(args):
     report = normalize(pres)
     payload = report.as_dict(include_stages=args.trace)
     if args.check:
-        budget = args.budget if args.budget else streams.default_budget()
+        budget = _budget(args)
         _require_pump_budget(pres.f, pres.g, pres.start, args.check, budget)
         original = image_prefix(pres.g, pres.f, pres.start, args.check, max_pump=budget)
         rebuilt = image_prefix(report.tau, report.sigma, report.start, args.check, max_pump=budget)
@@ -192,7 +201,7 @@ def _cmd_expand(args):
     start = args.start or mf.start
     if start is None:
         raise MorphlabError("no start letter: use --start or a 'start = a;' directive")
-    budget = args.budget if args.budget else streams.default_budget()
+    budget = _budget(args)
     if args.image:
         g = mf.morphism(args.image)
         stream = streams.ImageStream(g, f, start, budget=budget)  # checks f and g first
@@ -218,7 +227,7 @@ def _cmd_verify(args):
     mf = _load_file(args.file)
     pres1 = _resolve_pair(mf, args.pair1, args.start)
     pres2 = _resolve_pair(mf, args.pair2, args.start2 or args.start)
-    budget = args.budget if args.budget else streams.default_budget()
+    budget = _budget(args)
     for pres in (pres1, pres2):  # each presentation has checked that f is prolongable
         _require_pump_budget(pres.f, pres.g, pres.start, args.len, budget)
     w1 = image_prefix(pres1.g, pres1.f, pres1.start, args.len, max_pump=budget)
@@ -328,7 +337,7 @@ def build_parser():
     p.add_argument("--pair", help="names 'f,g' (defaults to the file's pair directive)")
     p.add_argument("--start", help="start letter (defaults to the file's start directive)")
     p.add_argument("--check", type=int, default=0, help="verify this many output symbols")
-    p.add_argument("--budget", type=int, default=0, help="source-symbol pump budget")
+    p.add_argument("--budget", type=_positive_budget, help="source-symbol pump budget")
     p.add_argument("--trace", action="store_true", help="include every pipeline stage")
     p.add_argument("--emit", help="write the normalized morphisms to this file")
     p.add_argument("--emit-sigma", default="normalized_sigma", help="emitted generator name")
@@ -340,7 +349,7 @@ def build_parser():
     p.add_argument("--start")
     p.add_argument("--limit", type=int, required=True)
     p.add_argument("--image", help="apply this morphism to the fixed point")
-    p.add_argument("--budget", type=int, default=0, help="source-symbol pump budget")
+    p.add_argument("--budget", type=_positive_budget, help="source-symbol pump budget")
     p.add_argument("--binary", action="store_true", help="length-prefixed binary symbols")
 
     p = command("verify", _cmd_verify, "compare two presentations symbol by symbol")
@@ -350,7 +359,7 @@ def build_parser():
     p.add_argument("--len", type=int, required=True)
     p.add_argument("--start", help="start letter for both pairs")
     p.add_argument("--start2", help="start letter for the second pair, when different")
-    p.add_argument("--budget", type=int, default=0, help="source-symbol pump budget")
+    p.add_argument("--budget", type=_positive_budget, help="source-symbol pump budget")
 
     p = command("matrix", _cmd_matrix, "growth table for a whitespace integer grid", width=True)
     p.add_argument("--file", required=True, help="path to a .mat file")
@@ -362,9 +371,9 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        # a bad --budget raises DomainMismatchError from its type, not a usage error
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ParseError as exc:
         _print_json({"error": {"kind": "parse", "message": str(exc)}})

@@ -1,21 +1,33 @@
 """Lazy prefixes of f^w(a) and of morphic images g(f^w(a)).
 
-The fixed point is produced by the standard one-pass expansion: because
-f(a) starts with a, the buffer always holds f applied to the prefix it
-has already read, so replacing the next unread letter by its image
-extends the buffer without ever recomputing f^k of a whole word.  For a
-prolongable morphism the read head can never catch up with the write
-head: if it did, f would fix (or shrink) that prefix and |f^n(a)| would
-stay bounded.
+f^w(a) is also the fixed point of every power f^K, since f^K(a) starts
+with a.  A stream pumps f^K, with K chosen from image lengths alone: the
+images of f^K hold at most 64 symbols per letter of the alphabet in all
+(K = 1 when those of f already hold more), K is at most 64, and K stops
+where one more power would leave every image length as it is.  By the
+Perron asymptotics |f^k(b)| ~ c k^d lambda^k a small K gives long images,
+so the expansion loop makes one Python step per image of f^K, not per
+image of f.
+
+The fixed point is produced by the standard one-pass expansion: the
+buffer always holds f^K applied to the prefix it has already read, so
+replacing the next unread letter by its image extends the buffer without
+ever recomputing a power of a whole word.  For a prolongable morphism the
+read head can never catch up with the write head: if it did, f^K would
+fix (or shrink) that prefix and |f^n(a)| would stay bounded.  Whether f
+is prolongable, and so whether the stream may start, is decided on f
+itself.
 
 An image stream skips the letters g erases forever.  The largest set E
 of letters whose closure in f's letter graph g erases is closed under
-f, so with D the erasure of E, D(f(w)) = f_K(D(w)) for f_K = D o f, and
-g(f^w(a)) = g(f_K^w(a)).  The stream pumps P = f_K^w(a) only, and
+f, so with D the erasure of E, D(f^K(w)) = f_K(D(w)) for f_K = D o f^K,
+and g(f^w(a)) = g(f_K^w(a)).  The stream pumps P = f_K^w(a) only, and
 recovers the position in f^w(a) of each kept letter it needs from Parikh
-vectors: a kept letter v at offset o of f(w), w its parent, sits at
-|pi(v)|, where pi(v) = Mat_f pi(w) + Parikh(f(w)[:o]) counts the letters
-of f^w(a) before v, and pi(a) = 0.
+vectors: a kept letter v at offset o of f^K(w), w its parent, sits at
+|pi(v)|, where pi(v) = Mat_(f^K) pi(w) + Parikh(f^K(w)[:o]) counts the
+letters of f^w(a) before v, and pi(a) = 0.  When g maps every kept letter
+to one symbol, as the coding tau of a normalized presentation does, the
+stream applies g by table lookup.
 
 Streams are single-consumer stateful objects; distinct streams are
 independent.
@@ -42,23 +54,54 @@ from .words import Word, is_prolongable, largest_erasable
 
 DEFAULT_PUMP_BUDGET = 10**6
 BUDGET_ENV_VAR = "MORPHLAB_BUDGET"
+# a stream pumps f^K, K at most _MAX_POWER, whose images hold at most
+# _POWER_SYMBOLS symbols per letter of the alphabet in all (see _pump_power)
+_POWER_SYMBOLS = 64
+_MAX_POWER = 64
+
+
+def parse_budget(raw, name=BUDGET_ENV_VAR):
+    """A pump budget from text: a positive integer, else DomainMismatchError."""
+    try:
+        value = int(raw)
+    except ValueError:
+        raise DomainMismatchError(f"{name} must be an integer, got {raw!r}") from None
+    if value <= 0:
+        raise DomainMismatchError(f"{name} must be positive")
+    return value
 
 
 def default_budget():
     raw = os.environ.get(BUDGET_ENV_VAR)
-    if raw is None:
-        return DEFAULT_PUMP_BUDGET
-    try:
-        value = int(raw)
-    except ValueError:
-        raise DomainMismatchError(f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}") from None
-    if value <= 0:
-        raise DomainMismatchError(f"{BUDGET_ENV_VAR} must be positive")
-    return value
+    return DEFAULT_PUMP_BUDGET if raw is None else parse_budget(raw)
+
+
+def _pump_power(images):
+    """The power K of f that a stream pumps, f given by its image code
+    lists: K steps the length vector |f^k(b)| by Mat_f until the next step
+    would hold more than _POWER_SYMBOLS * #A symbols in all, until the
+    lengths stop changing, or until K = _MAX_POWER.  No word is built."""
+    lengths = list(map(len, images))
+    k = 1
+    while k < _MAX_POWER:
+        ahead = [sum(map(lengths.__getitem__, image)) for image in images]
+        if ahead == lengths or sum(ahead) > _POWER_SYMBOLS * len(images):
+            break
+        lengths, k = ahead, k + 1
+    return k
+
+
+def _concat(images, codes):
+    """The concatenation of images[c] for c in codes."""
+    out = []
+    for c in codes:
+        out += images[c]
+    return out
 
 
 class FixedPointStream:
-    """Grows a prefix of f^w(start) on demand.
+    """Grows a prefix of f^w(start) on demand, pumping f^K (see the module
+    docstring).
 
     f(start) must start with start; `check=False` skips only the test
     that |f^n(start)| grows, so a finite fixed point stalls on demand.
@@ -70,16 +113,21 @@ class FixedPointStream:
             raise NotProlongableError(f"morphism is not prolongable on {start!r}")
         self.morphism = f
         self.start = start
-        self._images = [list(w.codes) for w in f.images]
-        self._buffer = list(image)
+        base = [list(w.codes) for w in f.images]
+        images = base
+        for _ in range(_pump_power(base) - 1):
+            images = [_concat(images, w) for w in base]  # f^(k+1)(b) = f^k(f(b))
+        # the images of f^K; buffer = f^K(buffer[:read]), read the reader's position
+        self._images = images
+        self._buffer = list(images[image[0]])
         # the read head: a list iterator sees what is appended to its list
         self._reader = iter(self._buffer)
         next(self._reader, None)
 
     def _delete(self, erased):
-        """Grow D(f^w(start)) = f_K^w(start) from now on, D the erasure of
-        the letters in the bitset `erased`, a set closed under f.  Call it
-        before the first read."""
+        """Grow D(f^w(start)) = f_K^w(start) from now on, f_K = D o f^K and
+        D the erasure of the letters in the bitset `erased`, a set closed
+        under f.  Call it before the first read."""
         def kept(codes):
             return [c for c in codes if not erased >> c & 1]
 
@@ -144,6 +192,10 @@ class ImageStream:
         self._longest = max(map(len, self._images))
         erased = largest_erasable(f, g.restrict_domain(f.domain.letters))
         self._erased = sum(1 << f.domain.index(b) for b in erased)
+        # g by table lookup when it maps every kept letter to one symbol
+        coding = all(len(w) == 1 for c, w in enumerate(self._images) if not self._erased >> c & 1)
+        self._table = [w[0] if w else None for w in self._images] if coding else None
+        self._powers = self.source._images  # f^K(b) for each letter b, before pruning
         self.source._delete(self._erased)
         self._buffer = []
         self._read = 0  # kept letters read
@@ -154,23 +206,20 @@ class ImageStream:
 
     @cached_property
     def _steps(self):
-        """The (letter, count) pairs of f(b) for each letter b."""
-        return [tuple(Counter(w.codes).items()) for w in self.source.morphism.images]
+        """The (letter, count) pairs of f^K(b) for each letter b."""
+        return [tuple(Counter(w).items()) for w in self._powers]
 
     @cached_property
-    def _heads(self):
-        """For each letter b, the Parikh vectors of the prefixes of f(b)
-        that end before a kept letter, in order."""
-        f = self.source.morphism
-        heads = []
-        for w in f.images:
-            counts, before = [0] * len(f.domain), []
-            for c in w.codes:
-                if not self._erased >> c & 1:
-                    before.append(tuple(counts))
-                counts[c] += 1
-            heads.append(before)
-        return heads
+    def _kept_at(self):
+        """For each letter b, the offsets in f^K(b) of its kept letters."""
+        return [[o for o, c in enumerate(w) if not self._erased >> c & 1] for w in self._powers]
+
+    def _head(self, b, o):
+        """Parikh(f^K(b)[:offset]) for the offset of the o-th kept letter of f^K(b)."""
+        counts = [0] * len(self._powers)
+        for c in self._powers[b][: self._kept_at[b][o]]:
+            counts[c] += 1
+        return counts
 
     def _position(self, j):
         """Position in f^w(start) of the kept letter P[j], |pi(P[j])|."""
@@ -189,13 +238,15 @@ class ImageStream:
             j = r
         parikh = memo[j]
         for j, r in reversed(path):
-            parikh = memo[j] = _descend(parikh, self._steps, self._heads[kept[r]][j - sums[r]])
+            parikh = memo[j] = _descend(parikh, self._steps, self._head(kept[r], j - sums[r]))
         return sum(parikh)
 
     def _source_length(self):
         """|f^w(start)|, possibly infinite.  With f(start) = start u,
         |f^(k+1)(start)| - |f^k(start)| = |f^k(u)|, and f^#A(u) is empty when
-        any f^k(u) is: a walk of #A steps in the letter graph passes a cycle."""
+        any f^k(u) is: a walk of #A steps in the letter graph passes a cycle.
+        The lengths |f^(Kk)(start)| step by Mat_(f^K) and stop growing
+        within #A steps too, and only where f^w(start) is finite."""
         f = self.source.morphism
         parikh = [0] * len(f.domain)
         parikh[f.domain.index(self.source.start)] = 1
@@ -209,7 +260,7 @@ class ImageStream:
 
     def _pump(self, n):
         buffer = self._buffer
-        images = self._images
+        images, table = self._images, self._table
         source = self.source
         kept = source._buffer
         longest = self._longest
@@ -238,7 +289,10 @@ class ImageStream:
                 # keep the kept letters before position `limit`
                 end = read + bisect_left(range(read, end), limit, key=self._position)
                 self.consumed = limit
-            buffer.extend(chain.from_iterable(map(images.__getitem__, kept[read:end])))
+            if table is None:
+                buffer.extend(chain.from_iterable(map(images.__getitem__, kept[read:end])))
+            else:
+                buffer.extend(map(table.__getitem__, kept[read:end]))
             self._read = end
             if stall is not None and limit < self.budget:
                 raise stall

@@ -419,6 +419,28 @@ def test_cli_verify_fails_fast_past_the_pump_budget(tmp_path):
     assert "more than 1594323 source symbols" in error["message"]
 
 
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_cli_budget_must_be_positive(tmp_path, budget):
+    """--budget 0 used to mean the default budget and -5 a pump error; both
+    are refused as MORPHLAB_BUDGET=0 is, as a JSON domain error."""
+    path = tmp_path / "tm.mf"
+    path.write_text(TM_FILE)
+    for args in (
+        ("normalize", "--check", "10"),
+        ("expand", "--morphism", "f", "--image", "g", "--limit", "10"),
+        ("verify", "--pair1", "f,g", "--pair2", "f,g", "--len", "10"),
+    ):
+        result = run_cli(args[0], "--file", str(path), *args[1:], "--budget", budget)
+        assert result.returncode == 2
+        assert json.loads(result.stdout)["error"] == {
+            "kind": "DomainMismatchError", "message": "--budget must be positive"
+        }
+    result = run_cli("expand", "--file", str(path), "--morphism", "f", "--limit", "10",
+                     env_extra={"MORPHLAB_BUDGET": "0"})
+    assert result.returncode == 2
+    assert json.loads(result.stdout)["error"]["kind"] == "DomainMismatchError"
+
+
 @pytest.mark.parametrize("text, length", [
     ("f { a -> a ; }", 10),
     ("f { a -> a b ; b -> ; }", 10),

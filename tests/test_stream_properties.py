@@ -1,4 +1,5 @@
-"""Property tests: the block pump against a one-symbol-at-a-time reference."""
+"""Property tests: the block pumps against one-symbol-at-a-time and
+level-by-level references."""
 
 import pytest
 
@@ -7,6 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from morphlab import (
     BudgetExceededError,
+    FixedPointStream,
     ImageStream,
     NotProlongableError,
     apply,
@@ -75,6 +77,73 @@ def decorated(draw, prolongable=True):
         at = draw(st.integers(int(letter == "a"), len(word)))
         f[letter] = word[:at] + "e" + word[at:]
     return f, g
+
+
+@st.composite
+def triangular(draw):
+    """a -> a u, and each later letter maps to itself (or to nothing) then
+    letters after it: |f^k(a)| grows polynomially, of degree up to 3."""
+    letters = "abcd"[: draw(st.integers(2, 4))]
+    f = {}
+    for i, letter in enumerate(letters):
+        f[letter] = draw(st.sampled_from(["", letter])) + draw(st.text(letters[i + 1 :], max_size=2))
+    f["a"] = "a" + draw(st.text(letters[1:], min_size=1, max_size=2))
+    return f
+
+
+# exponential, polynomial and erasing generators f with f(a) = a u
+generators = st.one_of(
+    presentations().map(lambda fg: fg[0]),
+    decorated().map(lambda fg: fg[0]),
+    triangular(),
+)
+
+
+def level_by_level(f, start, n):
+    """The first n symbols of f^w(start) from whole words f^k(start); f(start)
+    starts with start, so f^k(start) is a prefix of f^(k+1)(start), and one of
+    the same length is the whole fixed point."""
+    word = start
+    while len(word) < n:
+        longer = "".join(map(f.__getitem__, word))
+        if len(longer) == len(word):
+            raise NotProlongableError("the fixed point is finite")
+        word = longer
+    return word[:n]
+
+
+def compare_fixed_point(f, stream, n):
+    try:
+        expected = level_by_level(f, "a", n)
+    except NotProlongableError:
+        with pytest.raises(NotProlongableError):
+            stream.prefix(n)
+    else:
+        assert stream.prefix(n).text() == expected
+
+
+fixed_point_requests = st.lists(st.integers(0, 400), min_size=1, max_size=6)
+
+
+@SETTINGS
+@given(generators, fixed_point_requests)
+def test_fixed_point_stream_matches_level_by_level_expansion(f, ns):
+    fm = morphism_from_chars(f)
+    assume(is_prolongable(fm, "a"))
+    stream = FixedPointStream(fm, "a")
+    for n in ns:
+        compare_fixed_point(f, stream, n)
+
+
+@SETTINGS
+@given(st.one_of(presentations(prolongable=False).map(lambda fg: fg[0]), triangular()),
+       fixed_point_requests)
+def test_unchecked_finite_fixed_point_stalls_where_the_levels_stop(f, ns):
+    fm = morphism_from_chars(f)
+    assume(not is_prolongable(fm, "a"))
+    stream = FixedPointStream(fm, "a", check=False)
+    for n in ns:
+        compare_fixed_point(f, stream, n)
 
 
 requests = st.lists(st.integers(0, 80), min_size=1, max_size=6)

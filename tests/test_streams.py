@@ -122,6 +122,40 @@ def test_deep_chain_walks_one_parikh_step_per_kept_letter(monkeypatch):
     assert stream.consumed == 2 * (n - 1)
 
 
+def test_deep_chain_walks_one_parikh_step_per_power_image(monkeypatch):
+    # the stream pumps f^64: f^64(b) = b, so each kept b's parent is 64 kept letters back
+    f = morphism_from_chars({"a": "aby", "b": "b", "y": "y"})
+    g = morphism_from_chars({"a": "x", "b": "z", "y": ""})
+    steps = []
+    descend = streams._descend
+    monkeypatch.setattr(streams, "_descend", lambda *args: steps.append(args) or descend(*args))
+    stream = ImageStream(g, f, "a", budget=10**6)
+    n = 10**5
+    assert stream.prefix(n).text() == "x" + "z" * (n - 1)
+    assert stream.consumed == 2 * (n - 1)
+    # one step per kept letter, as f itself is pumped, would be 99,999
+    assert len(steps) <= 2000
+
+
+class CountingImages(list):
+    """Image lists that count how often the pump looks one up."""
+
+    reads = 0
+
+    def __getitem__(self, code):
+        self.reads += 1
+        return super().__getitem__(code)
+
+
+def test_thue_morse_reads_one_source_letter_per_32_symbols():
+    stream = FixedPointStream(morphism_from_chars({"a": "ab", "b": "ba"}), "a")
+    stream._images = images = CountingImages(stream._images)
+    n = 10**5
+    assert stream.prefix(n).text() == "".join("ab"[bin(i).count("1") % 2] for i in range(n))
+    # pumping f itself reads n/2 source letters
+    assert images.reads <= n // 32
+
+
 def test_prefix_equal_and_mismatch():
     sigma, tau, _ = baum_sweet_uniform()
     w1 = image_prefix(tau, sigma, "a", 16)
