@@ -208,7 +208,13 @@ def _cmd_expand(args):
         _require_pump_budget(f, g, start, args.limit, budget)
         word = stream.prefix(args.limit)
     else:
-        word = streams.fixed_point_prefix(f, start, args.limit)
+        stream = streams.FixedPointStream(f, start)  # checks f first
+        if args.limit > budget:  # the first n symbols of f^w(start) are n source symbols
+            raise BudgetExceededError(
+                f"{args.limit} symbols of f^w({start}) are {args.limit} source symbols, past the "
+                f"pump budget of {budget}; raise it with --budget"
+            )
+        word = stream.prefix(args.limit)
     if args.binary:
         out = sys.stdout.buffer
         for letter in word.letters():

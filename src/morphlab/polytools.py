@@ -7,9 +7,9 @@ positive integer multiple of the input, which has the same roots, so
 their own coefficients are always ints.  The sign of p at a rational
 point a/b (b > 0) is the sign of the integer sum of c_i a^i b^(d-i).
 
-Sign-variation counts follow the convention that zero values are
-skipped, which makes Sturm counts valid at rational points that happen
-to be roots: V(t) then equals the right limit V(t+), so V(a) - V(b)
+Roots are located only by Sturm counts and integer n-th roots.  Sign
+variations skip zero values, so Sturm counts hold at rational points
+that are roots: V(t) then equals the right limit V(t+), and V(a) - V(b)
 counts the distinct real roots in (a, b].
 """
 
@@ -189,31 +189,29 @@ def count_roots_closed(p, chain, lo, hi):
 
 
 def rational_roots_of_monic_int(p):
-    """All rational roots of a monic integer polynomial (they are integers).
-
-    Roots are returned without multiplicity, in increasing order.
-    """
+    """The rational roots of a monic integer polynomial, distinct and in
+    increasing order: the integer roots of its squarefree part h, the monic
+    Sturm chain head.  Sturm counts halve each integer interval (lo, hi]
+    within Fujiwara's bound that holds a root of h until it is one wide;
+    then hi is a root exactly when h(hi) = 0."""
     p = trim(list(p))
-    if not p:
-        return []
-    if p[-1] != 1 or not all(isinstance(c, int) for c in p):
+    if p and (p[-1] != 1 or not all(isinstance(c, int) for c in p)):
         raise DomainMismatchError("expected a monic polynomial with integer coefficients")
-    shift = 0
-    while p and p[0] == 0:
-        shift += 1
-        p = p[1:]
-    roots = set([0] if shift else [])
-    const = p[0] if p else 0
-    if const:
-        limit = abs(const)
-        d = 1
-        while d * d <= limit:
-            if limit % d == 0:
-                for cand in (d, -d, limit // d, -(limit // d)):
-                    if evaluate(p, cand) == 0:
-                        roots.add(cand)
-            d += 1
-    return sorted(roots)
+    if len(p) < 2:
+        return []
+    chain = sturm_chain(p)
+    hi = _root_bound(chain[0])
+    lo = -hi - 1
+    roots, stack = [], [(lo, sign_variations(chain, lo), hi, sign_variations(chain, hi))]
+    while stack:
+        lo, v_lo, hi, v_hi = stack.pop()
+        if v_lo > v_hi and hi - lo == 1 and evaluate(chain[0], hi) == 0:
+            roots.append(hi)
+        elif v_lo > v_hi and hi - lo > 1:
+            mid = (lo + hi) // 2
+            v_mid = sign_variations(chain, mid)
+            stack += [(mid, v_mid, hi, v_hi), (lo, v_lo, mid, v_mid)]  # the left half pops first
+    return roots
 
 
 def _root_bound(h):
@@ -313,21 +311,22 @@ class LargestRootLocator:
 
 
 def nth_root_bounds(x, n, width):
-    """Rational enclosure of x**(1/n) for x >= 0, to the requested width."""
-    x = Fraction(x)
-    width = Fraction(width)
+    """Rational enclosure (lo, hi) of x**(1/n) for x >= 0, hi - lo <= width:
+    for 2^-k <= width / 2, the integer floor and ceiling of (x 2^(kn))^(1/n)
+    over 2^k, from the integer n-th root of the floor of x 2^(kn)."""
+    x, width = Fraction(x), Fraction(width)
     if x < 0:
         raise ValueError("negative radicand")
+    if width <= 0:
+        raise DomainMismatchError("enclosure width must be positive")
     if n == 1 or x == 0:
         return x, x
-    lo, hi = Fraction(0), max(x, Fraction(1))
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        if mid**n < x:
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
+    k = (-(-2 * width.denominator // width.numerator) - 1).bit_length()
+    scaled, rest = divmod(x.numerator << k * n, x.denominator)
+    root = _ceil_root(scaled, n)
+    exact = root**n == scaled
+    lo = root if exact else root - 1
+    return Fraction(lo, 1 << k), Fraction(lo + (rest > 0 or not exact), 1 << k)
 
 
 def _ceil_root(value, n):

@@ -276,11 +276,11 @@ class AlgebraicRadius:
         lo, hi = 0, floor(_row_sum_bound(self.block))
         while lo < hi:
             mid = (lo + hi + 1) // 2
-            if self._compare_root(Fraction(mid)) >= 0:
+            if self._compare_root(mid) >= 0:
                 lo = mid
             else:
                 hi = mid - 1
-        return Fraction(lo) if self._compare_root(Fraction(lo)) == 0 else None
+        return Fraction(lo) if self._compare_root(lo) == 0 else None
 
     def _rational_root_from_base(self):
         """r = rho^step as an integer, or None, for rho the root of `_base`.

@@ -94,6 +94,11 @@ def test_rational_eigenvalues():
     assert rational_eigenvalues(((2, 0), (0, 3))) == [2, 3]
     assert rational_eigenvalues(((0, 1), (3, 0))) == []
     assert rational_eigenvalues(((0, 1), (0, 0))) == [0]
+    e = 10**12  # p(0) = e^2 - 1 has about 10^12 divisor candidates below its square root
+    assert rational_eigenvalues(((e, 1), (1, e))) == [e - 1, e + 1]
+    dilated = ((e, 1, 0), (1, e, 0), (1, 0, e))
+    assert is_dilated(dilated, ((e, 1), (1, e)), (1, 2))
+    assert shares_rational_spectrum(((e, 1), (1, e)), dilated)
 
 
 def test_rational_spectrum_divides_into_dilation():

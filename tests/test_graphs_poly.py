@@ -21,7 +21,7 @@ from morphlab.polytools import (
     squarefree,
     sturm_chain,
 )
-from morphlab.spectral import decompose
+from morphlab.spectral import AlgebraicRadius, decompose
 
 from util import gcd_of, random_matrix, simple_cycle_lengths
 
@@ -222,6 +222,21 @@ def test_nth_root_bounds_and_exact_roots():
     assert hi - lo <= Fraction(1, 10**6)
     assert integer_nth_root_exact(64, 6) == 2
     assert integer_nth_root_exact(27, 6) is None
+    for width in (0, Fraction(-1, 10)):
+        with pytest.raises(DomainMismatchError):
+            nth_root_bounds(2, 2, width)
+    rng = random.Random(219)
+    for _ in range(60):
+        n = rng.choice((1, 2, 3, rng.randint(1, 600)))
+        x = Fraction(rng.getrandbits(rng.randint(0, 2000)), rng.getrandbits(rng.randint(0, 64)) + 1)
+        width = Fraction(rng.randint(1, 10**6), rng.randint(1, 10**12))
+        lo, hi = nth_root_bounds(x, n, width)
+        assert 0 <= lo and lo**n <= x <= hi**n and hi - lo <= width, (x, n, width)
+        if n == 1 or x == 0:
+            assert lo == hi == x
+    # rho = 2 at step 600: the root of the step-600 block has 601 bits
+    lo, hi = AlgebraicRadius(mat_pow(((1, 2), (1, 0)), 600), 600).value_enclosure(Fraction(1, 10**9))
+    assert lo <= 2 <= hi and hi - lo <= Fraction(1, 10**9)
 
 
 def test_mat_pow_agrees_with_repeated_multiplication():

@@ -419,6 +419,28 @@ def test_cli_verify_fails_fast_past_the_pump_budget(tmp_path):
     assert "more than 1594323 source symbols" in error["message"]
 
 
+def test_cli_expand_fixed_point_honours_the_pump_budget(tmp_path):
+    """The first n symbols of f^w(a) are n source symbols: a limit past the
+    budget is refused before the pump runs, by flag or environment; a
+    morphism that is not prolongable is still refused as such."""
+    path = tmp_path / "thue_morse.mf"
+    path.write_text("f { a -> a b ; b -> b a ; }\nstart = a;\n")
+    args = ("expand", "--file", str(path), "--morphism", "f")
+    for budget_args, env in ((("--budget", "10"), None), ((), {"MORPHLAB_BUDGET": "10"})):
+        result = run_cli(*args, "--limit", "100000", *budget_args, env_extra=env)
+        assert result.returncode == 2
+        error = json.loads(result.stdout)["error"]
+        assert error["kind"] == "BudgetExceededError"
+        assert "pump budget of 10" in error["message"] and "--budget" in error["message"]
+        result = run_cli(*args, "--limit", "10", *budget_args, env_extra=env)
+        assert result.returncode == 0
+        assert result.stdout.strip() == "abbabaabba"
+    path.write_text("f { a -> a b ; b -> ; }\nstart = a;\n")
+    result = run_cli(*args, "--limit", "100000", "--budget", "10")
+    assert result.returncode == 2
+    assert json.loads(result.stdout)["error"]["kind"] == "NotProlongableError"
+
+
 @pytest.mark.parametrize("budget", ["0", "-5"])
 def test_cli_budget_must_be_positive(tmp_path, budget):
     """--budget 0 used to mean the default budget and -5 a pump error; both

@@ -107,13 +107,17 @@ def test_root_enclosures_contain_sympys_largest_root():
 
 def test_rational_roots_of_monic_int_match_sympy():
     rng = random.Random(1413)
-    for _ in range(40):
-        coeffs = [1]
-        for _ in range(rng.randint(0, 4)):  # integer roots, some repeated
-            r = rng.randint(-6, 6)
-            coeffs = [a - r * b for a, b in zip([0] + coeffs, coeffs + [0])]
-        other = [rng.randint(-5, 5) for _ in range(rng.randint(0, 3))] + [1]
-        poly = [sum(coeffs[i] * other[k - i] for i in range(len(coeffs)) if 0 <= k - i < len(other))
-                for k in range(len(coeffs) + len(other) - 1)]
-        expected = sorted({int(r) for r in sympy.roots(_poly(poly), filter="Q")})
-        assert rational_roots_of_monic_int(poly) == expected
+    small = lambda: rng.randint(-6, 6)
+    # roots of 12 to 30 digits too, far past any search of the divisors of p(0)
+    large = lambda: rng.choice((-1, 1)) * 10 ** rng.randint(12, 30) + rng.randint(-5, 5)
+    for count, root in ((40, small), (12, large)):
+        for _ in range(count):
+            coeffs = [1]
+            for _ in range(rng.randint(0, 4)):  # integer roots, some repeated
+                r = root()
+                coeffs = [a - r * b for a, b in zip([0] + coeffs, coeffs + [0])]
+            other = [rng.randint(-5, 5) for _ in range(rng.randint(0, 3))] + [1]
+            poly = [sum(coeffs[i] * other[k - i] for i in range(len(coeffs)) if 0 <= k - i < len(other))
+                    for k in range(len(coeffs) + len(other) - 1)]
+            expected = sorted({int(r) for r in sympy.roots(_poly(poly), filter="Q")})
+            assert rational_roots_of_monic_int(poly) == expected
