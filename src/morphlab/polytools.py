@@ -108,7 +108,7 @@ def squarefree(p):
     """The squarefree part p / gcd(p, p'), primitive with positive
     leading coefficient: the distinct roots of p, each once."""
     p = _primitive(p)
-    if len(p) < 2:
+    if len(p) < 3:  # constants and linear polynomials are squarefree
         return p
     g = poly_gcd(p, derivative(p))
     if len(g) < 2:
@@ -244,6 +244,7 @@ class LargestRootLocator:
         if self.lo >= self.hi or sign_variations(self.chain, self.lo) <= self._v_hi:
             raise ValueError("bracket does not contain a root")
         self._bound = Fraction(_root_bound(self.chain[0]))
+        self._isolated = False
 
     def _newton(self, width):
         """A bracket (lo, hi) narrower than `width` from exact Newton on the
@@ -306,8 +307,23 @@ class LargestRootLocator:
         return self.lo, self.hi
 
     def isolated(self):
-        """True when [lo, hi] contains exactly one distinct root of poly."""
-        return count_roots_closed(self.chain[0], self.chain, self.lo, self.hi) == 1
+        """True when [lo, hi] contains exactly one distinct root of poly.
+        A True answer is kept: the bracket only shrinks around that root."""
+        if not self._isolated:
+            self._isolated = count_roots_closed(self.chain[0], self.chain, self.lo, self.hi) == 1
+        return self._isolated
+
+    def sign_at(self, t):
+        """Exact sign of r - t for the largest root r and a rational t: r > t
+        exactly when a root lies in (t, hi], as none lies above hi, and
+        otherwise r = t exactly when t is a root."""
+        if t <= self.lo:
+            return 1
+        if t > self.hi:
+            return -1
+        if sign_variations(self.chain, t) > self._v_hi:
+            return 1
+        return 0 if evaluate(self.chain[0], t) == 0 else -1
 
 
 def nth_root_bounds(x, n, width):
@@ -330,11 +346,20 @@ def nth_root_bounds(x, n, width):
 
 
 def _ceil_root(value, n):
-    """The least integer m >= 0 with m**n >= value, for an int value: integer
-    Newton falls from 2^ceil(bits/n) to the floor of the root."""
+    """The least integer m >= 0 with m**n >= value, for an int value.
+
+    Integer Newton from any x > 0 lands at or above the floor of the root
+    (the arithmetic-geometric mean inequality) and from there falls to
+    it.  It starts from the n-th root of the top 64 bits of value in
+    floats, off by a relative error of about bits(value) 2^-53 / n, so it
+    takes a few quadratic steps whatever n is; the last test is exact."""
     if value <= 0:
         return 0
-    x = 1 << -(-value.bit_length() // n)
+    shift = max(0, value.bit_length() - 64)
+    t = (math.log2(value >> shift) + shift) / n  # log2 of the root
+    k = max(0, int(t) - 52)
+    x = int(2.0 ** (t - k)) + 1 << k
+    x = ((n - 1) * x + value // x ** (n - 1)) // n
     while True:
         y = ((n - 1) * x + value // x ** (n - 1)) // n
         if y >= x:

@@ -11,8 +11,9 @@ number of blocks of that radius a single path can visit.
 
 Growth rates are kept as exact algebraic numbers: a defining block, its
 integer characteristic polynomial, and a refinable rational enclosure.
-Comparisons are decided exactly (enclosure refinement, with a
-gcd-plus-Sturm certificate for equality), never by tolerance.
+Comparisons are decided exactly (equal radius keys, or enclosure
+refinement with a gcd-plus-Sturm certificate for equality), never by
+tolerance.
 """
 
 from __future__ import annotations
@@ -42,11 +43,10 @@ from .intmat import (
 from .polytools import (
     LargestRootLocator,
     count_roots_closed,
-    count_roots_halfopen,
-    evaluate,
     nth_root_bounds,
     poly_gcd,
     rational_nth_root_exact,
+    squarefree,
     sturm_chain,
     trim,
 )
@@ -102,6 +102,60 @@ def _locator_for_block(block, poly):
     return LargestRootLocator(poly, Fraction(-1), _row_sum_bound(block))
 
 
+def _radius_key(poly):
+    """The primitive squarefree part of `poly` with the factor x divided
+    out, kept when nothing else is left (a nilpotent block), as a tuple.
+
+    A non-negative matrix with Perron root r > 0 has r as the largest real
+    root of its characteristic polynomial, so blocks whose polynomials
+    share a key share r: the key names the radius."""
+    poly = trim(list(poly))
+    zeros = next((i for i, c in enumerate(poly) if c), 0)  # the power of x
+    head = squarefree(poly[zeros:])
+    return tuple(head) if len(head) > 1 or not zeros else (0, 1)
+
+
+# One pass of perfbench's spectra workload asks for locators of 107
+# distinct radius keys (579 requests), a presentations pass for 27 to 32
+# (313 to 330 requests) and a periodic pass for 16 to 19 (seeds 9101, 9301
+# and 1); an LRU of 256 keys takes no more misses there than an unbounded
+# registry, and bounds the Sturm chains it keeps on longer runs.
+_RADIUS_REGISTRY_SIZE = 256
+_RADIUS_REGISTRY = OrderedDict()
+_RADIUS_LOCK = threading.Lock()
+
+
+def _shared_locator(key, block):
+    """The registry's (locator, lock) for the radius key `key`, a
+    least-recently-used map of _RADIUS_REGISTRY_SIZE entries; a new locator
+    brackets the root in (-1, row-sum bound of `block`], a block with that
+    key.  The registry lock is released before any locator lock is taken."""
+    with _RADIUS_LOCK:
+        entry = _RADIUS_REGISTRY.get(key)
+        if entry is not None:
+            _RADIUS_REGISTRY.move_to_end(key)
+            return entry
+    made = (_locator_for_block(block, key), threading.Lock())
+    with _RADIUS_LOCK:
+        entry = _RADIUS_REGISTRY.setdefault(key, made)
+        _RADIUS_REGISTRY.move_to_end(key)
+        while len(_RADIUS_REGISTRY) > _RADIUS_REGISTRY_SIZE:
+            _RADIUS_REGISTRY.popitem(last=False)
+    return entry
+
+
+def _refine(entry, width):
+    locator, lock = entry
+    with lock:
+        return locator.refine(width)
+
+
+def _isolated(entry):
+    locator, lock = entry
+    with lock:
+        return locator.isolated()
+
+
 class AlgebraicRadius:
     """Exact handle on a value r^(1/step), r the dominant real root of `poly`.
 
@@ -110,13 +164,15 @@ class AlgebraicRadius:
     step-th power, so the per-step rate is the step-th root.  The zero
     radius (for ultimately vanishing quantities) is represented with
     block None.  A radius made by `on_demand` builds its block and
-    polynomial on first use.  Building and enclosure refinement are
-    memoised behind a per-instance lock so concurrent readers can share
-    one object.  A build may take the lock of its component's shared
-    power (`_once`), which takes no other lock, so locks never cycle.
+    polynomial on first use.  Building is memoised behind a per-instance
+    lock so concurrent readers can share one object.  A build may take the
+    lock of its component's shared power (`_once`), which takes no other
+    lock, so locks never cycle.  Enclosures are refined on the locator of
+    the radius key, shared through the registry (`_shared_locator`) by
+    every radius with that key, under that locator's own lock.
     """
 
-    __slots__ = ("step", "_block", "_poly", "_build", "_base", "_locator", "_powers", "_lock")
+    __slots__ = ("step", "_block", "_poly", "_build", "_base", "_key", "_lock")
 
     def __init__(self, block, step=1):
         if step < 1:
@@ -131,8 +187,7 @@ class AlgebraicRadius:
         object.__setattr__(self, "_poly", poly)
         object.__setattr__(self, "_build", None)
         object.__setattr__(self, "_base", None)
-        object.__setattr__(self, "_locator", None)
-        object.__setattr__(self, "_powers", {})
+        object.__setattr__(self, "_key", None)
         object.__setattr__(self, "_lock", threading.Lock())
 
     def __setattr__(self, name, value):
@@ -191,41 +246,28 @@ class AlgebraicRadius:
     def is_zero(self):
         return self._build is None and self._block is None  # _build first, as in block
 
-    # -- refinement (all locator mutation happens under self._lock) -----------
+    # -- refinement (on the registry's locator, under its lock) ---------------
+
+    def _own_key(self):
+        if self._key is None:  # two threads may both compute it, alike
+            object.__setattr__(self, "_key", _radius_key(self.poly))
+        return self._key
 
     def _own_locator(self):
-        block, poly = self.block, self.poly  # built before the lock is taken
-        with self._lock:
-            if self._locator is None:
-                object.__setattr__(self, "_locator", _locator_for_block(block, poly))
-            return self._locator
+        return _shared_locator(self._own_key(), self.block)
 
     def _powered(self, e):
-        """The locator for the dominant root of block^e."""
+        """block^e, whose dominant root is r^e, and its radius key."""
         if e == 1:
-            return self._own_locator()
-        block = self.block
-        with self._lock:
-            locator = self._powers.get(e)
-            if locator is None:
-                block = mat_pow(block, e)
-                locator = _locator_for_block(block, charpoly(block))
-                self._powers[e] = locator
-            return locator
-
-    def _refine(self, locator, width):
-        with self._lock:
-            return locator.refine(width)
-
-    def _isolated(self, locator):
-        with self._lock:
-            return locator.isolated()
+            return self.block, self._own_key()
+        block = mat_pow(self.block, e)
+        return block, _radius_key(charpoly(block))
 
     def root_enclosure(self, width=DEFAULT_WIDTH):
         """Rational interval around the defining root r (not the step-th root)."""
         if self.is_zero:
             return Fraction(0), Fraction(0)
-        return self._refine(self._own_locator(), width)
+        return _refine(self._own_locator(), width)
 
     def value_enclosure(self, width=DEFAULT_WIDTH):
         """Rational interval of width <= `width` around r^(1/step).
@@ -315,63 +357,57 @@ class AlgebraicRadius:
     def compare(self, other):
         """Exact trichotomy: -1, 0 or 1 as self <, =, > other.
 
-        A rational `other` is decided by Sturm counts on this radius's
-        own chain (_compare_rational).  Two radii are rescaled to a
-        common exponent with integer block powers, then enclosures are
-        refined until they separate; equality is certified by locating a
-        common root (a root of the polynomial gcd) inside the overlap once
-        each enclosure isolates its own root.
+        A radius with a `_base` compares as its base, the same value at
+        step 1.  A rational `other` is decided by Sturm counts on the
+        radius's chain (_compare_rational).  Two radii are rescaled to a
+        common exponent with integer block powers; equal radius keys there
+        mean equal values.  Otherwise enclosures are refined until they
+        separate; equality is certified by locating a common root (a root
+        of the polynomial gcd) inside the overlap once each enclosure
+        isolates its own root.
         """
+        a = self if self._base is None else self._base
         if not isinstance(other, AlgebraicRadius):
-            return self._compare_rational(Fraction(other))
+            return a._compare_rational(Fraction(other))
         if self.is_zero and other.is_zero:
             return 0
         if self.is_zero:
             return -1
         if other.is_zero:
             return 1
-        common = lcm(self.step, other.step)
-        la = self._powered(common // self.step)
-        lb = other._powered(common // other.step)
+        b = other if other._base is None else other._base
+        common = lcm(a.step, b.step)
+        block_a, key_a = a._powered(common // a.step)
+        block_b, key_b = b._powered(common // b.step)
+        if key_a == key_b:
+            return 0
+        la, lb = _shared_locator(key_a, block_a), _shared_locator(key_b, block_b)
         g = g_chain = None  # formed once both enclosures isolate and overlap
         width = Fraction(1, 16)
         while True:
-            alo, ahi = self._refine(la, width)
-            blo, bhi = other._refine(lb, width)
+            alo, ahi = _refine(la, width)
+            blo, bhi = _refine(lb, width)
             if ahi <= blo:
                 return -1
             if bhi <= alo:
                 return 1
-            if (g is None or g_chain is not None) and self._isolated(la) and other._isolated(lb):
+            if (g is None or g_chain is not None) and _isolated(la) and _isolated(lb):
                 if g is None:  # the chain heads are the squarefree polynomials
-                    g = poly_gcd(la.chain[0], lb.chain[0])
+                    g = poly_gcd(la[0].chain[0], lb[0].chain[0])
                     g_chain = sturm_chain(g) if len(g) > 1 else None
                 if g_chain is not None and count_roots_closed(g, g_chain, max(alo, blo), min(ahi, bhi)) >= 1:
                     return 0
             width /= 16
 
     def _compare_root(self, t):
-        """Exact sign of r - t for the defining root r and a rational t.
-
-        r is the largest real root and lies in the locator's bracket
-        (lo, hi], with no root above the row-sum bound; so r > t exactly
-        when a root lies in (t, bound], and otherwise r = t exactly when
-        t is a root.
-        """
-        loc = self._own_locator()
-        with self._lock:
-            lo, hi = loc.lo, loc.hi
-        if t <= lo:
-            return 1
-        if t > hi:
-            return -1
-        if count_roots_halfopen(loc.chain, t, _row_sum_bound(self.block)) >= 1:
-            return 1
-        return 0 if evaluate(loc.chain[0], t) == 0 else -1
+        """Exact sign of r - t for the defining root r and a rational t."""
+        locator, lock = self._own_locator()
+        with lock:
+            return locator.sign_at(t)
 
     def _compare_rational(self, c):
         """compare() against a rational c >= 0: r^(1/step) against c is r
-        against c^step, decided on the radius's own Sturm chain."""
+        against c^step, decided on the radius's Sturm chain."""
         if c < 0:
             raise DomainMismatchError("radii are non-negative")
         if self.is_zero:
@@ -383,14 +419,16 @@ class AlgebraicRadius:
         poly = trim(list(poly))
         if self.is_zero:
             return bool(poly) and Fraction(poly[0]) == 0
-        loc = self._own_locator()
-        g = poly_gcd(loc.chain[0], poly)  # the chain head is the squarefree part
+        if poly and _radius_key(poly) == self._own_key():
+            return True
+        entry = self._own_locator()
+        g = poly_gcd(entry[0].chain[0], poly)  # the chain head is the squarefree part
         if len(g) <= 1:
             return False
         width = Fraction(1, 16)
         while True:
-            lo, hi = self._refine(loc, width)
-            if self._isolated(loc):
+            lo, hi = _refine(entry, width)
+            if _isolated(entry):
                 return count_roots_closed(g, sturm_chain(g), lo, hi) >= 1
             width /= 16
 
@@ -745,9 +783,10 @@ class BlockDecomposition:
         return out
 
 
-# One pass of perfbench's presentations workload asks for 267 distinct
-# matrices (909 calls); an LRU of 256 entries takes no more misses there,
-# or on any other workload, than an unbounded cache.
+# One pass of perfbench's presentations workload makes 606 decompose
+# calls and builds 186 distinct matrices (seed 9101; 191 at seed 1), and a
+# spectra pass 126 calls and 114 builds; an LRU of 256 entries takes no
+# more misses there, or on any other workload, than an unbounded cache.
 _DECOMP_CACHE_SIZE = 256
 _DECOMP_CACHE = OrderedDict()
 _DECOMP_LOCK = threading.Lock()

@@ -1,6 +1,7 @@
 """Digraph machinery and exact polynomial tools."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from morphlab.graphs import component_period, is_trivial_component, strongly_con
 from morphlab.intmat import charpoly, mat_mul, mat_pow, support, support_pow
 from morphlab.polytools import (
     LargestRootLocator,
+    _ceil_root,
     count_roots_closed,
     count_roots_halfopen,
     evaluate,
@@ -198,6 +200,30 @@ def test_largest_root_locator():
     for width in (0, Fraction(-1, 10)):  # bisection would never stop
         with pytest.raises(DomainMismatchError):
             loc.refine(width)
+
+
+def test_isolation_is_tested_once(sign_counts):
+    """The bracket only shrinks around the root it holds, so a True
+    isolated() stays true: the second answer makes no sign count."""
+    loc = LargestRootLocator(poly_mul([-1, 1], [-4, 1]), Fraction(0), Fraction(100))
+    loc.refine(Fraction(1, 16))
+    sign_counts[0] = 0
+    assert loc.isolated() and sign_counts[0] > 0
+    sign_counts[0] = 0
+    assert loc.isolated() and sign_counts[0] == 0
+    loc.refine(Fraction(1, 10**9))
+    assert loc.isolated()
+    assert count_roots_closed(loc.chain[0], loc.chain, loc.lo, loc.hi) == 1
+
+
+def test_ceil_root_steps_do_not_grow_with_n():
+    """Newton starts within a small factor of the root, so a 34-bit root
+    at n = 5544 takes milliseconds (12 s from 2^ceil(bits/n))."""
+    r = 2**34 - 12345
+    start = time.perf_counter()
+    assert _ceil_root(r**5544, 5544) == r
+    assert time.perf_counter() - start < 0.1
+    assert _ceil_root(r**5544 + 1, 5544) == r + 1 and _ceil_root(r**5544 - 1, 5544) == r
 
 
 def test_locator_follows_largest_root_not_first_bracket():

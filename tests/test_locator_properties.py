@@ -9,7 +9,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from morphlab.intmat import charpoly
-from morphlab.polytools import LargestRootLocator, count_roots_halfopen, sturm_chain
+from morphlab.polytools import LargestRootLocator, _ceil_root, count_roots_halfopen, sturm_chain
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=200)
 
@@ -33,3 +33,14 @@ def test_refinement_keeps_the_perron_root_and_never_loosens(rows):
         lo, hi = new_lo, new_hi
         # the largest root lies in (lo, hi] and none above hi
         assert count_roots_halfopen(chain, lo, hi) >= 1 and count_roots_halfopen(chain, hi, bound) == 0
+
+
+near_powers = st.tuples(st.integers(1, 2**40), st.integers(-1, 1))  # m^n - 1, m^n, m^n + 1
+
+
+@SETTINGS
+@given(st.integers(1, 64), st.one_of(st.integers(1, 2**2000), near_powers))
+def test_ceil_root_is_the_least_integer_root_above(n, drawn):
+    value = drawn if isinstance(drawn, int) else max(1, drawn[0] ** n + drawn[1])
+    m = _ceil_root(value, n)
+    assert (m - 1) ** n < value <= m**n

@@ -606,8 +606,9 @@ def test_cli_width_belongs_to_the_radius_reports(tmp_path, capsys):
         lo, hi = enclosure(*args, "--width", "1/10")
         assert hi - lo <= Fraction(1, 10) and (2 * lo - 1) ** 2 <= 5 <= (2 * hi - 1) ** 2  # phi
     # analyze decomposed the same entries, and its describe() refined the
-    # shared locator past 1e-9: start the width comparison from a cold cache
+    # shared locator past 1e-9: start the width comparison from cold caches
     spectral._DECOMP_CACHE.clear()
+    spectral._RADIUS_REGISTRY.clear()
     coarse, fine = enclosure("matrix", "--file", str(mat), "--width", "1/10"), enclosure("matrix", "--file", str(mat))
     assert fine[1] - fine[0] <= Fraction(1, 10**9) < coarse[1] - coarse[0]
 

@@ -39,6 +39,8 @@ from morphlab import spectral
 from morphlab.intmat import charpoly, mat_pow, support_pow
 from morphlab.polytools import count_roots_closed, count_roots_halfopen, evaluate, sturm_chain
 from morphlab.spectral import _DECOMP_CACHE, _DECOMP_CACHE_SIZE, BlockDecomposition, scc_periods
+from morphlab.dilation import is_dilated
+from morphlab.normalize import build_sigma_tau, make_monotone
 
 from util import (
     ReferenceDecomposition,
@@ -728,6 +730,111 @@ def test_concurrent_radius_refinement():
     for t in threads:
         t.join()
     assert not errors
+
+
+PHI_BLOCKS = (((1, 1), (1, 0)), ((0, 1), (1, 1)))  # one characteristic polynomial
+
+
+def test_two_radii_share_one_locator_from_eight_threads(monkeypatch):
+    """Radii whose polynomials have one radius key refine one registry
+    locator; compares, enclosures and compare(1) from eight threads agree."""
+    monkeypatch.setattr(spectral, "_RADIUS_REGISTRY", OrderedDict())
+    a, b = (AlgebraicRadius.from_block(block) for block in PHI_BLOCKS)
+    assert a._own_locator() is b._own_locator()
+    barrier = threading.Barrier(8)
+    errors = []
+
+    def work(k):
+        try:
+            barrier.wait()
+            mine, theirs = (a, b) if k % 2 else (b, a)
+            width = Fraction(1, 16)
+            for _ in range(6):
+                if mine.compare(theirs) != 0 or mine.compare(1) != 1 or mine.compare(TWO) != -1:
+                    errors.append(("compare", k))
+                lo, hi = mine.value_enclosure(width)
+                if not (hi - lo <= width and (2 * lo - 1) ** 2 <= 5 <= (2 * hi - 1) ** 2):
+                    errors.append(("enclosure", k, lo, hi))
+                width /= 64
+        except Exception as exc:  # pragma: no cover
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    assert len(spectral._RADIUS_REGISTRY) == 2  # phi's key and 2's
+
+
+def test_equal_radius_keys_compare_equal_without_sign_counts(monkeypatch, sign_counts):
+    """Polynomials with one squarefree part, up to factors of x, name one
+    radius: compare returns 0 with no Sturm count and no locator."""
+    monkeypatch.setattr(spectral, "_RADIUS_REGISTRY", OrderedDict())
+    padded = ((1, 1, 0), (1, 0, 0), (0, 0, 0))  # x (x^2 - x - 1)
+    doubled = ((1, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 1))  # (x^2 - x - 1)^2
+    radii = [AlgebraicRadius.from_block(block) for block in (*PHI_BLOCKS, padded, doubled)]
+    sign_counts[0] = 0
+    assert all(x.compare(y) == 0 for x in radii for y in radii)
+    assert radius_compare(radii[0], radii[2]) == 0 and radii[0] == radii[3]
+    assert sign_counts[0] == 0 and not spectral._RADIUS_REGISTRY
+    assert radii[0].is_root_of(radii[3].poly) and sign_counts[0] == 0
+
+
+def test_dilated_pair_compares_equal_through_the_key(monkeypatch, sign_counts):
+    """Mat_sigma is a dilation of the monotone f's matrix: here their
+    polynomials differ by a factor x, so the growth check's comparison is
+    decided by the radius key."""
+    monkeypatch.setattr(spectral, "_RADIUS_REGISTRY", OrderedDict())
+    f, g = morphism_from_chars({"a": "ab", "b": "a"}), morphism_from_chars({"a": "aa", "b": "b"})
+    mono = make_monotone(f, g, "a")
+    built = build_sigma_tau(mono.f, mono.g, "a")
+    assert is_dilated(incidence_matrix(built.sigma).rows, incidence_matrix(mono.f).rows, built.dilatation_vector)
+    assert built.dilatation_vector != (1,) * len(mono.f.domain)
+    rates = [letter_growth(mono.f, "a").rate, letter_growth(built.sigma, built.start).rate]
+    assert [len(r.poly) for r in rates] == [3, 4]
+    sign_counts[0] = 0
+    assert rates[0].compare(rates[1]) == 0 and rates[1].compare(rates[0]) == 0
+    assert letter_growth(built.sigma, built.start) == letter_growth(mono.f, "a")
+    assert sign_counts[0] == 0 and not spectral._RADIUS_REGISTRY
+
+
+def test_nilpotent_and_multi_step_radii_compare_exactly(monkeypatch):
+    monkeypatch.setattr(spectral, "_RADIUS_REGISTRY", OrderedDict())
+    nilpotent = AlgebraicRadius.from_block(((0, 1), (0, 0)))
+    assert spectral._radius_key(nilpotent.poly) == (0, 1)
+    assert nilpotent.compare(AlgebraicRadius.from_block(((0,),))) == 0
+    assert nilpotent.compare(0) == 0 and nilpotent.compare(1) == -1
+    assert nilpotent.compare(AlgebraicRadius.from_block(((1,),))) == -1
+    lo, hi = nilpotent.value_enclosure()
+    assert lo <= 0 == hi and hi - lo <= spectral.DEFAULT_WIDTH
+    phi = AlgebraicRadius.from_block(PHI_BLOCKS[0])
+    assert phi.compare(nilpotent) == 1 and not phi.is_root_of([5])
+    assert phi.compare(AlgebraicRadius.from_block(mat_pow(PHI_BLOCKS[1], 2), 2)) == 0  # (phi^2)^(1/2)
+    assert phi.compare(AlgebraicRadius.from_block(PHI_BLOCKS[1], 2)) == 1  # phi^(1/2)
+    assert AlgebraicRadius.from_block(((8,),), 2).compare(AlgebraicRadius.from_block(((3,),))) == -1
+    assert AlgebraicRadius.from_block(((4,),), 2).compare(TWO) == 0
+    assert SQRT3.compare(AlgebraicRadius.from_block(((3, 0), (0, 3)), 2)) == 0
+    assert SQRT3.compare(AlgebraicRadius.from_block(((27,),), 6)) == 0  # 27^(1/6)
+
+
+def test_radius_registry_is_a_bounded_lru(monkeypatch):
+    monkeypatch.setattr(spectral, "_RADIUS_REGISTRY", OrderedDict())
+    kept = AlgebraicRadius.from_block(PHI_BLOCKS[0])
+    kept.root_enclosure()
+    entry = kept._own_locator()
+    for k in range(spectral._RADIUS_REGISTRY_SIZE + 20):
+        AlgebraicRadius.from_block(((10**6 + k,),)).root_enclosure()
+        assert kept._own_locator() is entry  # recently used, so never evicted
+        assert len(spectral._RADIUS_REGISTRY) <= spectral._RADIUS_REGISTRY_SIZE
+    assert (-(10**6), 1) not in spectral._RADIUS_REGISTRY  # the oldest went
 
 
 def test_entry_growth_module_function_and_errors():
