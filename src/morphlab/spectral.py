@@ -163,7 +163,7 @@ class AlgebraicRadius:
     defines r (its Perron root); `step` records that the matrix arose as a
     step-th power, so the per-step rate is the step-th root.  The zero
     radius (for ultimately vanishing quantities) is represented with
-    block None.  A radius made by `on_demand` builds its block and
+    block None; a nilpotent block gives the same radius.  A radius made by `on_demand` builds its block and
     polynomial on first use.  Building is memoised behind a per-instance
     lock so concurrent readers can share one object.  A build may take the
     lock of its component's shared power (`_once`), which takes no other
@@ -244,7 +244,10 @@ class AlgebraicRadius:
 
     @property
     def is_zero(self):
-        return self._build is None and self._block is None  # _build first, as in block
+        """Block None, or a nilpotent block: its polynomial x^n has the
+        radius key (0, 1), which names the zero radius."""
+        # _build first, as in block
+        return self._build is None and (self._block is None or not any(self._poly[:-1]))
 
     # -- refinement (on the registry's locator, under its lock) ---------------
 

@@ -25,9 +25,15 @@ and g(f^w(a)) = g(f_K^w(a)).  The stream pumps P = f_K^w(a) only, and
 recovers the position in f^w(a) of each kept letter it needs from Parikh
 vectors: a kept letter v at offset o of f^K(w), w its parent, sits at
 |pi(v)|, where pi(v) = Mat_(f^K) pi(w) + Parikh(f^K(w)[:o]) counts the
-letters of f^w(a) before v, and pi(a) = 0.  When g maps every kept letter
-to one symbol, as the coding tau of a normalized presentation does, the
-stream applies g by table lookup.
+letters of f^w(a) before v, and pi(a) = 0.
+
+P = f_K(P) gives g(P) = (g o f_K)(P) too, so the stream outputs g one
+parent at a time: with sums[r] = |f_K(P[:r])|, the block
+P[sums[r]:sums[r+1]] is f_K(P[r]), and its image is B(P[r]) for B(b) =
+g(f_K(b)), built once per stream.  Only the two blocks at the ends of a
+request put a slice of f_K(P[r]) through g letter by letter.  The source
+therefore holds the parents P[r] alone, about one kept letter in |f_K|
+of those the stream outputs, and reads only as many as the sums need.
 
 Streams are single-consumer stateful objects; distinct streams are
 independent.
@@ -168,14 +174,15 @@ def _descend(parikh, steps, head):
 
 
 class ImageStream:
-    """Applies a morphism to a fixed-point stream, block by block.
+    """Applies a morphism to a fixed-point stream, one parent at a time.
 
     Erasing images simply contribute nothing; the letters g erases
-    forever are never pumped at all (see the module docstring).  `budget`
-    caps how many symbols of f^w(start) may be consumed in total, turning
-    a finite or very dilute image into a diagnosable error instead of a
-    hang.  After each served request, `consumed` is the least number of
-    symbols of f^w(start) whose image holds the longest prefix requested
+    forever are never pumped at all, and the source holds only the
+    parents of the letters the stream outputs (see the module docstring).
+    `budget` caps how many symbols of f^w(start) may be consumed in total,
+    turning a finite or very dilute image into a diagnosable error instead
+    of a hang.  After each served request, `consumed` is the least number
+    of symbols of f^w(start) whose image holds the longest prefix requested
     so far, as a symbol-by-symbol pump leaves it: a round that still needs
     d output symbols reads ceil(d/L) kept letters, L the longest image, no
     fewer of which could have produced d, and `consumed` is one past the
@@ -192,17 +199,22 @@ class ImageStream:
         self._longest = max(map(len, self._images))
         erased = largest_erasable(f, g.restrict_domain(f.domain.letters))
         self._erased = sum(1 << f.domain.index(b) for b in erased)
-        # g by table lookup when it maps every kept letter to one symbol
-        coding = all(len(w) == 1 for c, w in enumerate(self._images) if not self._erased >> c & 1)
-        self._table = [w[0] if w else None for w in self._images] if coding else None
         self._powers = self.source._images  # f^K(b) for each letter b, before pruning
         self.source._delete(self._erased)
+        # |f_K(b)| for each letter b, and the longest (1 when all are empty)
+        self._lengths = list(map(len, self.source._images))
+        self._widest = max(self._lengths) or 1
         self._buffer = []
         self._read = 0  # kept letters read
         self.consumed = 0
         # sums[r] = |f_K(P[:r])| for the kept letters P, and pi by kept index
         self._sums = array("q", [0])
         self._parikh = {0: [0] * len(f.domain)}
+
+    @cached_property
+    def _blocks(self):
+        """B(b) = g(f_K(b)) for each letter b."""
+        return [_concat(self._images, w) for w in self.source._images]
 
     @cached_property
     def _steps(self):
@@ -221,16 +233,30 @@ class ImageStream:
             counts[c] += 1
         return counts
 
+    def _cover(self, j):
+        """Read parents P[r] into the source and sum their images until
+        sums[-1] > j, so that P[j] lies in the block of a known parent.
+
+        Each parent's block holds at most _widest kept letters, so the
+        source never reads more parents than j needs, but for the rest of
+        one image of f_K.  On a finite P the source raises
+        NotProlongableError once every parent is summed, and sums[-1] =
+        |f_K(P)| = |P| <= j then."""
+        sums, kept, lengths = self._sums, self.source._buffer, self._lengths
+        while sums[-1] <= j:
+            r = len(sums) - 1
+            try:
+                # r + ceil((j + 1 - sums[-1]) / _widest) parents: no fewer can reach j
+                self.source._ensure(r - (sums[-1] - j - 1) // self._widest)
+            finally:
+                sums.extend(accumulate(map(lengths.__getitem__, kept[r:]), initial=sums.pop()))
+
     def _position(self, j):
         """Position in f^w(start) of the kept letter P[j], |pi(P[j])|."""
         if not self._erased:
             return j
+        self._cover(j)
         kept, sums, memo = self.source._buffer, self._sums, self._parikh
-        while sums[-1] <= j:
-            # parents r < j: the read head of f_K^w(start) stays behind its write head
-            r = len(sums) - 1
-            lengths = map(len, map(self.source._images.__getitem__, kept[r : 2 * r + 64]))
-            sums.extend(accumulate(lengths, initial=sums.pop()))
         path = []
         while j not in memo:
             r = bisect_right(sums, j) - 1
@@ -258,11 +284,30 @@ class ImageStream:
             length = sum(parikh)
         return math.inf
 
+    def _emit(self, read, end):
+        """Append g(P[read:end]) to the output: B(P[r]) for every parent r
+        whose whole block lies in the range, and the slices of the blocks
+        at the two ends through g letter by letter."""
+        sums, kept, powers, images = self._sums, self.source._buffer, self.source._images, self._images
+
+        def letters(r, lo, hi):  # g(P[lo:hi]), inside the block of parent r
+            return chain.from_iterable(map(images.__getitem__, powers[kept[r]][lo - sums[r] : hi - sums[r]]))
+
+        buffer = self._buffer
+        first, last = bisect_left(sums, read), bisect_right(sums, end) - 1
+        if first > last:  # read and end inside the block of parent `last`
+            buffer.extend(letters(last, read, end))
+            return
+        if read < sums[first]:
+            buffer.extend(letters(first - 1, read, sums[first]))
+        blocks = self._blocks
+        for b in kept[first:last]:  # one list copy per block, no step per symbol
+            buffer += blocks[b]
+        if end > sums[last]:
+            buffer.extend(letters(last, sums[last], end))
+
     def _pump(self, n):
         buffer = self._buffer
-        images, table = self._images, self._table
-        source = self.source
-        kept = source._buffer
         longest = self._longest
         while len(buffer) < n:
             if self.consumed >= self.budget:
@@ -277,11 +322,11 @@ class ImageStream:
             read = self._read
             stall = None
             try:
-                source._ensure(read + k)
+                self._cover(read + k - 1)
             except NotProlongableError as error:
                 # g erases the rest of f^w(start), or f^w(start) ends
                 stall = error
-            end = min(read + k, len(kept))
+            end = min(read + k, self._sums[-1])
             limit = self.budget if stall is None else min(self.budget, self._source_length())
             if stall is None and (last := self._position(end - 1)) < limit:
                 self.consumed = last + 1
@@ -289,10 +334,7 @@ class ImageStream:
                 # keep the kept letters before position `limit`
                 end = read + bisect_left(range(read, end), limit, key=self._position)
                 self.consumed = limit
-            if table is None:
-                buffer.extend(chain.from_iterable(map(images.__getitem__, kept[read:end])))
-            else:
-                buffer.extend(map(table.__getitem__, kept[read:end]))
+            self._emit(read, end)
             self._read = end
             if stall is not None and limit < self.budget:
                 raise stall
@@ -302,7 +344,9 @@ class ImageStream:
         if n < 0:
             raise DomainMismatchError("prefix length must be non-negative")
         self._pump(n)
-        return Word(self.morphism.codomain, tuple(islice(self._buffer, n)))
+        buffer = self._buffer
+        codes = tuple(buffer) if len(buffer) == n else tuple(islice(buffer, n))
+        return Word(self.morphism.codomain, codes)
 
 
 def fixed_point_prefix(f, start, n):

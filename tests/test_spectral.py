@@ -825,6 +825,17 @@ def test_nilpotent_and_multi_step_radii_compare_exactly(monkeypatch):
     assert SQRT3.compare(AlgebraicRadius.from_block(((27,),), 6)) == 0  # 27^(1/6)
 
 
+def test_nilpotent_block_radius_is_the_zero_radius():
+    # the radius key (0, 1) names the zero radius, so the block form equals zero()
+    zero = AlgebraicRadius.zero()
+    for block in (((0,),), ((0, 1), (0, 0))):
+        radius = AlgebraicRadius.from_block(block)
+        assert radius.is_zero
+        assert radius.compare(zero) == 0 and zero.compare(radius) == 0
+        assert radius.value_enclosure() == (0, 0) == spectral_radius_enclosure(block)
+        assert radius.describe() == "0"
+
+
 def test_radius_registry_is_a_bounded_lru(monkeypatch):
     monkeypatch.setattr(spectral, "_RADIUS_REGISTRY", OrderedDict())
     kept = AlgebraicRadius.from_block(PHI_BLOCKS[0])

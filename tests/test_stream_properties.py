@@ -55,13 +55,14 @@ class ReferencePump:
 
 
 @st.composite
-def presentations(draw, prolongable=True):
-    """(f, g) over a..d with f(a) = a u; erasing letters allowed in both."""
+def presentations(draw, prolongable=True, g_sizes=(0, 4)):
+    """(f, g) over a..d with f(a) = a u; erasing letters allowed in f, and
+    in g unless the image sizes `g_sizes` (least, most) forbid them."""
     letters = "abcd"[: draw(st.integers(1, 4))]
     word = lambda lo, hi, alphabet: st.text(alphabet, min_size=lo, max_size=hi)
     f = {letter: draw(word(0, 3, letters)) for letter in letters}
     f["a"] = "a" + draw(word(1 if prolongable else 0, 3, letters))
-    g = {letter: draw(word(0, 4, "xy")) for letter in letters}
+    g = {letter: draw(word(*g_sizes, "xy")) for letter in letters}
     return f, g
 
 
@@ -231,6 +232,41 @@ def test_block_pump_matches_per_symbol_pump_with_erased_letters_on_finite_source
     reference = ReferencePump(f, g, "a", budget)
     for n in ns:
         compare(stream, reference, n)
+
+
+# requests long enough to span many blocks g(f_K(b)) of one parent each, so
+# that both ends of a request may cut a block
+long_requests = st.lists(st.integers(0, 5000), min_size=1, max_size=4)
+long_budgets = st.integers(1, 20000)
+LONG_SETTINGS = settings(derandomize=True, deadline=None, max_examples=60)
+
+
+def serve_long_requests(fg, ns, budget):
+    f, g = fg
+    fm, gm = morphism_from_chars(f), morphism_from_chars(g)
+    assume(is_prolongable(fm, "a"))
+    stream = ImageStream(gm, fm, "a", budget=budget)
+    reference = ReferencePump(f, g, "a", budget)
+    for n in ns:
+        compare(stream, reference, n)
+
+
+@LONG_SETTINGS
+@given(presentations(g_sizes=(1, 1)), long_requests, long_budgets)
+def test_block_output_matches_per_symbol_pump_with_a_coding(fg, ns, budget):
+    serve_long_requests(fg, ns, budget)
+
+
+@LONG_SETTINGS
+@given(presentations(g_sizes=(2, 4)), long_requests, long_budgets)
+def test_block_output_matches_per_symbol_pump_with_long_images(fg, ns, budget):
+    serve_long_requests(fg, ns, budget)
+
+
+@LONG_SETTINGS
+@given(decorated(), long_requests, long_budgets)
+def test_block_output_matches_per_symbol_pump_with_erased_letters(fg, ns, budget):
+    serve_long_requests(fg, ns, budget)
 
 
 def test_thue_morse_projection_pumps_only_kept_letters():

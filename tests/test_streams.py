@@ -156,6 +156,17 @@ def test_thue_morse_reads_one_source_letter_per_32_symbols():
     assert images.reads <= n // 32
 
 
+def test_image_stream_source_holds_only_the_parents():
+    # tau(sigma^w): each kept letter's block g(f_K(b)) holds dozens of symbols,
+    # so the source needs about one letter per block, not one per output symbol
+    sigma, tau, _ = baum_sweet_uniform()
+    n = 10**5
+    stream = ImageStream(tau, sigma, "a", budget=n)
+    assert stream.prefix(n).codes == apply(tau, fixed_point_prefix(sigma, "a", n)).codes
+    assert stream.consumed == n
+    assert len(stream.source._buffer) <= n // 16
+
+
 def test_prefix_equal_and_mismatch():
     sigma, tau, _ = baum_sweet_uniform()
     w1 = image_prefix(tau, sigma, "a", 16)
