@@ -139,7 +139,7 @@ def eliminate_effacement(pres):
         removed_all.extend(erasable)
         stages.append(PipelineStage(f"strip-round-{len(k_seq)}", f, g, tuple(erasable)))
     img = f.image(a)
-    if len(img) < 2 or img.letters()[0] != a:
+    if len(img) < 2 or img[0] != a:
         raise FiniteWordError(
             f"the word is finite: after erasure the generator no longer grows from {a!r}"
         )
@@ -302,7 +302,7 @@ def make_monotone(f, g, start):
     stretches every growing letter enough to cover its image length.
     """
     img = f.image(start)
-    if len(img) < 2 or img.letters()[0] != start:
+    if len(img) < 2 or img[0] != start:
         raise NotProlongableError(f"generator is not prolongable on {start!r}")
     settle, stretch, lengths2 = monotone_powers(f, g, start)
     matrix = incidence_matrix(f)
@@ -358,9 +358,9 @@ def build_sigma_tau(f, g, start):
     if not (f.is_non_erasing and g.is_non_erasing):
         raise DomainMismatchError("pair construction needs non-erasing morphisms")
     counts = _image_length_vector(g, f.domain)
-    for b, c in zip(f.domain, counts):
-        before = c
-        after = sum(len(g.image(x)) for x in f.image(b))
+    f_rows = incidence_matrix(f).rows
+    # |g(f(b))| = sum_c |g(c)| (Mat_f)_{c,b}, read off the matrix, not the images
+    for b, before, after in zip(f.domain, counts, vec_mat(counts, f_rows)):
         if after < before or (b == start and after <= before):
             raise DomainMismatchError("monotonicity condition violated; run make_monotone first")
     names = _pair_names(f.domain, counts)
@@ -408,11 +408,11 @@ def build_sigma_tau(f, g, start):
         ):
             raise InvariantError(f"sigma and the pairing do not commute at {b!r}")
     kvec = tuple(counts)
-    if not dilation.is_dilated(incidence_matrix(sigma).rows, incidence_matrix(f).rows, kvec):
+    if not dilation.is_dilated(incidence_matrix(sigma).rows, f_rows, kvec):
         raise InvariantError("Mat(sigma) is not a dilation of Mat(f)")
     new_start = names[(start, 0)]
     first = sigma.image(new_start)
-    if len(first) < 2 or first.letters()[0] != new_start:
+    if len(first) < 2 or first[0] != new_start:
         raise InvariantError(f"sigma is not prolongable on {new_start!r}")
     return SigmaTauResult(sigma, tau, pairing, new_start, kvec)
 

@@ -23,7 +23,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from math import floor, lcm
 
 from . import words
@@ -102,6 +102,14 @@ def _locator_for_block(block, poly):
     return LargestRootLocator(poly, Fraction(-1), _row_sum_bound(block))
 
 
+# One pass of perfbench's spectra workload asks for locators of 107
+# distinct radius keys (579 requests), a presentations pass for 27 to 32
+# (313 to 330 requests) and a periodic pass for 16 to 19 (seeds 9101, 9301
+# and 1); an LRU of 256 keys takes no more misses there than an unbounded
+# registry, and bounds the Sturm chains it keeps on longer runs.
+_RADIUS_REGISTRY_SIZE = 256
+
+
 def _radius_key(poly):
     """The primitive squarefree part of `poly` with the factor x divided
     out, kept when nothing else is left (a nilpotent block), as a tuple.
@@ -109,18 +117,19 @@ def _radius_key(poly):
     A non-negative matrix with Perron root r > 0 has r as the largest real
     root of its characteristic polynomial, so blocks whose polynomials
     share a key share r: the key names the radius."""
+    return _key_of(tuple(poly))
+
+
+# the radii of f, its powers and sigma rebuild the same polynomials: one
+# squarefree gcd per polynomial, in an LRU as large as the registry's
+@lru_cache(maxsize=_RADIUS_REGISTRY_SIZE)
+def _key_of(poly):
     poly = trim(list(poly))
     zeros = next((i for i, c in enumerate(poly) if c), 0)  # the power of x
     head = squarefree(poly[zeros:])
     return tuple(head) if len(head) > 1 or not zeros else (0, 1)
 
 
-# One pass of perfbench's spectra workload asks for locators of 107
-# distinct radius keys (579 requests), a presentations pass for 27 to 32
-# (313 to 330 requests) and a periodic pass for 16 to 19 (seeds 9101, 9301
-# and 1); an LRU of 256 keys takes no more misses there than an unbounded
-# registry, and bounds the Sturm chains it keeps on longer runs.
-_RADIUS_REGISTRY_SIZE = 256
 _RADIUS_REGISTRY = OrderedDict()
 _RADIUS_LOCK = threading.Lock()
 

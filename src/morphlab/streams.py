@@ -35,6 +35,11 @@ request put a slice of f_K(P[r]) through g letter by letter.  The source
 therefore holds the parents P[r] alone, about one kept letter in |f_K|
 of those the stream outputs, and reads only as many as the sums need.
 
+Images, blocks and buffers hold codes as the alphabet's words do:
+bytearrays over alphabets of at most 256 letters, lists over larger ones
+(Alphabet._code_buffer).  A prefix is then one slice copy, and Word's
+range check one C call.
+
 Streams are single-consumer stateful objects; distinct streams are
 independent.
 """
@@ -47,7 +52,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from functools import cached_property
-from itertools import accumulate, chain, compress, count, islice
+from itertools import accumulate, chain, compress, count
 from operator import ne
 
 from .errors import (
@@ -97,9 +102,8 @@ def _pump_power(images):
     return k
 
 
-def _concat(images, codes):
-    """The concatenation of images[c] for c in codes."""
-    out = []
+def _concat(out, images, codes):
+    """Append images[c] for c in codes to the buffer `out`, and return it."""
     for c in codes:
         out += images[c]
     return out
@@ -115,18 +119,19 @@ class FixedPointStream:
 
     def __init__(self, f, start, check=True):
         image = f.image(start).codes
-        if (check and not is_prolongable(f, start)) or image[:1] != (f.domain.index(start),):
+        if (check and not is_prolongable(f, start)) or not image or image[0] != f.domain.index(start):
             raise NotProlongableError(f"morphism is not prolongable on {start!r}")
         self.morphism = f
         self.start = start
-        base = [list(w.codes) for w in f.images]
+        code_buffer = f.domain._code_buffer  # a bytearray, or a list past 256 letters
+        base = [code_buffer(w.codes) for w in f.images]
         images = base
         for _ in range(_pump_power(base) - 1):
-            images = [_concat(images, w) for w in base]  # f^(k+1)(b) = f^k(f(b))
+            images = [_concat(code_buffer(), images, w) for w in base]  # f^(k+1)(b) = f^k(f(b))
         # the images of f^K; buffer = f^K(buffer[:read]), read the reader's position
         self._images = images
-        self._buffer = list(images[image[0]])
-        # the read head: a list iterator sees what is appended to its list
+        self._buffer = code_buffer(images[image[0]])
+        # the read head: an iterator over a bytearray or list sees what is appended to it
         self._reader = iter(self._buffer)
         next(self._reader, None)
 
@@ -135,7 +140,9 @@ class FixedPointStream:
         D the erasure of the letters in the bitset `erased`, a set closed
         under f.  Call it before the first read."""
         def kept(codes):
-            return [c for c in codes if not erased >> c & 1]
+            out = codes[:0]
+            out.extend(c for c in codes if not erased >> c & 1)
+            return out
 
         self._images = list(map(kept, self._images))
         # the reader has passed position 0, where start is: gone with start erased
@@ -147,7 +154,7 @@ class FixedPointStream:
             return
         images = self._images
         for code in self._reader:
-            buffer.extend(images[code])
+            buffer += images[code]
             if len(buffer) >= n:
                 return
         raise NotProlongableError(
@@ -159,7 +166,7 @@ class FixedPointStream:
         if n < 0:
             raise DomainMismatchError("prefix length must be non-negative")
         self._ensure(n)
-        return Word(self.morphism.domain, tuple(islice(self._buffer, n)))
+        return Word(self.morphism.domain, self._buffer[:n])
 
 
 def _descend(parikh, steps, head):
@@ -195,7 +202,7 @@ class ImageStream:
         self.source = FixedPointStream(f, start, check=check)
         self.morphism = g
         self.budget = default_budget() if budget is None else budget
-        self._images = [list(g.image(letter).codes) for letter in f.domain.letters]
+        self._images = [g.image(letter).codes for letter in f.domain.letters]
         self._longest = max(map(len, self._images))
         erased = largest_erasable(f, g.restrict_domain(f.domain.letters))
         self._erased = sum(1 << f.domain.index(b) for b in erased)
@@ -204,7 +211,7 @@ class ImageStream:
         # |f_K(b)| for each letter b, and the longest (1 when all are empty)
         self._lengths = list(map(len, self.source._images))
         self._widest = max(self._lengths) or 1
-        self._buffer = []
+        self._buffer = g.codomain._code_buffer()
         self._read = 0  # kept letters read
         self.consumed = 0
         # sums[r] = |f_K(P[:r])| for the kept letters P, and pi by kept index
@@ -214,7 +221,8 @@ class ImageStream:
     @cached_property
     def _blocks(self):
         """B(b) = g(f_K(b)) for each letter b."""
-        return [_concat(self._images, w) for w in self.source._images]
+        code_buffer = self.morphism.codomain._code_buffer
+        return [_concat(code_buffer(), self._images, w) for w in self.source._images]
 
     @cached_property
     def _steps(self):
@@ -344,9 +352,7 @@ class ImageStream:
         if n < 0:
             raise DomainMismatchError("prefix length must be non-negative")
         self._pump(n)
-        buffer = self._buffer
-        codes = tuple(buffer) if len(buffer) == n else tuple(islice(buffer, n))
-        return Word(self.morphism.codomain, codes)
+        return Word(self.morphism.codomain, self._buffer[:n])
 
 
 def fixed_point_prefix(f, start, n):
@@ -368,10 +374,11 @@ def first_mismatch(w1, w2, n):
     a = w1.codes[:n]
     b = w2.codes[:n]
     if w1.alphabet != w2.alphabet:
-        # w2's codes in w1's alphabet; a letter w1 lacks matches nothing
+        # w2's codes in w1's alphabet, both as tuples (the alphabets may store
+        # words differently); a letter w1 lacks matches nothing
         target = w1.alphabet
         table = [target.index(letter) if letter in target else -1 for letter in w2.alphabet]
-        b = tuple(map(table.__getitem__, b))
+        a, b = tuple(a), tuple(map(table.__getitem__, b))
     if a == b:
         return None
     return next(compress(count(), map(ne, a, b)))

@@ -1,6 +1,10 @@
 """The erasure-removal pipeline and its invariants."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -477,3 +481,39 @@ def test_failed_internal_checks_raise_invariant_error():
         _assert_monotone(((1, 0), (0, 1)), (1, 1), 1, 0)  # not strict at the start letter
     with pytest.raises(InvariantError):
         _settle_power(morphism_from_chars({"a": "ab", "b": "b"}), "a", 2)  # a grows
+
+
+# cycles of lengths 4 and 5 behind a -> a a c0_0 c1_0: the cyclicity is 20,
+# and g keeps a and each cycle's first letter
+CYCLES_P20 = """
+import resource, sys
+from morphlab import Morphism, MorphicPresentation, normalize
+cycles = [[f"c{i}_{t}" for t in range(n)] for i, n in enumerate((4, 5))]
+f = {"a": ("a", "a", "c0_0", "c1_0")}
+g = {"a": ("a",)}
+for cycle in cycles:
+    for t, letter in enumerate(cycle):
+        f[letter] = (cycle[(t + 1) % len(cycle)],)
+        g[letter] = (letter,) if t == 0 else ()
+report = normalize(MorphicPresentation(Morphism.from_rules(f), Morphism.from_rules(g), "a"))
+rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(sum(map(len, report.sigma.images)), rss if sys.platform == "darwin" else rss * 1024)
+"""
+
+
+def test_p20_cliff_normalizes_in_little_memory():
+    """sigma holds 2,149,018 symbols; as one byte each (codes over at most
+    256 letters are bytes), the whole normalization peaks below 64 MiB."""
+    env = os.environ.copy()
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH", "")]))
+    # a child's ru_maxrss starts at the RSS of the process that forked it, so
+    # the child is started by a fresh interpreter, not by this test process
+    launcher = "import subprocess, sys; sys.exit(subprocess.run([sys.executable, '-c', sys.argv[1]]).returncode)"
+    result = subprocess.run(
+        [sys.executable, "-c", launcher, CYCLES_P20], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0, result.stderr
+    symbols, peak = map(int, result.stdout.split())
+    assert symbols == 2_149_018
+    assert peak < 64 * 2**20, f"peak RSS {peak / 2**20:.1f} MiB"

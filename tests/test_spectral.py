@@ -34,13 +34,13 @@ from morphlab import (
     row_growth,
     spectral_radius_enclosure,
 )
-from morphlab.fixtures import baum_sweet_uniform, demo_matrix, thue_morse_projection
+from morphlab.fixtures import baum_sweet_erasing, baum_sweet_uniform, demo_matrix, thue_morse_projection
 from morphlab import spectral
 from morphlab.intmat import charpoly, mat_pow, support_pow
 from morphlab.polytools import count_roots_closed, count_roots_halfopen, evaluate, sturm_chain
 from morphlab.spectral import _DECOMP_CACHE, _DECOMP_CACHE_SIZE, BlockDecomposition, scc_periods
 from morphlab.dilation import is_dilated
-from morphlab.normalize import build_sigma_tau, make_monotone
+from morphlab.normalize import MorphicPresentation, build_sigma_tau, make_monotone, normalize
 
 from util import (
     ReferenceDecomposition,
@@ -846,6 +846,32 @@ def test_radius_registry_is_a_bounded_lru(monkeypatch):
         assert kept._own_locator() is entry  # recently used, so never evicted
         assert len(spectral._RADIUS_REGISTRY) <= spectral._RADIUS_REGISTRY_SIZE
     assert (-(10**6), 1) not in spectral._RADIUS_REGISTRY  # the oldest went
+
+
+def test_radius_keys_take_one_squarefree_gcd_per_polynomial(monkeypatch):
+    """The radii of f, its powers, the monotone f and sigma rebuild the same
+    characteristic polynomials; each takes one squarefree gcd, however many
+    radii ask for its key."""
+    monkeypatch.setattr(spectral, "_RADIUS_REGISTRY", OrderedDict())
+    monkeypatch.setattr(spectral, "_DECOMP_CACHE", OrderedDict())
+    spectral._key_of.cache_clear()
+    requests, gcds = [], []
+    radius_key, squarefree = spectral._radius_key, spectral.squarefree
+
+    def counted_key(poly):
+        requests.append(tuple(poly))
+        return radius_key(poly)
+
+    def counted_squarefree(poly):
+        gcds.append(tuple(poly))
+        return squarefree(poly)
+
+    monkeypatch.setattr(spectral, "_radius_key", counted_key)
+    monkeypatch.setattr(spectral, "squarefree", counted_squarefree)
+    for f, g, start in (baum_sweet_erasing(), thue_morse_projection()):
+        normalize(MorphicPresentation(f, g, start))
+    assert len(requests) > 2 * len(set(requests))
+    assert len(gcds) == len(set(requests))
 
 
 def test_entry_growth_module_function_and_errors():

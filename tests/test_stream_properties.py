@@ -7,9 +7,11 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
 
 from morphlab import (
+    Alphabet,
     BudgetExceededError,
     FixedPointStream,
     ImageStream,
+    Morphism,
     NotProlongableError,
     apply,
     fixed_point_prefix,
@@ -51,7 +53,7 @@ class ReferencePump:
             code = self.symbol(self.consumed)
             self.consumed += 1
             self.out.extend(self.g[code])
-        return "".join(self.out[:n])
+        return self.out[:n]
 
 
 @st.composite
@@ -161,7 +163,7 @@ def compare(stream, reference, n):
         if isinstance(error, BudgetExceededError):
             assert str(caught.value) == str(error)
     else:
-        assert stream.prefix(n).text() == expected
+        assert list(stream.prefix(n)) == expected
     assert stream.consumed == reference.consumed
     assert len(stream._buffer) == len(reference.out)
 
@@ -277,3 +279,35 @@ def test_thue_morse_projection_pumps_only_kept_letters():
     stream = ImageStream(morphism_from_chars(g), morphism_from_chars(f), "a", budget=budget)
     compare(stream, ReferencePump(f, g, "a", budget), n)
     assert len(stream.source._buffer) <= n + len(f["a"])
+
+
+WIDE = ("a",) + tuple(f"x{i}" for i in range(299))  # 300 letters: codes are tuples
+
+
+@st.composite
+def wide_presentations(draw):
+    """f over 300 letters, a -> a x0 u and x_i -> x_(i+1 mod 299) v, u and v
+    short random words; g into 300 letters y0..y299 (tuple codes) or into
+    0, 1 (bytes codes), erasing allowed."""
+    word = lambda lo, hi, pool: st.lists(st.sampled_from(pool), min_size=lo, max_size=hi).map(tuple)
+    f = {"a": ("a", "x0") + draw(word(0, 2, WIDE))}
+    for i, letter in enumerate(WIDE[1:]):
+        f[letter] = (f"x{(i + 1) % 299}",) + draw(word(0, 1, WIDE))
+    narrow = draw(st.booleans())
+    out = ("0", "1") if narrow else tuple(f"y{i}" for i in range(300))
+    g = {letter: draw(word(0, 2, out)) for letter in WIDE}
+    return f, g, Alphabet(out)
+
+
+# each stream's set-up closes a 300-letter graph, about 0.3 s: few examples
+@settings(derandomize=True, deadline=None, max_examples=10)
+@given(wide_presentations(), requests, budgets)
+def test_block_pump_matches_per_symbol_pump_over_300_letters(fgo, ns, budget):
+    f, g, out = fgo
+    fm, gm = Morphism.from_rules(f), Morphism.from_rules(g, codomain=out)
+    stream = ImageStream(gm, fm, "a", budget=budget)
+    assert type(stream.source._buffer) is list  # the tuple path
+    reference = ReferencePump(f, g, "a", budget)
+    for n in ns:
+        compare(stream, reference, n)
+    assert type(stream.prefix(0).codes) is (bytes if len(out) <= 256 else tuple)

@@ -1,8 +1,14 @@
 """Alphabets, words, morphisms, and their elementary operations."""
 
 import random
+from array import array
 
 import pytest
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # the hypothesis properties below are left out without it
+    st = None
 
 from morphlab import (
     Alphabet,
@@ -12,6 +18,7 @@ from morphlab import (
     apply,
     compose,
     erasure,
+    first_mismatch,
     identity_morphism,
     incidence_matrix,
     is_prolongable,
@@ -44,6 +51,24 @@ def test_word_membership_checked():
             Word(ab, bad)
     with pytest.raises(DomainMismatchError):
         Word(Alphabet(()), (0,))
+
+
+POOL = tuple(f"x{i}" for i in range(300))
+
+
+def test_word_codes_rejected_on_both_sides_of_256_letters():
+    """Words over at most 256 letters store bytes and others tuples; both
+    refuse a code outside the alphabet, a str and a bare int (bytes(5)
+    would be five zero bytes)."""
+    for n in (1, 2, 255, 256, 257, 300):
+        alphabet = Alphabet(POOL[:n])
+        assert type(Word(alphabet, (0,)).codes) is (bytes if n <= 256 else tuple)
+        bad = [(c,) for c in (-1, n, 256, 300) if not 0 <= c < n]
+        for codes in (*bad, [n], (0, 1.5), "ab", "\x00", 0, 1, 5):
+            with pytest.raises(DomainMismatchError, match="letter code out of range"):
+                Word(alphabet, codes)
+    # a buffer of wider ints is read code by code, not byte by byte
+    assert Word(Alphabet("ab"), array("q", [1, 0, 1])).codes == b"\x01\x00\x01"
 
 
 def test_apply_baum_sweet_prefix():
@@ -279,3 +304,60 @@ def test_morphism_equality_is_syntactic():
     c = morphism_from_chars({"b": "a", "a": "ab"})
     assert a == b
     assert a != c  # different domain order
+
+
+if st is not None:
+    WORD_SETTINGS = settings(derandomize=True, deadline=None, max_examples=150)
+
+    @st.composite
+    def words_over_alphabets(draw):
+        """(alphabet size n in 1..300, codes in range(n)), both sides of 256."""
+        n = draw(st.one_of(st.integers(1, 300), st.sampled_from((255, 256, 257))))
+        return n, draw(st.lists(st.integers(0, n - 1), max_size=40))
+
+    @WORD_SETTINGS
+    @given(words_over_alphabets(), st.data())
+    def test_word_operations_agree_on_both_representations(drawn, data):
+        n, codes = drawn
+        alphabet = Alphabet(POOL[:n])
+        letters = tuple(POOL[c] for c in codes)
+        forms = [tuple(codes), list(codes), (c for c in codes), Word.from_letters(alphabet, letters).codes]
+        if n <= 256:
+            forms.append(bytes(codes))
+        words = [Word(alphabet, form) for form in forms]
+        w = words[0]
+        assert type(w.codes) is (bytes if n <= 256 else tuple)
+        assert all(v == w and hash(v) == hash(w) and v.codes == w.codes for v in words)
+        assert w.letters() == letters and tuple(w) == letters and len(w) == len(codes)
+        i = data.draw(st.integers(-len(codes) - 2, len(codes) + 2))
+        j = data.draw(st.integers(-len(codes) - 2, len(codes) + 2))
+        assert w[i:j].letters() == letters[i:j] and type(w[i:j].codes) is type(w.codes)
+        if codes:
+            k = data.draw(st.integers(-len(codes), len(codes) - 1))
+            assert w[k] == letters[k]
+            letter = data.draw(st.sampled_from(letters))
+            assert w.count(letter) == letters.count(letter)
+        assert (w[:i] + w[i:]) == w and (w + w).letters() == letters + letters
+        assert w.count(POOL[n - 1]) == codes.count(n - 1)
+        assert parikh(w).counts == tuple(map(codes.count, range(n)))
+
+    @WORD_SETTINGS
+    @given(st.integers(1, 256), st.integers(257, 300), st.booleans(), st.data())
+    def test_first_mismatch_across_the_256_letter_boundary(small, large, swap, data):
+        """One letter sequence over a bytes alphabet and over a tuple one (in
+        reverse order, so the codes differ) matches; a letter the bytes
+        alphabet lacks is the first mismatch."""
+        narrow, wide = Alphabet(POOL[:small]), Alphabet(reversed(POOL[:large]))
+        letters = data.draw(st.lists(st.sampled_from(POOL[:small]), min_size=1, max_size=30))
+        k = data.draw(st.integers(0, len(letters) - 1))
+        changed = letters[:k] + [data.draw(st.sampled_from(POOL[small:large]))] + letters[k + 1 :]
+        pairs = [
+            (Word.from_letters(narrow, letters), Word.from_letters(wide, letters)),
+            (Word.from_letters(narrow, letters), Word.from_letters(wide, changed)),
+        ]
+        if swap:
+            pairs = [(b, a) for a, b in pairs]
+        n = len(letters)
+        assert pairs[0][0] == pairs[0][1] and hash(pairs[0][0]) == hash(pairs[0][1])
+        assert first_mismatch(*pairs[0], n) is None
+        assert first_mismatch(*pairs[1], n) == k and pairs[1][0] != pairs[1][1]
