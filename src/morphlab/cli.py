@@ -16,16 +16,19 @@ from pathlib import Path
 from . import spectral, streams
 from .errors import BudgetExceededError, DomainMismatchError, MorphlabError, ParseError
 from .fixtures import load_matrix_text
-from .intmat import mat_mul, submatrix, support_pow, transpose, vec_mat
 from .normalize import MorphicPresentation, normalize
 from .parser import format_morphism, parse_file
 from .streams import image_prefix, prefix_equal
-from .words import _letter_graph, incidence_matrix, largest_erasable
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_DOMAIN_ERROR = 2
 EXIT_PARSE_ERROR = 3
+
+BUDGET_HELP = (
+    "pump budget: how many letters of f^w(start) a stream may read, not counting "
+    "those the image morphism erases forever (default 10^6, or MORPHLAB_BUDGET)"
+)
 
 
 def _width_fraction(text):
@@ -85,69 +88,6 @@ def _cmd_analyze(args):
     return EXIT_OK
 
 
-def _image_is_finite(f, g, start):
-    """True when g(f^w(start)) is a finite word.
-
-    With f(start) = start u, f^w(start) = start u f(u) f^2(u) ...  A walk
-    of #A steps in f's letter graph passes a cycle, so each letter of
-    f^#A(u), and each letter it reaches, recurs in infinitely many f^k(u).
-    Those are all the letters of later f^k(u): g must erase all of them.
-    """
-    reach = support_pow(_letter_graph(f), len(f.domain))
-    erasable = sum(1 << f.domain.index(b) for b in largest_erasable(f, g))
-    return not any(reach[c] & ~erasable for c in f.image(start).codes[1:])
-
-
-def _require_pump_budget(f, g, start, n, budget):
-    """Raise at once when n symbols of g(f^w(start)) cannot come within `budget`.
-
-    f^w(start) starts with every f^k(start).  With k least such that
-    |g(f^k(start))| >= n, the pump has to read past f^(k-1)(start), so it
-    fails when |f^(k-1)(start)| >= budget.  Both lengths come from
-    letter-count vectors.  f is prolongable on start, so both grow with k
-    and |f^k(start)| without bound: the least k at which one of them
-    reaches its target exists, and binary lifting over the powers
-    Mat_f^(2^i) finds it in O(log k) vector-matrix products.  A finite
-    image word is left to the pump, whose error says it is finite: no
-    budget would serve it.
-    """
-    si = f.domain.index(start)
-    reached = _letter_graph(f, closed=True)[si]  # only letters of some f^k(start) count
-    idx = [c for c in range(len(f.domain)) if reached >> c & 1]
-    # counts of f(w) = counts of w . steps[0], and steps[i] = steps[0]^(2^i)
-    steps = [transpose(submatrix(incidence_matrix(f).rows, idx))]
-    lengths = tuple(len(g.image(f.domain.letters[c])) for c in idx)
-
-    def visible(counts):
-        return sum(c * l for c, l in zip(counts, lengths))
-
-    def settled(counts):
-        return visible(counts) >= n or sum(counts) >= budget
-
-    counts = tuple(int(c == si) for c in idx)
-    k = 0
-    if not settled(counts):
-        i = 0
-        while True:  # not settled(f^k); try f^(k + 2^i)
-            ahead = vec_mat(counts, steps[i])
-            if settled(ahead):
-                break
-            counts, k = ahead, k + (1 << i)
-            steps.append(mat_mul(steps[i], steps[i]))
-            i += 1
-        for i in range(i - 1, -1, -1):
-            ahead = vec_mat(counts, steps[i])
-            if not settled(ahead):
-                counts, k = ahead, k + (1 << i)
-        counts, k = vec_mat(counts, steps[0]), k + 1
-    if visible(counts) < n and not _image_is_finite(f, g, start):
-        raise BudgetExceededError(
-            f"{n} output symbols need more than {sum(counts)} source symbols "
-            f"(g(f^{k}({start})) has only {visible(counts)}), past the pump budget "
-            f"of {budget}; raise it with --budget"
-        )
-
-
 def _cmd_normalize(args):
     mf = _load_file(args.file)
     pres = _resolve_pair(mf, args.pair, args.start)
@@ -155,7 +95,6 @@ def _cmd_normalize(args):
     payload = report.as_dict(include_stages=args.trace)
     if args.check:
         budget = _budget(args)
-        _require_pump_budget(pres.f, pres.g, pres.start, args.check, budget)
         original = image_prefix(pres.g, pres.f, pres.start, args.check, max_pump=budget)
         rebuilt = image_prefix(report.tau, report.sigma, report.start, args.check, max_pump=budget)
         payload["verified_prefix"] = args.check if prefix_equal(original, rebuilt, args.check) else None
@@ -204,9 +143,7 @@ def _cmd_expand(args):
     budget = _budget(args)
     if args.image:
         g = mf.morphism(args.image)
-        stream = streams.ImageStream(g, f, start, budget=budget)  # checks f and g first
-        _require_pump_budget(f, g, start, args.limit, budget)
-        word = stream.prefix(args.limit)
+        word = streams.ImageStream(g, f, start, budget=budget).prefix(args.limit)
     else:
         stream = streams.FixedPointStream(f, start)  # checks f first
         if args.limit > budget:  # the first n symbols of f^w(start) are n source symbols
@@ -234,8 +171,6 @@ def _cmd_verify(args):
     pres1 = _resolve_pair(mf, args.pair1, args.start)
     pres2 = _resolve_pair(mf, args.pair2, args.start2 or args.start)
     budget = _budget(args)
-    for pres in (pres1, pres2):  # each presentation has checked that f is prolongable
-        _require_pump_budget(pres.f, pres.g, pres.start, args.len, budget)
     w1 = image_prefix(pres1.g, pres1.f, pres1.start, args.len, max_pump=budget)
     w2 = image_prefix(pres2.g, pres2.f, pres2.start, args.len, max_pump=budget)
     mismatch = streams.first_mismatch(w1, w2, args.len)
@@ -343,7 +278,7 @@ def build_parser():
     p.add_argument("--pair", help="names 'f,g' (defaults to the file's pair directive)")
     p.add_argument("--start", help="start letter (defaults to the file's start directive)")
     p.add_argument("--check", type=int, default=0, help="verify this many output symbols")
-    p.add_argument("--budget", type=_positive_budget, help="source-symbol pump budget")
+    p.add_argument("--budget", type=_positive_budget, help=BUDGET_HELP)
     p.add_argument("--trace", action="store_true", help="include every pipeline stage")
     p.add_argument("--emit", help="write the normalized morphisms to this file")
     p.add_argument("--emit-sigma", default="normalized_sigma", help="emitted generator name")
@@ -355,7 +290,7 @@ def build_parser():
     p.add_argument("--start")
     p.add_argument("--limit", type=int, required=True)
     p.add_argument("--image", help="apply this morphism to the fixed point")
-    p.add_argument("--budget", type=_positive_budget, help="source-symbol pump budget")
+    p.add_argument("--budget", type=_positive_budget, help=BUDGET_HELP)
     p.add_argument("--binary", action="store_true", help="length-prefixed binary symbols")
 
     p = command("verify", _cmd_verify, "compare two presentations symbol by symbol")
@@ -365,7 +300,7 @@ def build_parser():
     p.add_argument("--len", type=int, required=True)
     p.add_argument("--start", help="start letter for both pairs")
     p.add_argument("--start2", help="start letter for the second pair, when different")
-    p.add_argument("--budget", type=_positive_budget, help="source-symbol pump budget")
+    p.add_argument("--budget", type=_positive_budget, help=BUDGET_HELP)
 
     p = command("matrix", _cmd_matrix, "growth table for a whitespace integer grid", width=True)
     p.add_argument("--file", required=True, help="path to a .mat file")

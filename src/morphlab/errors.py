@@ -34,7 +34,8 @@ class FiniteWordError(MorphlabError):
 
 
 class BudgetExceededError(MorphlabError):
-    """Stream pump budget exhausted (the image is likely finite or very dilute)."""
+    """Stream pump budget exhausted, or the image word is finite; the
+    message says which."""
 
 
 class InsufficientLengthError(MorphlabError):

@@ -29,12 +29,13 @@ from .errors import (
     InvariantError,
     NotProlongableError,
 )
-from .intmat import mat_pow, support_row_mul, vec_mat
+from .intmat import mat_pow, vec_mat
 from .spectral import AlgebraicRadius, GrowthType
 from .words import (
     Alphabet,
     Morphism,
     Word,
+    _cyclic_letters,
     _letter_graph,
     apply,
     compose,
@@ -229,11 +230,9 @@ def _growing_letters(f):
     cycle with |f(c)| >= 2, each turn of which adds a symbol.  Without one,
     each cycle b reaches maps its letters to single letters, so a path of
     the derivation tree of b branches off cycles only, fewer than #B times."""
-    graph, closure = _letter_graph(f), _letter_graph(f, closed=True)
-    pumps = 0
-    for c, row in enumerate(graph):
-        if len(f.images[c]) >= 2 and support_row_mul(row, closure) >> c & 1:
-            pumps |= 1 << c
+    closure = _letter_graph(f, closed=True)
+    pumps = _cyclic_letters(_letter_graph(f), closure)
+    pumps &= sum(1 << c for c, w in enumerate(f.images) if len(w) >= 2)
     return tuple(b for b, row in zip(f.domain, closure) if row & pumps)
 
 
@@ -383,8 +382,10 @@ def build_sigma_tau(f, g, start):
         ),
     )
     sigma_images = {}
+    expansions = []  # pairing(f(b)) for each letter b
     for b, k in zip(f.domain, counts):
         expanded = apply(pairing, f.image(b))
+        expansions.append(expanded)
         cuts = [1] * k
         if b == start:
             cuts[0] = 2
@@ -402,10 +403,8 @@ def build_sigma_tau(f, g, start):
         pair_alphabet,
         tuple(sigma_images[letter] for letter in pair_alphabet),
     )
-    for b in f.domain:  # commutation pairing o f = sigma o pairing, letter by letter
-        if apply(sigma, apply(pairing, Word.from_letters(f.domain, (b,)))) != apply(
-            pairing, f.image(b)
-        ):
+    for b, expanded in zip(f.domain, expansions):  # pairing o f = sigma o pairing, letter by letter
+        if apply(sigma, apply(pairing, Word.from_letters(f.domain, (b,)))) != expanded:
             raise InvariantError(f"sigma and the pairing do not commute at {b!r}")
     kvec = tuple(counts)
     if not dilation.is_dilated(incidence_matrix(sigma).rows, f_rows, kvec):

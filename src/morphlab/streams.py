@@ -22,10 +22,9 @@ An image stream skips the letters g erases forever.  The largest set E
 of letters whose closure in f's letter graph g erases is closed under
 f, so with D the erasure of E, D(f^K(w)) = f_K(D(w)) for f_K = D o f^K,
 and g(f^w(a)) = g(f_K^w(a)).  The stream pumps P = f_K^w(a) only, and
-recovers the position in f^w(a) of each kept letter it needs from Parikh
-vectors: a kept letter v at offset o of f^K(w), w its parent, sits at
-|pi(v)|, where pi(v) = Mat_(f^K) pi(w) + Parikh(f^K(w)[:o]) counts the
-letters of f^w(a) before v, and pi(a) = 0.
+its budget counts the letters of P it reads, the kept letters.  P ends
+exactly when g(f^w(a)) is finite: a kept letter that occurs infinitely
+often has a descendant g keeps, which occurs infinitely often too.
 
 P = f_K(P) gives g(P) = (g o f_K)(P) too, so the stream outputs g one
 parent at a time: with sums[r] = |f_K(P[:r])|, the block
@@ -46,11 +45,9 @@ independent.
 
 from __future__ import annotations
 
-import math
 import os
 from array import array
 from bisect import bisect_left, bisect_right
-from collections import Counter
 from functools import cached_property
 from itertools import accumulate, chain, compress, count
 from operator import ne
@@ -115,38 +112,33 @@ class FixedPointStream:
 
     f(start) must start with start; `check=False` skips only the test
     that |f^n(start)| grows, so a finite fixed point stalls on demand.
+    The letters in `erased`, which f must map to words over them alone,
+    are deleted from f's images before any power is taken: the stream
+    then grows D(f^w(start)) = f_K^w(start), empty when start is erased.
     """
 
-    def __init__(self, f, start, check=True):
+    def __init__(self, f, start, check=True, erased=()):
         image = f.image(start).codes
         if (check and not is_prolongable(f, start)) or not image or image[0] != f.domain.index(start):
             raise NotProlongableError(f"morphism is not prolongable on {start!r}")
+        drop = set(map(f.domain.index, erased))
+        if not all(drop.issuperset(f.images[c].codes) for c in drop):
+            raise DomainMismatchError("f must map the erased letters to erased letters")
         self.morphism = f
         self.start = start
         code_buffer = f.domain._code_buffer  # a bytearray, or a list past 256 letters
-        base = [code_buffer(w.codes) for w in f.images]
+        base = [code_buffer([c for c in w.codes if c not in drop] if drop else w.codes) for w in f.images]
         images = base
+        # (D o f)^K = D o f^K, as f maps the erased letters among themselves
         for _ in range(_pump_power(base) - 1):
             images = [_concat(code_buffer(), images, w) for w in base]  # f^(k+1)(b) = f^k(f(b))
-        # the images of f^K; buffer = f^K(buffer[:read]), read the reader's position
+        # the images of f_K (f^K when nothing is erased); buffer = f_K(buffer[:read]),
+        # read the reader's position
         self._images = images
         self._buffer = code_buffer(images[image[0]])
         # the read head: an iterator over a bytearray or list sees what is appended to it
         self._reader = iter(self._buffer)
         next(self._reader, None)
-
-    def _delete(self, erased):
-        """Grow D(f^w(start)) = f_K^w(start) from now on, f_K = D o f^K and
-        D the erasure of the letters in the bitset `erased`, a set closed
-        under f.  Call it before the first read."""
-        def kept(codes):
-            out = codes[:0]
-            out.extend(c for c in codes if not erased >> c & 1)
-            return out
-
-        self._images = list(map(kept, self._images))
-        # the reader has passed position 0, where start is: gone with start erased
-        self._buffer[:] = kept(self._buffer)
 
     def _ensure(self, n):
         buffer = self._buffer
@@ -169,77 +161,45 @@ class FixedPointStream:
         return Word(self.morphism.domain, self._buffer[:n])
 
 
-def _descend(parikh, steps, head):
-    """Mat_f parikh + head, with steps[b] the (letter, count) pairs of f(b):
-    the letter counts of f(u) v for u, v with Parikh vectors parikh, head."""
-    out = list(head)
-    for x, step in zip(parikh, steps):
-        if x:
-            for c, k in step:
-                out[c] += x * k
-    return out
-
-
 class ImageStream:
     """Applies a morphism to a fixed-point stream, one parent at a time.
 
-    Erasing images simply contribute nothing; the letters g erases
-    forever are never pumped at all, and the source holds only the
-    parents of the letters the stream outputs (see the module docstring).
-    `budget` caps how many symbols of f^w(start) may be consumed in total,
-    turning a finite or very dilute image into a diagnosable error instead
-    of a hang.  After each served request, `consumed` is the least number
-    of symbols of f^w(start) whose image holds the longest prefix requested
-    so far, as a symbol-by-symbol pump leaves it: a round that still needs
-    d output symbols reads ceil(d/L) kept letters, L the longest image, no
-    fewer of which could have produced d, and `consumed` is one past the
-    position of the last of them.
+    The letters g erases forever are never pumped at all, and the source
+    holds only the parents of the letters the stream outputs (see the
+    module docstring).  `budget` caps how many kept letters, those of
+    f^w(start) outside that set, may be read in total, turning a very
+    dilute image into a diagnosable error instead of a hang.  A finite
+    image word raises BudgetExceededError once it is read to its end,
+    whatever the budget, and the error says that it is finite.  After
+    each served request, `consumed` is the least number of kept letters
+    whose image holds the longest prefix requested so far, as a
+    letter-by-letter pump leaves it: a round that still needs d output
+    symbols reads ceil(d/L) kept letters, L the longest image, no fewer
+    of which could have produced d.
     """
 
     def __init__(self, g, f, start, budget=None, check=True):
         if not set(f.domain.letters) <= set(g.domain.letters):
             raise DomainMismatchError("the image morphism must cover the generator's alphabet")
-        self.source = FixedPointStream(f, start, check=check)
+        erased = largest_erasable(f, g.restrict_domain(f.domain.letters))
+        self.source = FixedPointStream(f, start, check=check, erased=erased)
         self.morphism = g
         self.budget = default_budget() if budget is None else budget
         self._images = [g.image(letter).codes for letter in f.domain.letters]
         self._longest = max(map(len, self._images))
-        erased = largest_erasable(f, g.restrict_domain(f.domain.letters))
-        self._erased = sum(1 << f.domain.index(b) for b in erased)
-        self._powers = self.source._images  # f^K(b) for each letter b, before pruning
-        self.source._delete(self._erased)
         # |f_K(b)| for each letter b, and the longest (1 when all are empty)
         self._lengths = list(map(len, self.source._images))
         self._widest = max(self._lengths) or 1
         self._buffer = g.codomain._code_buffer()
-        self._read = 0  # kept letters read
-        self.consumed = 0
-        # sums[r] = |f_K(P[:r])| for the kept letters P, and pi by kept index
+        self.consumed = 0  # kept letters read
+        # sums[r] = |f_K(P[:r])| for the kept letters P
         self._sums = array("q", [0])
-        self._parikh = {0: [0] * len(f.domain)}
 
     @cached_property
     def _blocks(self):
         """B(b) = g(f_K(b)) for each letter b."""
         code_buffer = self.morphism.codomain._code_buffer
         return [_concat(code_buffer(), self._images, w) for w in self.source._images]
-
-    @cached_property
-    def _steps(self):
-        """The (letter, count) pairs of f^K(b) for each letter b."""
-        return [tuple(Counter(w).items()) for w in self._powers]
-
-    @cached_property
-    def _kept_at(self):
-        """For each letter b, the offsets in f^K(b) of its kept letters."""
-        return [[o for o, c in enumerate(w) if not self._erased >> c & 1] for w in self._powers]
-
-    def _head(self, b, o):
-        """Parikh(f^K(b)[:offset]) for the offset of the o-th kept letter of f^K(b)."""
-        counts = [0] * len(self._powers)
-        for c in self._powers[b][: self._kept_at[b][o]]:
-            counts[c] += 1
-        return counts
 
     def _cover(self, j):
         """Read parents P[r] into the source and sum their images until
@@ -258,39 +218,6 @@ class ImageStream:
                 self.source._ensure(r - (sums[-1] - j - 1) // self._widest)
             finally:
                 sums.extend(accumulate(map(lengths.__getitem__, kept[r:]), initial=sums.pop()))
-
-    def _position(self, j):
-        """Position in f^w(start) of the kept letter P[j], |pi(P[j])|."""
-        if not self._erased:
-            return j
-        self._cover(j)
-        kept, sums, memo = self.source._buffer, self._sums, self._parikh
-        path = []
-        while j not in memo:
-            r = bisect_right(sums, j) - 1
-            path.append((j, r))
-            j = r
-        parikh = memo[j]
-        for j, r in reversed(path):
-            parikh = memo[j] = _descend(parikh, self._steps, self._head(kept[r], j - sums[r]))
-        return sum(parikh)
-
-    def _source_length(self):
-        """|f^w(start)|, possibly infinite.  With f(start) = start u,
-        |f^(k+1)(start)| - |f^k(start)| = |f^k(u)|, and f^#A(u) is empty when
-        any f^k(u) is: a walk of #A steps in the letter graph passes a cycle.
-        The lengths |f^(Kk)(start)| step by Mat_(f^K) and stop growing
-        within #A steps too, and only where f^w(start) is finite."""
-        f = self.source.morphism
-        parikh = [0] * len(f.domain)
-        parikh[f.domain.index(self.source.start)] = 1
-        length = 1
-        for _ in range(len(f.domain) + 1):
-            parikh = _descend(parikh, self._steps, [0] * len(parikh))
-            if sum(parikh) == length:
-                return length
-            length = sum(parikh)
-        return math.inf
 
     def _emit(self, read, end):
         """Append g(P[read:end]) to the output: B(P[r]) for every parent r
@@ -315,37 +242,31 @@ class ImageStream:
             buffer.extend(letters(last, sums[last], end))
 
     def _pump(self, n):
-        buffer = self._buffer
-        longest = self._longest
+        buffer, sums, longest = self._buffer, self._sums, self._longest
         while len(buffer) < n:
-            if self.consumed >= self.budget:
-                raise BudgetExceededError(
-                    f"consumed {self.consumed} source symbols for {len(buffer)} output symbols; "
-                    "the image word is likely finite (budget exceeded)"
-                )
-            # each kept letter takes a position of its own
-            k = self.budget - self.consumed
-            if longest:
+            read = self.consumed
+            k = self.budget - read
+            if longest:  # no fewer kept letters than ceil(d / L) give the d symbols still needed
                 k = min(-(-(n - len(buffer)) // longest), k)
-            read = self._read
-            stall = None
             try:
-                self._cover(read + k - 1)
-            except NotProlongableError as error:
-                # g erases the rest of f^w(start), or f^w(start) ends
-                stall = error
-            end = min(read + k, self._sums[-1])
-            limit = self.budget if stall is None else min(self.budget, self._source_length())
-            if stall is None and (last := self._position(end - 1)) < limit:
-                self.consumed = last + 1
-            else:
-                # keep the kept letters before position `limit`
-                end = read + bisect_left(range(read, end), limit, key=self._position)
-                self.consumed = limit
-            self._emit(read, end)
-            self._read = end
-            if stall is not None and limit < self.budget:
-                raise stall
+                # with the budget spent, whether P[read] exists decides the error
+                self._cover(read + max(k, 1) - 1)
+            except NotProlongableError:
+                # P ends before read + k, so the image word ends short of n
+                self._emit(read, sums[-1])
+                self.consumed = sums[-1]
+                if not is_prolongable(self.source.morphism, self.source.start):
+                    raise  # f^w(start) itself is finite
+                raise BudgetExceededError(
+                    f"the image word is finite: its length is {len(buffer)}, short of {n}"
+                ) from None
+            if k <= 0:
+                raise BudgetExceededError(
+                    f"the pump budget of {self.budget} kept letters served {len(buffer)} "
+                    f"of {n} output symbols; raise it"
+                )
+            self._emit(read, read + k)
+            self.consumed = read + k
 
     def prefix(self, n):
         """The first n symbols of g(f^w(start))."""
@@ -361,7 +282,8 @@ def fixed_point_prefix(f, start, n):
 
 
 def image_prefix(g, f, start, n, max_pump=None):
-    """First n symbols of g(f^w(start)) under a source-symbol budget."""
+    """First n symbols of g(f^w(start)), reading at most `max_pump` kept
+    letters (those g does not erase forever; see ImageStream)."""
     return ImageStream(g, f, start, budget=max_pump).prefix(n)
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import Counter
 
 from .errors import DomainMismatchError, NotASubMorphismError
-from .intmat import IncidenceMatrix, support_pow
+from .intmat import IncidenceMatrix, support_pow, support_row_mul
 
 # alphabets of at most this many letters store word codes as bytes
 _BYTE_LETTERS = 256
@@ -208,7 +208,8 @@ class ParikhVector:
 class Morphism:
     """A free-monoid morphism, determined by the images of the letters."""
 
-    __slots__ = ("domain", "codomain", "images")
+    # _closure: the closed letter graph of an endomorphism, set on first use
+    __slots__ = ("domain", "codomain", "images", "_closure")
 
     def __init__(self, domain, codomain, images):
         if len(domain) == 0:
@@ -414,13 +415,26 @@ def _letter_graph(f, closed=False):
     in f(b).  Row b of its k-th power (intmat.support_pow) holds the letters
     of f^k(b).  With `closed`, return support_pow(graph | I, #A) instead,
     whose row b holds every letter of every f^k(b), k >= 0: a shortest
-    walk between two letters has fewer than #A steps."""
+    walk between two letters has fewer than #A steps.  The closure is
+    computed once per morphism."""
     if not f.is_endomorphism:
         raise DomainMismatchError("letter graphs need an endomorphism")
-    rows = tuple(sum(1 << c for c in set(w.codes)) for w in f.images)
-    if closed:
-        return support_pow(tuple(row | 1 << b for b, row in enumerate(rows)), len(rows))
-    return rows
+    if not closed:
+        return tuple(sum(1 << c for c in set(w.codes)) for w in f.images)
+    try:
+        return f._closure
+    except AttributeError:
+        rows = _letter_graph(f)
+        closure = support_pow(tuple(row | 1 << b for b, row in enumerate(rows)), len(rows))
+        object.__setattr__(f, "_closure", closure)
+        return closure
+
+
+def _cyclic_letters(graph, closure):
+    """The letters on a cycle of the letter graph, as a bitset: c is on one
+    when c occurs in some f^k(c), k >= 1, that is when bit c of row c of
+    graph . closure is set."""
+    return sum(1 << c for c, row in enumerate(graph) if support_row_mul(row, closure) >> c & 1)
 
 
 def largest_erasable(f, g):
@@ -436,11 +450,12 @@ def largest_erasable(f, g):
 
 
 def mortal_letters(f):
-    """Letters b with f^n(b) empty for some n: those with f^#A(b) empty, as
-    a walk of #A steps in the letter graph passes a cycle and so extends to
-    walks of every length."""
-    dead = support_pow(_letter_graph(f), len(f.domain))
-    return tuple(l for l, row in zip(f.domain.letters, dead) if not row)
+    """Letters b with f^n(b) empty for some n: those whose closure holds no
+    letter on a cycle, as a walk that meets no cycle has fewer than #A
+    steps, and one that meets a cycle extends to walks of every length."""
+    closure = _letter_graph(f, closed=True)
+    cyclic = _cyclic_letters(_letter_graph(f), closure)
+    return tuple(l for l, row in zip(f.domain.letters, closure) if not row & cyclic)
 
 
 def is_prolongable(f, letter):

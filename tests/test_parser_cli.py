@@ -10,13 +10,12 @@ from pathlib import Path
 
 import pytest
 
-from morphlab import BudgetExceededError, MorphicPresentation, ParseError, incidence_matrix, parse_file
+from morphlab import ParseError, parse_file
 from morphlab import cli, spectral
 from morphlab.fixtures import baum_sweet_erasing, baum_sweet_uniform
-from morphlab.intmat import mat_vec
 from morphlab.parser import format_file
 
-from util import finite_by_orbit, random_presentations
+from util import finite_by_orbit, stream_says_finite
 
 BS_FILE = """
 sigma' { a -> a b e ; b -> c e f b ; c -> b f d ; d -> d e f d ; e -> e f ; f -> ; }
@@ -27,7 +26,7 @@ pair = sigma', tau';
 start = a;
 """
 
-# the README's projection: n visible symbols need about n^1.58 source symbols
+# the README's projection: n visible symbols sit among about n^1.58 symbols of f^w(a)
 TM_FILE = """
 f { a -> a b c ; b -> b a c ; c -> c c c ; }
 g { a -> a ; b -> b ; c -> ; }
@@ -283,19 +282,22 @@ def test_cli_normalize_check_and_emit(tmp_path):
 def test_cli_normalize_check_fails_fast_past_the_pump_budget(tmp_path):
     path = tmp_path / "tm.mf"
     path.write_text(TM_FILE)
-    result = run_cli("normalize", "--file", str(path), "--check", "10000", "--json")
+    args = ("normalize", "--file", str(path), "--check", "10000", "--json")
+    # the budget counts the letters g does not erase forever, one per output symbol here
+    result = run_cli(*args, "--budget", "5000", timeout=60)
     assert result.returncode == 2
     error = json.loads(result.stdout)["error"]
     assert error["kind"] == "BudgetExceededError"
-    # |g(f^13(a))| = 2^13 < 10000, so the pump must read past |f^13(a)| = 3^13 symbols
-    assert "more than 1594323 source symbols" in error["message"]
-    assert "--budget" in error["message"]
+    assert "pump budget of 5000 kept letters" in error["message"] and "raise it" in error["message"]
+    assert "finite" not in error["message"]
+    result = run_cli(*args, timeout=60)
+    assert result.returncode == 0
+    assert json.loads(result.stdout)["verified_prefix"] == 10000
 
 
 def test_cli_normalize_check_within_the_default_budget(tmp_path):
     path = tmp_path / "tm.mf"
     path.write_text(TM_FILE)
-    # 2^11 >= 2000 visible symbols lie within |f^11(a)| = 3^11 = 177147 source symbols
     result = run_cli("normalize", "--file", str(path), "--check", "2000", "--json")
     assert result.returncode == 0
     payload = json.loads(result.stdout)
@@ -303,108 +305,16 @@ def test_cli_normalize_check_within_the_default_budget(tmp_path):
     assert payload["q"] == 1
 
 
-def _levels(pres, n):
-    """(k, |f^k(start)|, |g(f^k(start))|) for k = 0, 1, ... up to the first
-    level with n visible symbols, one level at a time."""
-    rows = incidence_matrix(pres.f).rows
-    lengths = [len(pres.g.image(b)) for b in pres.f.domain]
-    counts = [int(b == pres.start) for b in pres.f.domain]
-    k = 0
-    while True:
-        visible = sum(c * l for c, l in zip(counts, lengths))
-        yield k, sum(counts), visible
-        if visible >= n:
-            return
-        counts = mat_vec(rows, counts)
-        k += 1
-
-
-def _level_by_level(pres, n, budget):
-    """The pre-check's verdict from a level-by-level search: None, or the
-    level (k, |f^k(start)|, |g(f^k(start))|) at which it fails."""
-    for k, source, visible in _levels(pres, n):
-        if visible >= n:
-            return None
-        if source >= budget:
-            return k, source, visible
-
-
-def test_pump_precheck_agrees_with_the_level_by_level_search():
-    """Same verdict and message as a level-by-level search, at budgets
-    just below, at and above each |f^k(start)| on the way to n symbols."""
-    rng = random.Random(7201)
-    presentations = random_presentations(rng, 20)
-    for text in (TM_FILE, cycles_file((2, 3))):
-        mf = parse_file(text)
-        presentations.append(MorphicPresentation(mf.morphism("f"), mf.morphism("g"), "a"))
-    raised = 0
-    for pres in presentations:
-        for n in (1, 7, 50, 400, 3000):
-            sizes = [source for _, source, _ in _levels(pres, n)]
-            for budget in sorted({max(1, size + d) for size in sizes[:: max(1, len(sizes) // 8)] for d in (-1, 0, 1)}):
-                expected = _level_by_level(pres, n, budget)
-                try:
-                    cli._require_pump_budget(pres.f, pres.g, pres.start, n, budget)
-                except BudgetExceededError as exc:
-                    assert expected is not None, (pres, n, budget)
-                    k, source, visible = expected
-                    assert f"need more than {source} source symbols (g(f^{k}({pres.start})) has only {visible})" in str(exc)
-                    raised += 1
-                else:
-                    assert expected is None, (pres, n, budget)
-    assert raised > 100
-
-
-def test_pump_precheck_takes_logarithmically_many_steps(monkeypatch):
-    """On the 7/8/9/11-cycle presentation |g(f^k(a))| grows by about 0.47
-    per level, so 30000 symbols need some 64000 levels; binary lifting
-    visits O(log k) of them."""
-    mf = parse_file(cycles_file())
-    f, g = mf.morphism("f"), mf.morphism("g")
-    calls = [0]
-    inner = cli.vec_mat
-
-    def counted(v, a):
-        calls[0] += 1
-        return inner(v, a)
-
-    monkeypatch.setattr(cli, "vec_mat", counted)
-    cli._require_pump_budget(f, g, "a", 30000, 10**6)
-    assert calls[0] <= 2 * 17 + 1
-    calls[0] = 0
-    with pytest.raises(BudgetExceededError, match="more than 100001 source symbols"):
-        cli._require_pump_budget(f, g, "a", 30000, 10**5)
-    assert calls[0] <= 2 * 17 + 1
-
-
-def test_pump_precheck_counts_only_letters_reachable_from_start(monkeypatch):
-    """An unreachable letter c -> c c would put 2^(2^i)-sized entries into
-    the powers Mat_f^(2^i) while the linearly growing start letter needs
-    some 2^17 levels; only the letters of f^k(a) enter the powers."""
-    mf = parse_file("f { a -> a b ; b -> b ; c -> c c ; }\ng { a -> a ; b -> b ; c -> c ; }")
-    bits = [0]
-    inner = cli.mat_mul
-
-    def measured(x, y):
-        out = inner(x, y)
-        bits[0] = max(bits[0], max(v.bit_length() for row in out for v in row))
-        return out
-
-    monkeypatch.setattr(cli, "mat_mul", measured)
-    cli._require_pump_budget(mf.morphism("f"), mf.morphism("g"), "a", 10**5, 10**6)
-    assert 0 < bits[0] <= 20
-
-
 def test_cli_expand_image_fails_fast_past_the_pump_budget(tmp_path):
     path = tmp_path / "tm.mf"
     path.write_text(TM_FILE)
     args = ("expand", "--file", str(path), "--morphism", "f", "--image", "g", "--limit", "10000")
-    result = run_cli(*args)
+    result = run_cli(*args, "--budget", "5000", timeout=60)
     assert result.returncode == 2
     error = json.loads(result.stdout)["error"]
     assert error["kind"] == "BudgetExceededError"
-    assert "more than 1594323 source symbols" in error["message"]  # the pre-check, not the pump
-    result = run_cli(*args, "--budget", "20000000")
+    assert "pump budget of 5000 kept letters" in error["message"]
+    result = run_cli(*args, timeout=60)
     assert result.returncode == 0
     assert len(result.stdout.strip()) == 10000
 
@@ -412,11 +322,15 @@ def test_cli_expand_image_fails_fast_past_the_pump_budget(tmp_path):
 def test_cli_verify_fails_fast_past_the_pump_budget(tmp_path):
     path = tmp_path / "tm.mf"
     path.write_text(TM_FILE)
-    result = run_cli("verify", "--file", str(path), "--pair1", "f,g", "--pair2", "f,g", "--len", "10000")
+    args = ("verify", "--file", str(path), "--pair1", "f,g", "--pair2", "f,g", "--len", "10000", "--json")
+    result = run_cli(*args, "--budget", "5000", timeout=60)
     assert result.returncode == 2
     error = json.loads(result.stdout)["error"]
     assert error["kind"] == "BudgetExceededError"
-    assert "more than 1594323 source symbols" in error["message"]
+    assert "pump budget of 5000 kept letters" in error["message"]
+    result = run_cli(*args, timeout=60)
+    assert result.returncode == 0
+    assert json.loads(result.stdout)["equal"] is True
 
 
 def test_cli_expand_fixed_point_honours_the_pump_budget(tmp_path):
@@ -468,8 +382,8 @@ def test_cli_budget_must_be_positive(tmp_path, budget):
     ("f { a -> a b ; b -> ; }", 10),
 ])
 def test_cli_verify_rejects_a_generator_that_is_not_prolongable(tmp_path, text, length):
-    """|f^k(a)| stays bounded, so the pre-check could never reach the
-    budget: each pair's presentation refuses f before it runs."""
+    """|f^k(a)| stays bounded: each pair's presentation refuses f before
+    any pump runs."""
     path = tmp_path / "stuck.mf"
     path.write_text(text + "\n")
     result = run_cli("verify", "--file", str(path), "--pair1", "f,f", "--pair2", "f,f",
@@ -479,20 +393,20 @@ def test_cli_verify_rejects_a_generator_that_is_not_prolongable(tmp_path, text, 
 
 
 def test_cli_finite_image_word_keeps_the_pump_error(tmp_path):
-    """g(f^w(a)) = x: no budget would serve 10 symbols, so the pre-check
-    leaves the verdict to the pump, which says the word is finite."""
+    """g(f^w(a)) = x: no budget would serve 10 symbols, and the pump says
+    the word is finite, whatever the budget."""
     path = tmp_path / "finite.mf"
     path.write_text("f { a -> a b ; b -> b ; }\ng { a -> x ; b -> ; }\n")
     for args in (
         ("expand", "--morphism", "f", "--image", "g", "--limit", "10", "--start", "a"),
         ("verify", "--pair1", "f,g", "--pair2", "f,g", "--len", "10", "--start", "a"),
     ):
-        result = run_cli(args[0], "--file", str(path), *args[1:], "--budget", "1000", timeout=60)
-        assert result.returncode == 2
-        error = json.loads(result.stdout)["error"]
-        assert error["kind"] == "BudgetExceededError"
-        assert "consumed 1000 source symbols for 1 output symbols" in error["message"]
-        assert "likely finite" in error["message"]
+        for budget in ((), ("--budget", "1000")):
+            result = run_cli(args[0], "--file", str(path), *args[1:], *budget, timeout=60)
+            assert result.returncode == 2
+            error = json.loads(result.stdout)["error"]
+            assert error["kind"] == "BudgetExceededError"
+            assert error["message"] == "the image word is finite: its length is 1, short of 10"
 
 
 def test_image_finiteness_matches_the_letter_set_orbit():
@@ -510,7 +424,7 @@ def test_image_finiteness_matches_the_letter_set_orbit():
             + "g { " + " ".join(f"{b} -> {w} ;" for b, w in kept.items()) + " }\n"
         )
         f, g = mf.morphism("f"), mf.morphism("g")
-        verdict = cli._image_is_finite(f, g, "a")
+        verdict = stream_says_finite(f, g, "a")
         assert verdict == finite_by_orbit(f, g, "a"), (images, kept)
         verdicts.add(verdict)
     assert verdicts == {True, False}

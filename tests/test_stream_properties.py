@@ -13,46 +13,68 @@ from morphlab import (
     ImageStream,
     Morphism,
     NotProlongableError,
-    apply,
-    fixed_point_prefix,
     is_prolongable,
     largest_erasable,
     morphism_from_chars,
 )
 
+from util import finite_by_orbit, reference_largest_erasable, reference_mortal_letters
+
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=200)
 
 
+def budget_message(budget, served, n):
+    return f"the pump budget of {budget} kept letters served {served} of {n} output symbols; raise it"
+
+
+def finite_message(length, n):
+    return f"the image word is finite: its length is {length}, short of {n}"
+
+
 class ReferencePump:
-    """g(f^w(start)) one source symbol per step, as a per-symbol loop reads it."""
+    """g(f^w(start)) one letter of f^w(start) per step, as a per-letter loop
+    reads it.  The letters g erases forever (util.reference_largest_erasable)
+    are skipped and not charged to the budget: f maps them to words over
+    them alone, so the expansion drops them where it writes them, and a run
+    of them costs nothing.  The letters left are the kept letters."""
 
     def __init__(self, f, g, start, budget):
-        self.f = f
+        fm = Morphism.from_rules(f)
+        self.gm = Morphism.from_rules(g, domain=fm.domain)
+        self.fm, self.start = fm, start
+        erased = set(reference_largest_erasable(fm, self.gm))
+        self.images = {b: [c for c in w if c not in erased] for b, w in f.items()}
         self.g = g
         self.budget = budget
-        self.source = list(f[start])
+        self.source = list(self.images[start])  # f(start) = start u without the erased letters
         self.read = 1
         self.out = []
         self.consumed = 0
+        # f^w(start) is finite when every letter of u is mortal
+        self.fixed_point_finite = set(f[start][1:]) <= set(reference_mortal_letters(fm))
 
-    def symbol(self, i):
+    def kept(self, i):
+        """The kept letter i, or None when there are at most i of them."""
         while len(self.source) <= i:
             if self.read >= len(self.source):
-                raise NotProlongableError("expansion stalled")
-            self.source.extend(self.f[self.source[self.read]])
+                return None
+            self.source.extend(self.images[self.source[self.read]])
             self.read += 1
         return self.source[i]
 
     def prefix(self, n):
         while len(self.out) < n:
+            letter = self.kept(self.consumed)
+            if letter is None:
+                if self.fixed_point_finite:
+                    raise NotProlongableError("expansion stalled")
+                # the kept letters end exactly when the image word is finite
+                assert finite_by_orbit(self.fm, self.gm, self.start)
+                raise BudgetExceededError(finite_message(len(self.out), n))
             if self.consumed >= self.budget:
-                raise BudgetExceededError(
-                    f"consumed {self.consumed} source symbols for {len(self.out)} output symbols; "
-                    "the image word is likely finite (budget exceeded)"
-                )
-            code = self.symbol(self.consumed)
+                raise BudgetExceededError(budget_message(self.budget, len(self.out), n))
             self.consumed += 1
-            self.out.extend(self.g[code])
+            self.out.extend(self.g[letter])
         return self.out[:n]
 
 
@@ -190,27 +212,89 @@ def test_block_pump_matches_per_symbol_pump_on_finite_sources(fg, ns, budget):
         compare(stream, reference, n)
 
 
-@SETTINGS
-@given(presentations(), requests, budgets)
-def test_consumed_is_least(fg, ns, budget):
+def kept_word(f, erased, start, n):
+    """The first n letters of D(f^w(start)), D the erasure of the letters in
+    `erased` (all of it when it is shorter), level by level: f maps those
+    letters to words over them alone, so D(f^(k+1)(start)) = D(f(w)) for w
+    = D(f^k(start)), and each level is a prefix of the next."""
+    word = "" if start in erased else start
+    while len(word) < n:
+        longer = "".join(c for b in word for c in f[b] if c not in erased)
+        if len(longer) == len(word):
+            break
+        word = longer
+    return word[:n]
+
+
+def check_consumed_is_least(fg, ns, budget):
+    """After each request `consumed` is the least number of letters of
+    D(f^w(a)) whose image holds the longest prefix served; a budget error
+    leaves it at the budget while D(f^w(a)) goes on, and at its end, with a
+    message that says the word is finite, when it does not."""
     f, g = fg
     fm, gm = morphism_from_chars(f), morphism_from_chars(g)
     assume(is_prolongable(fm, "a"))
+    erased = set(reference_largest_erasable(fm, gm))
     stream = ImageStream(gm, fm, "a", budget=budget)
     served = 0
     for n in ns:
         try:
             stream.prefix(n)
-        except BudgetExceededError:
+        except BudgetExceededError as error:
+            word = kept_word(f, erased, "a", budget + 1)
+            if "finite" in str(error):
+                assert stream.consumed == len(word) <= budget
+            else:
+                assert stream.consumed == budget < len(word)
+            break
+        served = max(served, n)
+        word = kept_word(f, erased, "a", stream.consumed)
+        assert len(word) == stream.consumed
+        image = [len(g[c]) for c in word]
+        if word:
+            # one kept letter fewer would not have served the longest request so far
+            assert sum(image[:-1]) < served
+        assert sum(image) >= served
+
+
+@SETTINGS
+@given(presentations(), requests, budgets)
+def test_consumed_is_least(fg, ns, budget):
+    check_consumed_is_least(fg, ns, budget)
+
+
+@SETTINGS
+@given(decorated(), requests, budgets)
+def test_consumed_is_least_with_erased_letters(fg, ns, budget):
+    check_consumed_is_least(fg, ns, budget)
+
+
+@SETTINGS
+@given(presentations(), requests, budgets)
+def test_consumed_counts_positions_when_nothing_is_erased_forever(fg, ns, budget):
+    """With no letter erased forever the kept letters are all of f^w(a):
+    prefixes and `consumed` are those of a pump that charges every symbol of
+    f^w(a), read level by level with no erasure at all."""
+    f, g = fg
+    fm, gm = morphism_from_chars(f), morphism_from_chars(g)
+    assume(is_prolongable(fm, "a") and not largest_erasable(fm, gm))
+    stream = ImageStream(gm, fm, "a", budget=budget)
+    served = 0
+    for n in ns:
+        try:
+            stream.prefix(n)
+        except BudgetExceededError as error:
+            assert str(error) == budget_message(budget, len(stream._buffer), n)
             assert stream.consumed == budget
             break
         served = max(served, n)
         consumed = stream.consumed
+        source = level_by_level(f, "a", consumed)
+        image = "".join(g[c] for c in source)
+        assert "".join(stream.prefix(served).letters()) == image[:served]
         if consumed:
-            # one source symbol fewer would not have served the longest request so far
-            shorter = apply(gm, fixed_point_prefix(fm, "a", consumed - 1))
-            assert len(shorter) < served
-        assert len(apply(gm, fixed_point_prefix(fm, "a", consumed))) >= served
+            assert len("".join(g[c] for c in source[:-1])) < served
+        assert len(image) >= served
 
 
 @SETTINGS
@@ -275,10 +359,13 @@ def test_thue_morse_projection_pumps_only_kept_letters():
     # g erases c, and c -> ccc: the n kept letters sit among about n^1.58 source symbols
     f = {"a": "abc", "b": "bac", "c": "ccc"}
     g = {"a": "a", "b": "b", "c": ""}
-    n, budget = 10**4, 10**7
-    stream = ImageStream(morphism_from_chars(g), morphism_from_chars(f), "a", budget=budget)
-    compare(stream, ReferencePump(f, g, "a", budget), n)
-    assert len(stream.source._buffer) <= n + len(f["a"])
+    n = 10**4
+    stream = ImageStream(morphism_from_chars(g), morphism_from_chars(f), "a", budget=n)
+    compare(stream, ReferencePump(f, g, "a", n), n)
+    assert stream.consumed == n
+    # f_K is built from f with c deleted: K = 6, and each parent carries 64 kept letters
+    assert stream._lengths == [64, 64, 0]
+    assert len(stream.source._buffer) <= n // 32
 
 
 WIDE = ("a",) + tuple(f"x{i}" for i in range(299))  # 300 letters: codes are tuples
@@ -299,7 +386,7 @@ def wide_presentations(draw):
     return f, g, Alphabet(out)
 
 
-# each stream's set-up closes a 300-letter graph, about 0.3 s: few examples
+# each stream's set-up closes a 300-letter graph, about 0.1 s: few examples
 @settings(derandomize=True, deadline=None, max_examples=10)
 @given(wide_presentations(), requests, budgets)
 def test_block_pump_matches_per_symbol_pump_over_300_letters(fgo, ns, budget):

@@ -2,12 +2,14 @@
 
 import random
 import time
+from bisect import bisect_left
 
 import pytest
 
 from morphlab import (
     Alphabet,
     BudgetExceededError,
+    DomainMismatchError,
     FixedPointStream,
     ImageStream,
     InsufficientLengthError,
@@ -17,10 +19,10 @@ from morphlab import (
     first_mismatch,
     fixed_point_prefix,
     image_prefix,
+    largest_erasable,
     morphism_from_chars,
     prefix_equal,
 )
-from morphlab import streams
 from morphlab.fixtures import baum_sweet_erasing, baum_sweet_uniform
 
 from util import random_presentations
@@ -65,14 +67,34 @@ def test_image_prefix_budget_exceeded_on_all_erasing():
     with pytest.raises(BudgetExceededError):
         image_prefix(dead, sigma, "a", 1, max_pump=1000)
     stream = ImageStream(dead, sigma, "a", budget=1000)
-    with pytest.raises(BudgetExceededError) as caught:
-        stream.prefix(1)
-    assert str(caught.value) == (
-        "consumed 1000 source symbols for 0 output symbols; "
-        "the image word is likely finite (budget exceeded)"
-    )
-    assert stream.consumed == 1000
+    # the start letter is erased forever: the kept letters form the empty word
+    assert len(stream.source._buffer) == 0
+    for _ in range(2):
+        with pytest.raises(BudgetExceededError) as caught:
+            stream.prefix(1)
+        assert str(caught.value) == "the image word is finite: its length is 0, short of 1"
+        assert stream.consumed == 0
     assert stream.prefix(0).text() == ""
+
+
+def test_erased_start_letter_gives_an_empty_kept_word():
+    # g erases b forever and f(b) = b c b, c -> c: from b the kept word is empty
+    f = morphism_from_chars({"a": "ab", "b": "bcb", "c": "c"})
+    g = morphism_from_chars({"a": "x", "b": "", "c": ""})
+    stream = FixedPointStream(f, "b", erased=("b", "c"))
+    assert stream.prefix(0).text() == ""
+    with pytest.raises(NotProlongableError):
+        stream.prefix(1)
+    image = ImageStream(g, f, "b", budget=10)
+    with pytest.raises(BudgetExceededError, match="finite"):
+        image.prefix(1)
+    assert image.consumed == 0
+    # from a, the one kept letter is a itself: g(f^w(a)) = x
+    with pytest.raises(BudgetExceededError, match="its length is 1, short of 2"):
+        image_prefix(g, f, "a", 2, max_pump=10)
+    # the erased letters must be closed under f
+    with pytest.raises(DomainMismatchError):
+        FixedPointStream(f, "a", erased=("b",))
 
 
 def test_fixed_point_with_one_symbol_lead():
@@ -105,36 +127,37 @@ def test_stalled_fixed_point_raises_on_every_call():
         assert image.prefix(5).text() == "xyyyy"
 
 
-def test_deep_chain_walks_one_parikh_step_per_kept_letter(monkeypatch):
-    # y is erased for good; the kept word is a b b b ..., each b the child of the b before it
+def test_deep_chain_reads_one_parent_per_request():
+    # y is erased for good; the kept word is a b b b ..., each b past the
+    # first block of f_K(a) the parent of one b, so requests one symbol apart
+    # read one parent each
     f = morphism_from_chars({"a": "aby", "b": "b", "y": "y"})
     g = morphism_from_chars({"a": "x", "b": "z", "y": ""})
-    steps = []
-    descend = streams._descend
-    monkeypatch.setattr(streams, "_descend", lambda *args: steps.append(args) or descend(*args))
     stream = ImageStream(g, f, "a", budget=10**6)
     n = 3000
     for k in range(1, n + 1):
         stream.prefix(k)
-    assert len(steps) <= n
-    # f^w(a) = a (b y)^w: the k-th b is at position 2k - 1
+        # the parents needed for k kept letters, and at most one image of f_K more
+        assert len(stream._sums) - 1 <= bisect_left(stream._sums, k) + stream._widest
     assert stream.prefix(n).text() == "x" + "z" * (n - 1)
-    assert stream.consumed == 2 * (n - 1)
+    # each output symbol is one kept letter; the y between them are not charged
+    assert stream.consumed == n
 
 
-def test_deep_chain_walks_one_parikh_step_per_power_image(monkeypatch):
-    # the stream pumps f^64: f^64(b) = b, so each kept b's parent is 64 kept letters back
+def test_deep_chain_reads_no_parent_past_the_request():
+    # the stream pumps f_K with K = 64: f_K(a) = a b^64 and f_K(b) = b
     f = morphism_from_chars({"a": "aby", "b": "b", "y": "y"})
     g = morphism_from_chars({"a": "x", "b": "z", "y": ""})
-    steps = []
-    descend = streams._descend
-    monkeypatch.setattr(streams, "_descend", lambda *args: steps.append(args) or descend(*args))
-    stream = ImageStream(g, f, "a", budget=10**6)
+    stream = ImageStream(g, f, "a", budget=10**5)
     n = 10**5
     assert stream.prefix(n).text() == "x" + "z" * (n - 1)
-    assert stream.consumed == 2 * (n - 1)
-    # one step per kept letter, as f itself is pumped, would be 99,999
-    assert len(steps) <= 2000
+    assert stream.consumed == n
+    assert stream._lengths == [65, 1, 0]
+    # n - 64 parents cover n kept letters; the source reads at most one image of f_K more
+    assert bisect_left(stream._sums, n) == n - 64
+    assert len(stream._sums) - 1 <= n - 64 + 65
+    with pytest.raises(BudgetExceededError, match="pump budget of 100000 kept letters"):
+        stream.prefix(n + 1)
 
 
 class CountingImages(list):
@@ -211,10 +234,14 @@ def test_image_stream_cross_check_against_apply():
     sp, tp, _ = baum_sweet_erasing()
     stream = ImageStream(tp, sp, "a")
     out = stream.prefix(200)
-    consumed = stream.consumed
-    source = fixed_point_prefix(sp, "a", consumed)
-    direct = apply(tp, source)
-    assert direct.letters()[:200] == out.letters()
+    # `consumed` counts the letters of f^w(a) that tp does not erase forever
+    erased = largest_erasable(sp, tp)
+    assert erased == ("e", "f")
+    source = fixed_point_prefix(sp, "a", 10 * stream.consumed).letters()
+    kept = [letter for letter in source if letter not in erased][: stream.consumed]
+    assert len(kept) == stream.consumed
+    direct = apply(tp, Word.from_letters(sp.domain, kept))
+    assert direct.letters() == out.letters()
 
 
 def test_stage_streams_on_random_presentations():

@@ -4,8 +4,8 @@ from fractions import Fraction
 from functools import cmp_to_key
 from math import gcd
 
-from morphlab import Alphabet, MorphicPresentation, Morphism, incidence_matrix
-from morphlab.errors import FiniteWordError, MorphlabError, NotProlongableError
+from morphlab import Alphabet, ImageStream, MorphicPresentation, Morphism, incidence_matrix
+from morphlab.errors import BudgetExceededError, FiniteWordError, MorphlabError, NotProlongableError
 from morphlab.graphs import component_period, is_trivial_component, strongly_connected_components
 from morphlab.intmat import charpoly, mat_pow, submatrix, vec_mat
 from morphlab.normalize import eliminate_effacement, monotone_powers
@@ -299,13 +299,30 @@ def reference_growing_letters(f):
 
 
 def finite_by_orbit(f, g, start):
-    """g(f^w(start)) is finite iff no letter set of f^k(u), k >= 2^m (m
-    letters, f(start) = start u), holds a letter g keeps: the sets
-    S_(k+1) = letters of f(S_k) repeat within 2^m steps."""
-    m = len(f.domain.letters)
-    current = set(f.image(start).letters()[1:])
-    for k in range(2 ** (m + 1)):
-        if k >= 2**m and any(len(g.image(b)) for b in current):
-            return False
-        current = {c for b in current for c in f.image(b).letters()}
-    return True
+    """g(f^w(start)) is finite iff no letter set of f^k(u) on the cycle of
+    the orbit S_(k+1) = letters of f(S_k), S_0 the letters of u (f(start) =
+    start u), holds a letter g keeps: the sets on the cycle recur forever,
+    those before it never again.  The orbit repeats within 2^m steps."""
+    first_seen = {}
+    current = frozenset(f.image(start).letters()[1:])
+    while current not in first_seen:
+        first_seen[current] = len(first_seen)
+        current = frozenset(c for b in current for c in f.image(b).letters())
+    cycle = [letters for letters, k in first_seen.items() if k >= first_seen[current]]
+    return not any(len(g.image(b)) for letters in cycle for b in letters)
+
+
+def stream_says_finite(f, g, start, n=50, budget=10**4):
+    """The image stream's verdict on whether g(f^w(start)) is finite, for f
+    with f(start) = start u: a request for n symbols either is served, or
+    fails with a message that says the word is finite, or, when f^w(start)
+    itself is finite, with NotProlongableError.  A budget error that does
+    not say "finite" counts as infinite."""
+    stream = ImageStream(g, f, start, budget=budget, check=False)
+    try:
+        stream.prefix(n)
+    except NotProlongableError:
+        return True
+    except BudgetExceededError as error:
+        return "finite" in str(error)
+    return False
