@@ -1,8 +1,9 @@
 """Command-line front door.
 
 Subcommands: analyze, normalize, expand, verify, matrix.  Machine output
-is JSON; domain errors exit with code 2 and parse errors with code 3,
-both printing {"error": {...}} so scripts can react.
+is JSON; domain errors (an unreadable --file and a malformed pair among
+them) exit with code 2 and parse errors with code 3, both printing
+{"error": {...}} so scripts can react.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 
 from . import spectral, streams
@@ -47,20 +49,30 @@ def _budget(args):
     return streams.default_budget() if args.budget is None else args.budget
 
 
+def _read_file(path):
+    """The text of --file, or a MorphlabError that names the path."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise MorphlabError(f"cannot read --file {path!r}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise MorphlabError(f"cannot read --file {path!r}: not UTF-8 text") from None
+
+
 def _load_file(path):
-    return parse_file(Path(path).read_text())
+    return parse_file(_read_file(path))
 
 
-def _resolve_pair(mf, pair_arg, start_arg):
+def _resolve_pair(mf, pair_arg, start_arg, flag="--pair"):
     if pair_arg:
-        f_name, g_name = (x.strip() for x in pair_arg.split(","))
-        f = mf.morphism(f_name)
-        g = mf.morphism(g_name)
+        names = [x.strip() for x in pair_arg.split(",")]
+        if len(names) != 2:
+            raise MorphlabError(f"{flag} names two morphisms as 'f,g', got {pair_arg!r}")
     elif mf.pair:
-        f = mf.morphism(mf.pair[0])
-        g = mf.morphism(mf.pair[1])
+        names = mf.pair
     else:
         raise MorphlabError("no pair given: use --pair or a 'pair = f, g;' directive")
+    f, g = (mf.morphism(name) for name in names)
     start = start_arg or mf.start
     if start is None:
         raise MorphlabError("no start letter: use --start or a 'start = a;' directive")
@@ -68,7 +80,20 @@ def _resolve_pair(mf, pair_arg, start_arg):
 
 
 def _print_json(payload):
-    print(json.dumps(payload, indent=2, sort_keys=False))
+    """Write json.dumps(payload, indent=2) and a newline, 2^16 encoder
+    chunks at a time: a large sigma is never one string."""
+    chunks = json.JSONEncoder(indent=2).iterencode(payload)
+    while batch := list(islice(chunks, 1 << 16)):
+        sys.stdout.write("".join(batch))
+    sys.stdout.write("\n")
+
+
+def _print_blocks(p, blocks):
+    print(f"p = {p}")
+    for block in blocks:
+        letters = ",".join(block["letters"])
+        lo, hi = block["radius"]["enclosure"]
+        print(f"block [{letters}] {block['kind']} radius in [{lo}, {hi}]")
 
 
 def _cmd_analyze(args):
@@ -78,11 +103,7 @@ def _cmd_analyze(args):
     if args.json:
         _print_json(report)
     else:
-        print(f"p = {report['p']}")
-        for block in report["blocks"]:
-            letters = ",".join(block["letters"])
-            lo, hi = block["radius"]["enclosure"]
-            print(f"block [{letters}] {block['kind']} radius in [{lo}, {hi}]")
+        _print_blocks(report["p"], report["blocks"])
         for letter, growth in report["letter_growth"].items():
             print(f"growth({letter}) = ({growth['lambda_per_step']}, {growth['d']})")
     return EXIT_OK
@@ -168,8 +189,8 @@ def _cmd_expand(args):
 
 def _cmd_verify(args):
     mf = _load_file(args.file)
-    pres1 = _resolve_pair(mf, args.pair1, args.start)
-    pres2 = _resolve_pair(mf, args.pair2, args.start2 or args.start)
+    pres1 = _resolve_pair(mf, args.pair1, args.start, "--pair1")
+    pres2 = _resolve_pair(mf, args.pair2, args.start2 or args.start, "--pair2")
     budget = _budget(args)
     w1 = image_prefix(pres1.g, pres1.f, pres1.start, args.len, max_pump=budget)
     w2 = image_prefix(pres2.g, pres2.f, pres2.start, args.len, max_pump=budget)
@@ -211,7 +232,7 @@ def _growth_payload(growth):
 
 
 def _cmd_matrix(args):
-    matrix = load_matrix_text(Path(args.file).read_text())
+    matrix = load_matrix_text(_read_file(args.file))
     dec = spectral.decompose(matrix)
     payload = {
         "p": dec.p,
@@ -233,11 +254,7 @@ def _cmd_matrix(args):
     if args.json:
         _print_json(payload)
     else:
-        print(f"p = {dec.p}")
-        for block in payload["blocks"]:
-            letters = ",".join(block["letters"])
-            lo, hi = block["radius"]["enclosure"]
-            print(f"block [{letters}] {block['kind']} radius in [{lo}, {hi}]")
+        _print_blocks(dec.p, payload["blocks"])
 
         def fmt(entry):
             if entry["vanishes"]:
@@ -260,47 +277,47 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, about, width=False):
+    def command(name, func, about, width=False, budget=False):
         p = sub.add_parser(name, help=about)
         p.set_defaults(func=func)
         p.add_argument("--json", action="store_true", help="emit JSON")
         if width:  # only the radius reports read it
             p.add_argument("--width", type=_width_fraction, default=spectral.DEFAULT_WIDTH,
                            help="enclosure width for radius reports (default 1/10^9)")
+        if budget:  # only the commands that pump a stream read it
+            p.add_argument("--budget", type=_positive_budget, help=BUDGET_HELP)
         return p
 
     p = command("analyze", _cmd_analyze, "spectral report for one endomorphism", width=True)
     p.add_argument("--file", required=True)
     p.add_argument("--morphism", required=True)
 
-    p = command("normalize", _cmd_normalize, "remove erasure from a presentation")
+    p = command("normalize", _cmd_normalize, "remove erasure from a presentation", budget=True)
     p.add_argument("--file", required=True)
     p.add_argument("--pair", help="names 'f,g' (defaults to the file's pair directive)")
     p.add_argument("--start", help="start letter (defaults to the file's start directive)")
     p.add_argument("--check", type=int, default=0, help="verify this many output symbols")
-    p.add_argument("--budget", type=_positive_budget, help=BUDGET_HELP)
     p.add_argument("--trace", action="store_true", help="include every pipeline stage")
     p.add_argument("--emit", help="write the normalized morphisms to this file")
     p.add_argument("--emit-sigma", default="normalized_sigma", help="emitted generator name")
     p.add_argument("--emit-tau", default="normalized_tau", help="emitted coding name")
 
-    p = command("expand", _cmd_expand, "print a prefix of f^w(start) or g(f^w(start))")
+    p = command("expand", _cmd_expand, "print a prefix of f^w(start) or g(f^w(start))",
+                budget=True)
     p.add_argument("--file", required=True)
     p.add_argument("--morphism", required=True)
     p.add_argument("--start")
     p.add_argument("--limit", type=int, required=True)
     p.add_argument("--image", help="apply this morphism to the fixed point")
-    p.add_argument("--budget", type=_positive_budget, help=BUDGET_HELP)
     p.add_argument("--binary", action="store_true", help="length-prefixed binary symbols")
 
-    p = command("verify", _cmd_verify, "compare two presentations symbol by symbol")
+    p = command("verify", _cmd_verify, "compare two presentations symbol by symbol", budget=True)
     p.add_argument("--file", required=True)
     p.add_argument("--pair1", required=True, help="names 'f,g'")
     p.add_argument("--pair2", required=True, help="names 'f,g'")
     p.add_argument("--len", type=int, required=True)
     p.add_argument("--start", help="start letter for both pairs")
     p.add_argument("--start2", help="start letter for the second pair, when different")
-    p.add_argument("--budget", type=_positive_budget, help=BUDGET_HELP)
 
     p = command("matrix", _cmd_matrix, "growth table for a whitespace integer grid", width=True)
     p.add_argument("--file", required=True, help="path to a .mat file")

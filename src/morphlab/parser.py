@@ -15,62 +15,24 @@ whitespace-separated token is one (multi-character) letter.
 
 Names may use any characters except whitespace and the punctuation
 ``{ } ; = ,``; a ``-`` must start an arrow.
+
+The text is read by one regular-expression scan into ``(kind, text,
+offset)`` tokens.  A ParseError carries the 1-based line and column of
+its offset, computed only when it is raised: only a newline starts a
+line, and every other character, a tab or a carriage return too, is one
+column.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .errors import ParseError
 from .words import Morphism
 
-_PUNCT = {"{", "}", ";", "=", ","}
-
-
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "punct" | "arrow" | "name"
-    text: str
-    line: int
-    column: int
-
-
-def _tokenize(text):
-    tokens = []
-    line = 1
-    col = 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch in _PUNCT:
-            tokens.append(Token("punct", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch == "-":
-            if i + 1 < n and text[i + 1] == ">":
-                tokens.append(Token("arrow", "->", line, col))
-                i += 2
-                col += 2
-                continue
-            raise ParseError("'-' must begin an arrow '->'", line, col)
-        start = i
-        start_col = col
-        while i < n and not text[i].isspace() and text[i] not in _PUNCT and text[i] != "-":
-            i += 1
-            col += 1
-        tokens.append(Token("name", text[start:i], line, start_col))
-    return tokens
+# kinds as the error messages name them; a "-" outside "->" is a stray dash
+_TOKEN = re.compile(r"(?P<punct>[{};=,])|(?P<arrow>->)|(?P<name>[^\s{};=,-]+)|(?P<dash>-)")
 
 
 @dataclass(frozen=True)
@@ -89,142 +51,109 @@ class MorphismFile:
 
 
 class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
+    def __init__(self, text):
+        self.text = text
+        self.tokens = [(m.lastgroup, m.group(), m.start()) for m in _TOKEN.finditer(text)]
+        for kind, _, at in self.tokens:  # a stray dash is reported before any other fault
+            if kind == "dash":
+                raise self.error("'-' must begin an arrow '->'", at)
+        # end of input sits at the last token, and its empty text matches no name or punctuation
+        self.tokens.append(("end", "", self.tokens[-1][2] if self.tokens else 0))
         self.pos = 0
 
+    def error(self, message, at):
+        line = self.text.count("\n", 0, at) + 1
+        return ParseError(message, line, at - self.text.rfind("\n", 0, at))
+
     def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+        return self.tokens[self.pos]
 
     def next(self, expect_kind=None, expect_text=None):
-        tok = self.peek()
-        if tok is None:
-            last = self.tokens[-1] if self.tokens else Token("punct", "", 1, 1)
-            raise ParseError("unexpected end of input", last.line, last.column)
-        if expect_kind and tok.kind != expect_kind:
-            raise ParseError(f"expected {expect_kind}, got {tok.text!r}", tok.line, tok.column)
-        if expect_text and tok.text != expect_text:
-            raise ParseError(f"expected {expect_text!r}, got {tok.text!r}", tok.line, tok.column)
+        kind, text, at = tok = self.tokens[self.pos]
+        if kind == "end":
+            raise self.error("unexpected end of input", at)
+        if expect_kind and kind != expect_kind:
+            raise self.error(f"expected {expect_kind}, got {text!r}", at)
+        if expect_text and text != expect_text:
+            raise self.error(f"expected {expect_text!r}, got {text!r}", at)
         self.pos += 1
         return tok
 
     def parse(self):
-        raw_morphisms = {}
+        """{name: Morphism}, and start and pair as (name, offset) tokens or None."""
+        morphisms = {}
         start = None
         pair = None
-        while self.peek() is not None:
-            head = self.next("name")
-            nxt = self.peek()
-            if nxt is not None and nxt.kind == "punct" and nxt.text == "=":
-                if head.text == "start":
+        while self.peek()[0] != "end":
+            _, head, at = self.next("name")
+            if self.peek()[1] == "=":
+                if head == "start":
                     self.next()
-                    start_tok = self.next("name")
+                    start = self.next("name")[1:]
                     self.next("punct", ";")
-                    start = (start_tok.text, start_tok)
-                elif head.text == "pair":
+                elif head == "pair":
                     self.next()
-                    f_tok = self.next("name")
+                    f = self.next("name")[1:]
                     self.next("punct", ",")
-                    g_tok = self.next("name")
+                    g = self.next("name")[1:]
                     self.next("punct", ";")
-                    pair = (f_tok, g_tok)
+                    pair = (f, g)
                 else:
-                    raise ParseError(
-                        f"unknown directive {head.text!r}", head.line, head.column
-                    )
+                    raise self.error(f"unknown directive {head!r}", at)
                 continue
-            if head.text in raw_morphisms:
-                raise ParseError(f"duplicate morphism {head.text!r}", head.line, head.column)
-            raw_morphisms[head.text] = self._rules(head)
-        return raw_morphisms, start, pair
+            if head in morphisms:
+                raise self.error(f"duplicate morphism {head!r}", at)
+            morphisms[head] = self._rules(head, at)
+        return morphisms, start, pair
 
-    def _rules(self, head):
+    def _rules(self, head, head_at):
         self.next("punct", "{")
-        rules = []
-        seen = set()
-        while True:
-            tok = self.peek()
-            if tok is None:
-                raise ParseError(f"unterminated morphism {head.text!r}", head.line, head.column)
-            if tok.kind == "punct" and tok.text == "}":
-                self.next()
-                break
-            lhs = self.next("name")
-            if lhs.text in seen:
-                raise ParseError(f"duplicate rule for {lhs.text!r}", lhs.line, lhs.column)
-            seen.add(lhs.text)
+        rules = {}
+        while self.peek()[1] != "}":
+            if self.peek()[0] == "end":
+                raise self.error(f"unterminated morphism {head!r}", head_at)
+            _, lhs, at = self.next("name")
+            if lhs in rules:
+                raise self.error(f"duplicate rule for {lhs!r}", at)
             self.next("arrow")
             rhs = []
-            while True:
-                tok = self.peek()
-                if tok is None:
-                    raise ParseError("unterminated rule", lhs.line, lhs.column)
-                if tok.kind == "punct" and tok.text == ";":
-                    self.next()
-                    break
-                rhs.append(self.next("name").text)
-            rules.append((lhs.text, rhs))
+            while self.peek()[1] != ";":
+                if self.peek()[0] == "end":
+                    raise self.error("unterminated rule", at)
+                rhs.append(self.next("name")[1])
+            self.next()
+            rules[lhs] = rhs
+        self.next()
         if not rules:
-            raise ParseError(f"morphism {head.text!r} has no rules", head.line, head.column)
-        return rules
-
-
-def _build_morphism(rules):
-    compact = all(len(lhs) == 1 for lhs, _ in rules)
-    expanded = {}
-    for lhs, rhs in rules:
-        image = []
-        for token in rhs:
-            if compact:
-                image.extend(token)
-            else:
-                image.append(token)
-        expanded[lhs] = tuple(image)
-    return Morphism.from_rules(expanded)
+            raise self.error(f"morphism {head!r} has no rules", head_at)
+        if all(len(lhs) == 1 for lhs in rules):  # compact mode: one letter per character
+            rules = {lhs: "".join(rhs) for lhs, rhs in rules.items()}
+        return Morphism.from_rules(rules)
 
 
 def parse_file(text):
     """Parse morphism-file text into a MorphismFile."""
-    parser = _Parser(_tokenize(text))
-    raw, start, pair = parser.parse()
-    morphisms = {name: _build_morphism(rules) for name, rules in raw.items()}
-    pair_names = None
+    parser = _Parser(text)
+    morphisms, start, pair = parser.parse()
     if pair is not None:
-        f_tok, g_tok = pair
-        for tok in (f_tok, g_tok):
-            if tok.text not in morphisms:
-                raise ParseError(f"pair references unknown morphism {tok.text!r}", tok.line, tok.column)
-        f = morphisms[f_tok.text]
-        g = morphisms[g_tok.text]
+        (f_name, f_at), (g_name, g_at) = pair
+        for name, at in pair:
+            if name not in morphisms:
+                raise parser.error(f"pair references unknown morphism {name!r}", at)
+        f = morphisms[f_name]
         if not f.is_endomorphism:
-            raise ParseError(
-                f"pair generator {f_tok.text!r} must be an endomorphism", f_tok.line, f_tok.column
-            )
-        if set(g.domain.letters) != set(f.domain.letters):
-            raise ParseError(
-                f"pair morphisms {f_tok.text!r} and {g_tok.text!r} use different alphabets",
-                g_tok.line,
-                g_tok.column,
-            )
-        pair_names = (f_tok.text, g_tok.text)
-    start_name = None
+            raise parser.error(f"pair generator {f_name!r} must be an endomorphism", f_at)
+        if set(morphisms[g_name].domain.letters) != set(f.domain.letters):
+            raise parser.error(f"pair morphisms {f_name!r} and {g_name!r} use different alphabets", g_at)
+        pair = (f_name, g_name)
     if start is not None:
-        start_name, start_tok = start
-        if pair_names is not None:
-            domain = morphisms[pair_names[0]].domain
-            if start_name not in domain:
-                raise ParseError(
-                    f"start letter {start_name!r} is not in the pair's alphabet",
-                    start_tok.line,
-                    start_tok.column,
-                )
-        elif not any(start_name in m.domain for m in morphisms.values()):
-            raise ParseError(
-                f"start letter {start_name!r} is not declared by any morphism",
-                start_tok.line,
-                start_tok.column,
-            )
-    return MorphismFile(morphisms=morphisms, start=start_name, pair=pair_names)
+        start, at = start
+        if pair is not None:
+            if start not in morphisms[pair[0]].domain:
+                raise parser.error(f"start letter {start!r} is not in the pair's alphabet", at)
+        elif not any(start in m.domain for m in morphisms.values()):
+            raise parser.error(f"start letter {start!r} is not declared by any morphism", at)
+    return MorphismFile(morphisms=morphisms, start=start, pair=pair)
 
 
 def format_morphism(name, morphism):

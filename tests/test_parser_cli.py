@@ -97,6 +97,68 @@ def test_parse_errors_carry_positions():
         parse_file("s { a -> a b ; b -> b ; }\nstart = z;")
 
 
+# (text, str(error), line, column): a tab or a carriage return is one
+# column, and only "\n" starts a line
+MALFORMED = [
+    ('s { a - b ; }', "line 1, column 7: '-' must begin an arrow '->'", 1, 7),
+    ('s { a -b ; }', "line 1, column 7: '-' must begin an arrow '->'", 1, 7),
+    ('-', "line 1, column 1: '-' must begin an arrow '->'", 1, 1),
+    ('s { a -> b ; }\n-x', "line 2, column 1: '-' must begin an arrow '->'", 2, 1),
+    ('s { a -> b ; } -', "line 1, column 16: '-' must begin an arrow '->'", 1, 16),
+    ('s { } a - b', "line 1, column 9: '-' must begin an arrow '->'", 1, 9),
+    ('s\t{ a\t- b ; }', "line 1, column 7: '-' must begin an arrow '->'", 1, 7),
+    ('s { a -> b ; }\r\nt { a - ; }', "line 2, column 7: '-' must begin an arrow '->'", 2, 7),
+    ('s { a -> b ;\r\n\tb - ; }', "line 2, column 4: '-' must begin an arrow '->'", 2, 4),
+    ('s {\xa0a -> b ;\u2028 a - }', "line 1, column 17: '-' must begin an arrow '->'", 1, 17),
+    ('s { a -> b ', 'line 1, column 5: unterminated rule', 1, 5),
+    ('s { a -> b ; ', "line 1, column 1: unterminated morphism 's'", 1, 1),
+    ('s {', "line 1, column 1: unterminated morphism 's'", 1, 1),
+    ('s', 'line 1, column 1: unexpected end of input', 1, 1),
+    ('s { abc', 'line 1, column 5: unexpected end of input', 1, 5),
+    ('start =', 'line 1, column 7: unexpected end of input', 1, 7),
+    ('pair = f ,', 'line 1, column 10: unexpected end of input', 1, 10),
+    ('{ a -> b ; }', "line 1, column 1: expected name, got '{'", 1, 1),
+    ('=', "line 1, column 1: expected name, got '='", 1, 1),
+    ('s a -> b ;', "line 1, column 3: expected punct, got 'a'", 1, 3),
+    ('s { -> b ; }', "line 1, column 5: expected name, got '->'", 1, 5),
+    ('s { a b ; }', "line 1, column 7: expected arrow, got 'b'", 1, 7),
+    ('s { a => b ; }', "line 1, column 7: expected arrow, got '='", 1, 7),
+    ('s { a -> b { ; }', "line 1, column 12: expected name, got '{'", 1, 12),
+    ('s { a -> b ; } ;', "line 1, column 16: expected name, got ';'", 1, 16),
+    ('start = a }', "line 1, column 11: expected ';', got '}'", 1, 11),
+    ('start = ; ', "line 1, column 9: expected name, got ';'", 1, 9),
+    ('pair = f g ;', "line 1, column 10: expected punct, got 'g'", 1, 10),
+    ('pair = f, g, h;', "line 1, column 12: expected ';', got ','", 1, 12),
+    ('begin = a ;', "line 1, column 1: unknown directive 'begin'", 1, 1),
+    ('s { a -> a ; }\ns { a -> a ; }', "line 2, column 1: duplicate morphism 's'", 2, 1),
+    ('s { a -> a ; }\r\n\r\ns { a -> a ; }\r\n', "line 3, column 1: duplicate morphism 's'", 3, 1),
+    ('s { a -> b ; a -> ; }', "line 1, column 14: duplicate rule for 'a'", 1, 14),
+    ('s {\n\t\ta -> ;\n\t\ta -> ; }', "line 3, column 3: duplicate rule for 'a'", 3, 3),
+    ('s { }', "line 1, column 1: morphism 's' has no rules", 1, 1),
+    ('s { a -> b ; }\n\n  t { }', "line 3, column 3: morphism 't' has no rules", 3, 3),
+    ('pair = s, missing;\ns { a -> a a ; }', "line 1, column 11: pair references unknown morphism 'missing'", 1, 11),
+    ('pair = nope, s;\ns { a -> a ; }', "line 1, column 8: pair references unknown morphism 'nope'", 1, 8),
+    ('f { a -> b ; }\ng { a -> a ; }\npair = f, g;', "line 3, column 8: pair generator 'f' must be an endomorphism", 3, 8),
+    ('f { a -> a ; }\ng { b -> b ; }\npair = f, g;', "line 3, column 11: pair morphisms 'f' and 'g' use different alphabets", 3, 11),
+    ('f { a -> a ; }\ng { a -> x ; }\npair = f, g;\nstart = b;', "line 4, column 9: start letter 'b' is not in the pair's alphabet", 4, 9),
+    ('s { a -> a b ; b -> b ; }\nstart = z;', "line 2, column 9: start letter 'z' is not declared by any morphism", 2, 9),
+    ('start = a ;\r\n\tstart = zz ;', "line 2, column 10: start letter 'zz' is not declared by any morphism", 2, 10),
+]
+
+
+@pytest.mark.parametrize("text, message, line, column", MALFORMED)
+def test_malformed_file_error(text, message, line, column):
+    with pytest.raises(ParseError) as err:
+        parse_file(text)
+    assert (str(err.value), err.value.line, err.value.column) == (message, line, column)
+
+
+def test_unknown_morphism_name_has_no_position():
+    with pytest.raises(ParseError) as err:
+        parse_file("s { a -> a ; }").morphism("t")
+    assert (str(err.value), err.value.line, err.value.column) == ("no morphism named 't'", None, None)
+
+
 def test_round_trip():
     mf = parse_file(BS_FILE)
     text = format_file(mf)
@@ -546,3 +608,55 @@ def test_cli_matrix_malformed_input_is_a_typed_error(tmp_path, capsys, grid, arg
     assert cli.main(["matrix", "--file", str(path), *args, "--json"]) == code
     error = json.loads(capsys.readouterr().out)["error"]
     assert (error["kind"], error["message"]) == (kind, message)
+
+
+def test_print_json_writes_the_bytes_of_json_dumps(capsys):
+    """The payload is written in batches of encoder chunks, never as one
+    string, with the same bytes as json.dumps."""
+    payload = {"sigma": {"a": [f"x{i}" for i in range(70000)], "b": []}, "q": None, "ok": True}
+    assert sum(1 for _ in json.JSONEncoder(indent=2).iterencode(payload)) > 1 << 16
+    cli._print_json(payload)
+    assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
+
+
+def _unreadable(tmp_path, case):
+    if case == "missing":
+        return tmp_path / "nosuch.mf", "No such file or directory"
+    if case == "directory":
+        return tmp_path, "Is a directory"
+    path = tmp_path / "latin1.mf"
+    path.write_bytes("f { a -> \xe9 ; }\n".encode("latin-1"))
+    return path, "not UTF-8 text"
+
+
+@pytest.mark.parametrize("case", ["missing", "directory", "not-utf8"])
+@pytest.mark.parametrize("args", [
+    ("analyze", "--morphism", "f"),
+    ("normalize",),
+    ("expand", "--morphism", "f", "--limit", "4"),
+    ("verify", "--pair1", "f,g", "--pair2", "f,g", "--len", "4"),
+    ("matrix",),
+])
+def test_cli_unreadable_file_is_a_domain_error(tmp_path, capsys, case, args):
+    """A --file that is missing, a directory or not UTF-8 exits 2 with
+    JSON that names the path, for morphism files and .mat grids alike."""
+    path, reason = _unreadable(tmp_path, case)
+    assert cli.main([args[0], "--file", str(path), *args[1:], "--json"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == {
+        "kind": "MorphlabError", "message": f"cannot read --file {str(path)!r}: {reason}"
+    }
+
+
+@pytest.mark.parametrize("args, flag, value", [
+    (("normalize", "--pair", "f"), "--pair", "f"),
+    (("normalize", "--pair", "f,g,h"), "--pair", "f,g,h"),
+    (("verify", "--pair1", "f,g,h", "--pair2", "f,g", "--len", "4"), "--pair1", "f,g,h"),
+    (("verify", "--pair1", "f,g", "--pair2", "g", "--len", "4"), "--pair2", "g"),
+])
+def test_cli_malformed_pair_is_a_domain_error(tmp_path, capsys, args, flag, value):
+    path = tmp_path / "tm.mf"
+    path.write_text(TM_FILE)
+    assert cli.main([args[0], "--file", str(path), *args[1:], "--json"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == {
+        "kind": "MorphlabError", "message": f"{flag} names two morphisms as 'f,g', got {value!r}"
+    }
