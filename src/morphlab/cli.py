@@ -128,7 +128,10 @@ def _cmd_normalize(args):
                 format_morphism(args.emit_tau, report.tau),
             )
         )
-        Path(args.emit).write_text(text + "\n")
+        try:
+            Path(args.emit).write_text(text + "\n")
+        except OSError as exc:
+            raise MorphlabError(f"cannot write --emit {args.emit!r}: {exc.strerror}") from None
         payload["emitted"] = {
             "path": args.emit,
             "sigma": args.emit_sigma,
@@ -224,11 +227,7 @@ def _index(k, n, what):
 
 
 def _growth_payload(growth):
-    return {
-        "vanishes": growth.is_vanishing,
-        "lambda_per_step": growth.rate.describe(),
-        "d": growth.degree,
-    }
+    return {"vanishes": growth.is_vanishing, **growth.as_dict()}
 
 
 def _cmd_matrix(args):

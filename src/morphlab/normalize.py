@@ -453,14 +453,8 @@ class NormalizationReport:
             "removed_letters": list(self.removed_letters),
             "dilatation_vector": list(self.dilatation_vector),
             "trichotomy_case": self.trichotomy_case,
-            "input_growth": {
-                "lambda_per_step": self.input_growth.rate.describe(),
-                "d": self.input_growth.degree,
-            },
-            "output_growth": {
-                "lambda_per_step": self.output_growth.rate.describe(),
-                "d": self.output_growth.degree,
-            },
+            "input_growth": self.input_growth.as_dict(),
+            "output_growth": self.output_growth.as_dict(),
         }
         if include_stages:
             out["stages"] = [

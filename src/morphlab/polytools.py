@@ -16,6 +16,7 @@ counts the distinct real roots in (a, b].
 from __future__ import annotations
 
 import math
+import threading
 from fractions import Fraction
 
 from .errors import DomainMismatchError, InvariantError
@@ -234,7 +235,11 @@ class LargestRootLocator:
     0 <= Re 1/(x - z) <= 1/(x - r).  Their sum h'/h shows that the step
     s = h(x)/h'(x) keeps x - d s <= r <= x - s: Newton falls monotonically
     to r, by at least the factor 1 - 1/d per step, and every step brackets
-    r.  Off the Perron case the counts catch a wrong bracket."""
+    r.  Off the Perron case the counts catch a wrong bracket.
+
+    One locator may be shared by threads: refine, isolated and sign_at
+    hold its own lock, which takes no other, so the bracket and the sign
+    count at hi change together; the chain never changes."""
 
     def __init__(self, poly, lo, hi):
         self.chain = sturm_chain(poly)
@@ -245,6 +250,7 @@ class LargestRootLocator:
             raise ValueError("bracket does not contain a root")
         self._bound = Fraction(_root_bound(self.chain[0]))
         self._isolated = False
+        self._lock = threading.Lock()
 
     def _newton(self, width):
         """A bracket (lo, hi) narrower than `width` from exact Newton on the
@@ -289,40 +295,43 @@ class LargestRootLocator:
         width = Fraction(width)
         if width <= 0:
             raise DomainMismatchError("enclosure width must be positive")
-        if self.hi - self.lo > width:
-            bracket = self._newton(width)
-            if bracket is not None:
-                lo, hi = max(bracket[0], self.lo), min(bracket[1], self.hi)
-                v_hi = self._v_hi if hi == self.hi else sign_variations(self.chain, hi)
-                # accept only a provable bracket of the largest root
-                if lo < hi and v_hi == self._v_hi and sign_variations(self.chain, lo) > v_hi:
-                    self.lo, self.hi = lo, hi
-        while self.hi - self.lo > width:
-            mid = (self.lo + self.hi) / 2
-            v_mid = sign_variations(self.chain, mid)
-            if v_mid > self._v_hi:  # a root in (mid, hi]
-                self.lo = mid
-            else:
-                self.hi, self._v_hi = mid, v_mid
-        return self.lo, self.hi
+        with self._lock:
+            if self.hi - self.lo > width:
+                bracket = self._newton(width)
+                if bracket is not None:
+                    lo, hi = max(bracket[0], self.lo), min(bracket[1], self.hi)
+                    v_hi = self._v_hi if hi == self.hi else sign_variations(self.chain, hi)
+                    # accept only a provable bracket of the largest root
+                    if lo < hi and v_hi == self._v_hi and sign_variations(self.chain, lo) > v_hi:
+                        self.lo, self.hi = lo, hi
+            while self.hi - self.lo > width:
+                mid = (self.lo + self.hi) / 2
+                v_mid = sign_variations(self.chain, mid)
+                if v_mid > self._v_hi:  # a root in (mid, hi]
+                    self.lo = mid
+                else:
+                    self.hi, self._v_hi = mid, v_mid
+            return self.lo, self.hi
 
     def isolated(self):
         """True when [lo, hi] contains exactly one distinct root of poly.
         A True answer is kept: the bracket only shrinks around that root."""
-        if not self._isolated:
-            self._isolated = count_roots_closed(self.chain[0], self.chain, self.lo, self.hi) == 1
-        return self._isolated
+        with self._lock:
+            if not self._isolated:
+                self._isolated = count_roots_closed(self.chain[0], self.chain, self.lo, self.hi) == 1
+            return self._isolated
 
     def sign_at(self, t):
         """Exact sign of r - t for the largest root r and a rational t: r > t
         exactly when a root lies in (t, hi], as none lies above hi, and
         otherwise r = t exactly when t is a root."""
-        if t <= self.lo:
-            return 1
-        if t > self.hi:
-            return -1
-        if sign_variations(self.chain, t) > self._v_hi:
-            return 1
+        with self._lock:
+            if t <= self.lo:
+                return 1
+            if t > self.hi:
+                return -1
+            if sign_variations(self.chain, t) > self._v_hi:
+                return 1
         return 0 if evaluate(self.chain[0], t) == 0 else -1
 
 

@@ -77,15 +77,12 @@ def cyclicity(matrix):
     Equals the lcm over non-trivial strongly connected components of the
     gcd of their cycle lengths; 1 when the digraph has no cycles at all.
     """
-    rows = matrix.rows if isinstance(matrix, IncidenceMatrix) else matrix
-    return lcm(1, *_cyclic_components(rows)[1])
+    return lcm(1, *scc_periods(matrix))
 
 
 def scc_periods(rows):
     """Periods of the non-trivial strongly connected components of G(rows)."""
-    if isinstance(rows, IncidenceMatrix):
-        rows = rows.rows
-    return _cyclic_components(rows)[1]
+    return _cyclic_components(rows.rows if isinstance(rows, IncidenceMatrix) else rows)[1]
 
 
 def _row_sum_bound(block):
@@ -130,39 +127,54 @@ def _key_of(poly):
     return tuple(head) if len(head) > 1 or not zeros else (0, 1)
 
 
+def _lru(cache, lock, size, key, make):
+    """cache[key] in the least-recently-used map `cache` of at most `size`
+    entries, guarded by `lock`; on a miss make() runs outside the lock, so
+    two threads may both make a value, and the first one stored wins."""
+    with lock:
+        value = cache.get(key)
+        if value is not None:
+            cache.move_to_end(key)
+            return value
+    made = make()
+    with lock:
+        value = cache.setdefault(key, made)
+        cache.move_to_end(key)
+        while len(cache) > size:
+            cache.popitem(last=False)
+    return value
+
+
+class _Once:
+    """A callable returning make(), which it calls on first use only, under
+    its own lock; make may take only locks that never wait for this one."""
+
+    __slots__ = ("_make", "_made", "_lock")
+
+    def __init__(self, make):
+        self._make, self._made, self._lock = make, None, threading.Lock()
+
+    def __call__(self):
+        with self._lock:
+            if self._make is not None:  # then release what the build held, such as a shared power
+                self._made, self._make = self._make(), None
+            return self._made
+
+
 _RADIUS_REGISTRY = OrderedDict()
 _RADIUS_LOCK = threading.Lock()
 
 
 def _shared_locator(key, block):
-    """The registry's (locator, lock) for the radius key `key`, a
-    least-recently-used map of _RADIUS_REGISTRY_SIZE entries; a new locator
-    brackets the root in (-1, row-sum bound of `block`], a block with that
-    key.  The registry lock is released before any locator lock is taken."""
-    with _RADIUS_LOCK:
-        entry = _RADIUS_REGISTRY.get(key)
-        if entry is not None:
-            _RADIUS_REGISTRY.move_to_end(key)
-            return entry
-    made = (_locator_for_block(block, key), threading.Lock())
-    with _RADIUS_LOCK:
-        entry = _RADIUS_REGISTRY.setdefault(key, made)
-        _RADIUS_REGISTRY.move_to_end(key)
-        while len(_RADIUS_REGISTRY) > _RADIUS_REGISTRY_SIZE:
-            _RADIUS_REGISTRY.popitem(last=False)
-    return entry
+    """The registry's locator for the radius key `key`; a new one brackets
+    the root in (-1, row-sum bound of `block`], a block with that key."""
+    make = partial(_locator_for_block, block, key)
+    return _lru(_RADIUS_REGISTRY, _RADIUS_LOCK, _RADIUS_REGISTRY_SIZE, key, make)
 
 
-def _refine(entry, width):
-    locator, lock = entry
-    with lock:
-        return locator.refine(width)
-
-
-def _isolated(entry):
-    locator, lock = entry
-    with lock:
-        return locator.isolated()
+def _with_poly(block):
+    block = freeze(block)
+    return block, tuple(charpoly(block))
 
 
 class AlgebraicRadius:
@@ -172,32 +184,27 @@ class AlgebraicRadius:
     defines r (its Perron root); `step` records that the matrix arose as a
     step-th power, so the per-step rate is the step-th root.  The zero
     radius (for ultimately vanishing quantities) is represented with
-    block None; a nilpotent block gives the same radius.  A radius made by `on_demand` builds its block and
-    polynomial on first use.  Building is memoised behind a per-instance
-    lock so concurrent readers can share one object.  A build may take the
-    lock of its component's shared power (`_once`), which takes no other
-    lock, so locks never cycle.  Enclosures are refined on the locator of
-    the radius key, shared through the registry (`_shared_locator`) by
-    every radius with that key, under that locator's own lock.
+    block None; a nilpotent block gives the same radius.  A radius made by
+    `on_demand` builds its block and polynomial once, on first use, under
+    its `_Once` lock, which waits at most for the `_Once` lock of its
+    component's shared power.  Enclosures are refined on the locator of the
+    radius key, which every radius with that key shares (`_shared_locator`)
+    and which locks itself; no registry or cache lock is held during a
+    build or a locator call.
     """
 
-    __slots__ = ("step", "_block", "_poly", "_build", "_base", "_key", "_lock")
+    __slots__ = ("step", "_block", "_poly", "_build", "_base", "_key")
 
     def __init__(self, block, step=1):
         if step < 1:
             raise DomainMismatchError("step must be positive")
-        if block is not None:
-            block = freeze(block)
-            poly = tuple(charpoly(block))
-        else:
-            poly = (0, 1)
+        block, poly = (None, (0, 1)) if block is None else _with_poly(block)
         object.__setattr__(self, "step", step)
         object.__setattr__(self, "_block", block)
         object.__setattr__(self, "_poly", poly)
         object.__setattr__(self, "_build", None)
         object.__setattr__(self, "_base", None)
         object.__setattr__(self, "_key", None)
-        object.__setattr__(self, "_lock", threading.Lock())
 
     def __setattr__(self, name, value):
         raise AttributeError("AlgebraicRadius is immutable")
@@ -212,13 +219,13 @@ class AlgebraicRadius:
 
     @classmethod
     def on_demand(cls, build, step, base):
-        """The radius of the non-negative block `build()`, a callable that
-        takes no lock; it is called once, on first use.  `base` is a
-        step-1 radius of an integer matrix whose root is this radius's
-        value; it decides whether the defining root is rational and
-        encloses the value."""
+        """The radius of the non-negative block `build()`, called once, on
+        first use, and taking no lock but `_Once` locks of shared powers.
+        `base` is a step-1 radius of an integer matrix whose root is this
+        radius's value; it decides whether the defining root is rational
+        and encloses the value."""
         radius = cls(None, step)
-        object.__setattr__(radius, "_build", build)
+        object.__setattr__(radius, "_build", _Once(lambda: _with_poly(build())))
         object.__setattr__(radius, "_base", base)
         return radius
 
@@ -231,34 +238,21 @@ class AlgebraicRadius:
             return cls.zero()
         return cls(((value,),), step)
 
-    def _materialise(self):
-        with self._lock:
-            if self._build is not None:
-                block = freeze(self._build())
-                object.__setattr__(self, "_block", block)
-                object.__setattr__(self, "_poly", tuple(charpoly(block)))
-                object.__setattr__(self, "_build", None)  # last: readers test it first
-
     @property
     def block(self):
-        if self._build is not None:
-            self._materialise()
-        return self._block
+        return self._block if self._build is None else self._build()[0]
 
     @property
     def poly(self):
-        if self._build is not None:
-            self._materialise()
-        return self._poly
+        return self._poly if self._build is None else self._build()[1]
 
     @property
     def is_zero(self):
-        """Block None, or a nilpotent block: its polynomial x^n has the
-        radius key (0, 1), which names the zero radius."""
-        # _build first, as in block
+        """Block None, or a nilpotent block: its polynomial x^n has the radius
+        key (0, 1), which names the zero radius; never a radius built on demand."""
         return self._build is None and (self._block is None or not any(self._poly[:-1]))
 
-    # -- refinement (on the registry's locator, under its lock) ---------------
+    # -- refinement (on the registry's locator) --------------------------------
 
     def _own_key(self):
         if self._key is None:  # two threads may both compute it, alike
@@ -279,7 +273,7 @@ class AlgebraicRadius:
         """Rational interval around the defining root r (not the step-th root)."""
         if self.is_zero:
             return Fraction(0), Fraction(0)
-        return _refine(self._own_locator(), width)
+        return self._own_locator().refine(width)
 
     def value_enclosure(self, width=DEFAULT_WIDTH):
         """Rational interval of width <= `width` around r^(1/step).
@@ -397,25 +391,25 @@ class AlgebraicRadius:
         g = g_chain = None  # formed once both enclosures isolate and overlap
         width = Fraction(1, 16)
         while True:
-            alo, ahi = _refine(la, width)
-            blo, bhi = _refine(lb, width)
+            alo, ahi = la.refine(width)
+            blo, bhi = lb.refine(width)
             if ahi <= blo:
                 return -1
             if bhi <= alo:
                 return 1
-            if (g is None or g_chain is not None) and _isolated(la) and _isolated(lb):
+            if (g is None or g_chain is not None) and la.isolated() and lb.isolated():
                 if g is None:  # the chain heads are the squarefree polynomials
-                    g = poly_gcd(la[0].chain[0], lb[0].chain[0])
+                    g = poly_gcd(la.chain[0], lb.chain[0])
                     g_chain = sturm_chain(g) if len(g) > 1 else None
+                # read again: another thread may have isolated narrower brackets
+                (alo, ahi), (blo, bhi) = la.refine(width), lb.refine(width)
                 if g_chain is not None and count_roots_closed(g, g_chain, max(alo, blo), min(ahi, bhi)) >= 1:
                     return 0
             width /= 16
 
     def _compare_root(self, t):
         """Exact sign of r - t for the defining root r and a rational t."""
-        locator, lock = self._own_locator()
-        with lock:
-            return locator.sign_at(t)
+        return self._own_locator().sign_at(t)
 
     def _compare_rational(self, c):
         """compare() against a rational c >= 0: r^(1/step) against c is r
@@ -433,14 +427,15 @@ class AlgebraicRadius:
             return bool(poly) and Fraction(poly[0]) == 0
         if poly and _radius_key(poly) == self._own_key():
             return True
-        entry = self._own_locator()
-        g = poly_gcd(entry[0].chain[0], poly)  # the chain head is the squarefree part
+        locator = self._own_locator()
+        g = poly_gcd(locator.chain[0], poly)  # the chain head is the squarefree part
         if len(g) <= 1:
             return False
         width = Fraction(1, 16)
         while True:
-            lo, hi = _refine(entry, width)
-            if _isolated(entry):
+            locator.refine(width)
+            if locator.isolated():  # the bracket now lies inside the isolating one
+                lo, hi = locator.refine(width)
                 return count_roots_closed(g, sturm_chain(g), lo, hi) >= 1
             width /= 16
 
@@ -506,6 +501,10 @@ class GrowthType:
     def rate_float(self):
         return self.rate.value_float()
 
+    def as_dict(self):
+        """The JSON form: the rate per step as `describe` prints it, and d."""
+        return {"lambda_per_step": self.rate.describe(), "d": self.degree}
+
     def __eq__(self, other):
         if not isinstance(other, GrowthType):
             return NotImplemented
@@ -519,18 +518,6 @@ class GrowthType:
 
 PRIMITIVE = "primitive"
 ZERO = "zero"
-
-
-def _once(make):
-    """A callable returning make(), which it calls on first use only, under
-    its own lock; make must take no lock."""
-    lock, made = threading.Lock(), []
-    def get():
-        with lock:
-            if not made:
-                made.append(make())
-            return made[0]
-    return get
 
 
 def _power_block(power, positions, e):
@@ -583,7 +570,7 @@ class BlockDecomposition:
                 block_of[v] = b
         self.block_of = tuple(block_of)
         component_radii = [AlgebraicRadius(submatrix(rows, comp)) for comp in components]
-        powers = [_once(partial(mat_pow, r.block, h)) for r, h in zip(component_radii, periods)]
+        powers = [_Once(partial(mat_pow, r.block, h)) for r, h in zip(component_radii, periods)]
         owners = self._block_owners(components)
         self.radii = tuple(
             AlgebraicRadius.zero() if c is None
@@ -810,19 +797,8 @@ def decompose(matrix):
     only name the letters, so other labels get a view (`_relabelled`)."""
     if not isinstance(matrix, IncidenceMatrix):
         matrix = IncidenceMatrix(matrix)
-    key = matrix.rows
-    with _DECOMP_LOCK:
-        cached = _DECOMP_CACHE.get(key)
-        if cached is not None:
-            _DECOMP_CACHE.move_to_end(key)
-            return cached._relabelled(matrix)
-    built = BlockDecomposition(matrix)
-    with _DECOMP_LOCK:
-        cached = _DECOMP_CACHE.setdefault(key, built)
-        _DECOMP_CACHE.move_to_end(key)
-        while len(_DECOMP_CACHE) > _DECOMP_CACHE_SIZE:
-            _DECOMP_CACHE.popitem(last=False)
-    return cached._relabelled(matrix)
+    make = partial(BlockDecomposition, matrix)
+    return _lru(_DECOMP_CACHE, _DECOMP_LOCK, _DECOMP_CACHE_SIZE, matrix.rows, make)._relabelled(matrix)
 
 
 def is_primitive(rows):
@@ -906,12 +882,7 @@ def analyze_morphism(f, width=DEFAULT_WIDTH):
     """JSON-ready spectral report for an endomorphism."""
     matrix = words.incidence_matrix(f)
     dec = decompose(matrix)
-    growth = {}
-    for letter in f.domain:
-        g = dec.column_growth(matrix.index_of(letter))
-        growth[letter] = {"lambda_per_step": g.rate.describe(), "d": g.degree}
-    return {
-        "p": dec.p,
-        "blocks": dec.blocks_as_json(width),
-        "letter_growth": growth,
-    }
+    # the growth first: describing a rate may refine the locators that the
+    # block report's enclosures are read from
+    growth = {l: dec.column_growth(matrix.index_of(l)).as_dict() for l in f.domain}
+    return {"p": dec.p, "blocks": dec.blocks_as_json(width), "letter_growth": growth}

@@ -342,20 +342,19 @@ def power(f, n):
     return result
 
 
-def erasure(domain, erased):
-    """The morphism that deletes `erased` letters and keeps the rest."""
-    erased = set(erased)
-    missing = erased - set(domain.letters)
+def _survivors(domain, erased):
+    """`domain` without the letters `erased`, which must lie in it."""
+    missing = set(erased) - set(domain.letters)
     if missing:
         raise DomainMismatchError(f"cannot erase letters outside the alphabet: {sorted(missing)!r}")
-    codomain = domain.without(erased)
-    images = []
-    for letter in domain:
-        if letter in erased:
-            images.append(Word(codomain))
-        else:
-            images.append(Word.from_letters(codomain, (letter,)))
-    return Morphism(domain, codomain, tuple(images))
+    return domain.without(erased)
+
+
+def erasure(domain, erased):
+    """The morphism that deletes `erased` letters and keeps the rest."""
+    codomain = _survivors(domain, erased)
+    images = [Word.from_letters(codomain, (l,) if l in codomain else ()) for l in domain]
+    return Morphism(domain, codomain, images)
 
 
 def restrict(f, keep):
@@ -373,11 +372,21 @@ def restrict(f, keep):
 
 
 def erase_and_restrict(f, removed):
-    """(kappa_removed o f) restricted to the surviving letters."""
-    kappa = erasure(f.domain, removed)
-    keep = kappa.codomain
-    images = tuple(apply(kappa, f.image(l)) for l in keep)
-    return Morphism(keep, keep, images)
+    """(kappa_removed o f) restricted to the surviving letters, for an
+    endomorphism f.  Each image is renumbered and cut in one pass: one
+    bytes.translate over byte codes, one comprehension over tuples."""
+    keep = _survivors(f.domain, removed)
+    if not f.is_endomorphism:
+        raise DomainMismatchError("erase_and_restrict needs an endomorphism")
+    new = [keep._index.get(l) for l in f.domain.letters]  # a kept letter's code, or None
+    images = [image.codes for image, code in zip(f.images, new) if code is not None]
+    if type(f.domain._valid) is bytes:
+        table = bytes(code or 0 for code in new).ljust(256, b"\0")
+        cut = bytes(c for c, code in enumerate(new) if code is None)
+        images = [codes.translate(table, cut) for codes in images]
+    else:
+        images = [[new[c] for c in codes if new[c] is not None] for codes in images]
+    return Morphism(keep, keep, [Word(keep, codes) for codes in images])
 
 
 def _counts(codes, n):

@@ -1,11 +1,14 @@
 """Digraph machinery and exact polynomial tools."""
 
 import random
+import sys
+import threading
 import time
 from fractions import Fraction
 
 import pytest
 
+from morphlab import polytools
 from morphlab.errors import DomainMismatchError
 from morphlab.fixtures import demo_matrix
 from morphlab.graphs import component_period, is_trivial_component, strongly_connected_components
@@ -224,6 +227,62 @@ def test_ceil_root_steps_do_not_grow_with_n():
     assert _ceil_root(r**5544, 5544) == r
     assert time.perf_counter() - start < 0.1
     assert _ceil_root(r**5544 + 1, 5544) == r + 1 and _ceil_root(r**5544 - 1, 5544) == r
+
+
+def _sign(x):
+    return (x > 0) - (x < 0)
+
+
+@pytest.mark.parametrize("poly, sign", [
+    (poly_mul([-5, 0, 1], [1, 1]), lambda t: 1 if t < 0 else _sign(5 - t * t)),  # r = sqrt(5)
+    (poly_mul([-2, 1], [-3, 0, 1]), lambda t: _sign(2 - t)),  # r = 2, with sqrt(3) below it
+])
+def test_one_locator_serves_eight_threads_without_an_outside_lock(monkeypatch, poly, sign):
+    """refine, isolated and sign_at from eight threads on one locator, each
+    thread at its own widths: every bracket a thread reads holds the
+    largest root r and lies inside the last one it read, and every
+    sign_at(t) is the exact sign of r - t.  Each Sturm count yields to the
+    other threads, between a read of the bracket and the write it leads to."""
+    inner = polytools.sign_variations
+
+    def yielding(chain, x):
+        time.sleep(0)
+        return inner(chain, x)
+
+    monkeypatch.setattr(polytools, "sign_variations", yielding)
+    errors = []
+
+    def work(loc, barrier, k):
+        try:
+            barrier.wait()
+            last = (loc.lo, loc.hi)
+            for step in range(12):
+                lo, hi = loc.refine(Fraction(1, 2 ** (3 * step + 7 * (k % 4))))
+                if not (last[0] <= lo < hi <= last[1] and sign(lo) == 1 and sign(hi) <= 0):
+                    errors.append(("bracket", k, last, (lo, hi)))
+                last = (lo, hi)
+                loc.isolated()
+                for t in (lo, hi, (lo + hi) / 2, Fraction(2), Fraction(9, 4), Fraction(-1, 2)):
+                    if loc.sign_at(t) != sign(t):
+                        errors.append(("sign_at", k, t))
+        except Exception as exc:  # pragma: no cover
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):  # a fresh locator each round
+            loc, barrier = LargestRootLocator(poly, Fraction(-1), Fraction(10)), threading.Barrier(8)
+            threads = [threading.Thread(target=work, args=(loc, barrier, k)) for k in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert loc.isolated() and count_roots_closed(loc.chain[0], loc.chain, loc.lo, loc.hi) == 1
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors
 
 
 def test_locator_follows_largest_root_not_first_bracket():

@@ -660,3 +660,16 @@ def test_cli_malformed_pair_is_a_domain_error(tmp_path, capsys, args, flag, valu
     assert json.loads(capsys.readouterr().out)["error"] == {
         "kind": "MorphlabError", "message": f"{flag} names two morphisms as 'f,g', got {value!r}"
     }
+
+
+@pytest.mark.parametrize("case, reason", [("directory", "Is a directory"), ("missing", "No such file or directory")])
+def test_cli_unwritable_emit_is_a_domain_error(tmp_path, capsys, case, reason):
+    """--emit naming a directory, or a path in a missing directory, exits 2
+    with JSON that names the path, as an unreadable --file does."""
+    path = tmp_path / "tm.mf"
+    path.write_text(TM_FILE)
+    emit = tmp_path if case == "directory" else tmp_path / "nosuch" / "out.mf"
+    assert cli.main(["normalize", "--file", str(path), "--emit", str(emit), "--json"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == {
+        "kind": "MorphlabError", "message": f"cannot write --emit {str(emit)!r}: {reason}"
+    }

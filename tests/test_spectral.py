@@ -1107,3 +1107,53 @@ def test_one_lazy_radius_is_built_once_from_eight_threads(monkeypatch):
         assert (poly, text) == results[0][1:]
     assert radius.block == mat_pow(tail, 6)
     assert radius.poly == tuple(charpoly(mat_pow(tail, 6)))
+
+
+def test_lazy_block_and_poly_are_built_once_and_never_read_as_zero(monkeypatch):
+    """Eight threads read block and poly of one on-demand radius of a p = 6
+    decomposition, polling is_zero before and after: one _power_block
+    call, one shared (block, poly) pair, and never a zero verdict."""
+    built = []
+    inner = spectral._power_block
+
+    def slow(*args):
+        built.append(args)
+        time.sleep(0.05)  # let the other threads arrive while the block is built
+        return inner(*args)
+
+    monkeypatch.setattr(spectral, "_power_block", slow)
+    tail = ((1, 1), (1, 0))
+    dec = BlockDecomposition(cycle_chain((2, 3), (3, 2), tail))
+    radius = dec.radii[dec.block_of[len(dec.matrix.rows) - 1]]
+    barrier = threading.Barrier(8)
+    results, errors = [], []
+
+    def work(k):
+        try:
+            barrier.wait()
+            zero = radius.is_zero
+            if k % 2:
+                block, poly = radius.block, radius.poly
+            else:
+                poly, block = radius.poly, radius.block
+            if zero or any(radius.is_zero for _ in range(500)):
+                errors.append(("is_zero", k))
+            results.append((block, poly))
+        except Exception as exc:  # pragma: no cover
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    assert len(built) == 1 and len(results) == 8
+    assert all(block is results[0][0] and poly is results[0][1] for block, poly in results)
+    assert results[0] == (mat_pow(tail, 6), tuple(charpoly(mat_pow(tail, 6))))

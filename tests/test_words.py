@@ -13,10 +13,12 @@ except ImportError:  # the hypothesis properties below are left out without it
 from morphlab import (
     Alphabet,
     DomainMismatchError,
+    Morphism,
     NotASubMorphismError,
     Word,
     apply,
     compose,
+    erase_and_restrict,
     erasure,
     first_mismatch,
     identity_morphism,
@@ -361,3 +363,29 @@ if st is not None:
         assert pairs[0][0] == pairs[0][1] and hash(pairs[0][0]) == hash(pairs[0][1])
         assert first_mismatch(*pairs[0], n) is None
         assert first_mismatch(*pairs[1], n) == k and pairs[1][0] != pairs[1][1]
+
+    @st.composite
+    def erasing_morphisms(draw):
+        """(f, E): an endomorphism over n letters, on both sides of 256, with
+        images of up to 12 letters, and a set E of its letters to erase."""
+        n = draw(st.one_of(st.integers(1, 12), st.integers(250, 300)))
+        alphabet = Alphabet(POOL[:n])
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        images = [Word(alphabet, [rng.randrange(n) for _ in range(rng.randint(0, 12))]) for _ in range(n)]
+        erased = set(rng.sample(POOL[:n], draw(st.sampled_from((0, 1, n // 2, n - 1, n)))))
+        return Morphism(alphabet, alphabet, images), erased
+
+    @WORD_SETTINGS
+    @given(erasing_morphisms())
+    def test_erase_and_restrict_equals_the_erasure_applied_letter_by_letter(drawn):
+        f, erased = drawn
+        kappa = erasure(f.domain, erased)
+        keep = kappa.codomain
+        if not keep:  # no morphism has an empty domain
+            with pytest.raises(DomainMismatchError, match="domain must be non-empty"):
+                erase_and_restrict(f, erased)
+            return
+        expected = Morphism(keep, keep, [apply(kappa, f.image(l)) for l in keep])
+        got = erase_and_restrict(f, erased)
+        assert got == expected
+        assert all(type(w.codes) is type(v.codes) for w, v in zip(got.images, expected.images))
