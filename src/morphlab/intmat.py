@@ -2,8 +2,10 @@
 
 Matrices are tuples of tuples holding Python ints, so every operation is
 exact regardless of magnitude; `charpoly` also accepts rational entries
-and clears their denominators first.  Sizes in this library are tiny
-(alphabets, not data), so the dense O(n^3) algorithms are the right tool.
+and clears their denominators first.  Products combine whole rows, so
+their cost follows the non-zero entries of the left factor, and
+`charpoly` packs each row of a power into one int, so that a row of the
+next power is one bignum sum per non-zero entry of the matrix.
 """
 
 from __future__ import annotations
@@ -118,27 +120,28 @@ def clear_denominators(rows):
 def charpoly(a):
     """Characteristic polynomial det(xI - A), coefficients ascending in x.
 
-    Runs the Faddeev-LeVerrier recurrence in integers: for an integer
-    matrix every division by k is exact, and a remainder raises
-    InvariantError.  A rational matrix A = B / d is reduced to the integer
-    matrix B, whose coefficients c_k give those of A as c_k / d^(n-k);
-    the result is a list of ints when every coefficient is integral, else
-    a list of Fractions.  The empty matrix yields the constant polynomial 1.
+    For an integer matrix the coefficients c_k of x^(n-k) follow from the
+    traces t_i = tr(A^i), i <= n, by Newton's identities
+    k c_k = -(c_(k-1) t_1 + c_(k-2) t_2 + ... + c_0 t_k), c_0 = 1; every
+    division by k is exact, and a remainder raises InvariantError.  A
+    rational matrix A = B / d is reduced to the integer matrix B, whose
+    coefficients c_k give those of A as c_k / d^(n-k); the result is a
+    list of ints when every coefficient is integral, else a list of
+    Fractions.  The empty matrix yields the constant polynomial 1, and a
+    matrix that is not square raises DomainMismatchError.
     """
     n = len(a)
     if n == 0:
         return [1]
     m, d = clear_denominators(freeze(a))
+    if any(len(row) != n for row in m):
+        raise DomainMismatchError("matrix is not square")
+    traces = _power_traces(m)
     coeffs = [1]  # descending: x^n ... x^0
-    work = m
     for k in range(1, n + 1):
-        if k > 1:
-            c = coeffs[-1]
-            prev = [row[:i] + (row[i] + c,) + row[i + 1 :] for i, row in enumerate(work)]
-            work = mat_mul(m, prev)
-        c, rest = divmod(-sum(work[i][i] for i in range(n)), k)
+        c, rest = divmod(-sum(map(int.__mul__, coeffs, reversed(traces[:k]))), k)
         if rest:
-            raise InvariantError("Faddeev-LeVerrier trace is not divisible by k")
+            raise InvariantError("Newton's identities give a coefficient that is not an integer")
         coeffs.append(c)
     ascending = coeffs[::-1]
     if d == 1:
@@ -147,6 +150,33 @@ def charpoly(a):
     if all(c.denominator == 1 for c in scaled):
         return [int(c) for c in scaled]
     return scaled
+
+
+def _power_traces(m):
+    """[tr(A), tr(A^2), ..., tr(A^n)] for a square integer matrix A.
+
+    Row i of A^k is held as one int, the sum of (A^k)_ij 2^(jw).  With R
+    the smaller of the largest absolute row sum and the largest absolute
+    column sum, |(A^k)_ij| <= R^k < 2^(w-1) for k <= n when
+    w = n bitlen(R) + 2, so adding half = 2^(w-1) to every slot leaves
+    each in [0, 2^w): no slot borrows from the next, and an entry reads as
+    (((row + offset) >> jw) & mask) - half.  Packing is linear, so row i
+    of A^(k+1) is the sum of A_it times row t of A^k over the non-zero
+    A_it: one bignum multiply-add each.
+    """
+    n = len(m)
+    bound = min(max(sum(map(abs, row)) for row in m), max(sum(map(abs, col)) for col in zip(*m)))
+    w = n * bound.bit_length() + 2
+    half, mask = 1 << w - 1, (1 << w) - 1
+    offset = half * sum(1 << j * w for j in range(n))
+    terms = [[(x, t) for t, x in enumerate(row) if x] for row in m]
+    power = [sum(x << j * w for j, x in enumerate(row)) for row in m]
+    traces = []
+    for k in range(n):
+        if k:
+            power = [sum(x * power[t] for x, t in row) for row in terms]
+        traces.append(sum(((row + offset) >> i * w & mask) - half for i, row in enumerate(power)))
+    return traces
 
 
 class IncidenceMatrix:

@@ -121,13 +121,25 @@ def sturm_chain(p):
     """Sturm chain of the squarefree part of p, as a primitive
     pseudo-remainder sequence.
 
-    Each term is -rem(previous two) times a positive constant: the
+    The sequence of the primitive p and p' ends in gcd(p, p') up to a
+    constant, so it is the chain itself when that term is a constant (p
+    is squarefree); otherwise the chain is that of p / gcd(p, p').  Each
+    term is -rem(previous two) times a positive constant: the
     pseudo-remainder is lc^(delta+1) times the remainder, so its sign is
     corrected by that of lc^(delta+1), and the content it shares is
     divided out.  Positive factors leave every sign, hence every count,
     unchanged.
     """
-    a = squarefree(p)
+    a = _primitive(p)
+    chain = _sturm_sequence(a)
+    if len(chain[-1]) > 1:  # p has a repeated root
+        chain = _sturm_sequence(_exact_quotient(a, _primitive(chain[-1])))
+    return chain
+
+
+def _sturm_sequence(a):
+    """The signed primitive remainder sequence of a and a', ending in
+    gcd(a, a') up to a constant; [a] when a' = 0."""
     chain = [a]
     b = _divide_content(derivative(a))
     while b:
@@ -242,7 +254,18 @@ class LargestRootLocator:
     count at hi change together; the chain never changes."""
 
     def __init__(self, poly, lo, hi):
-        self.chain = sturm_chain(poly)
+        self._start(sturm_chain(poly), lo, hi)
+
+    @classmethod
+    def from_chain(cls, chain, lo, hi):
+        """The locator of the polynomials whose Sturm chain, as made by
+        `sturm_chain`, is `chain`, so no remainder sequence runs again."""
+        locator = cls.__new__(cls)
+        locator._start(chain, lo, hi)
+        return locator
+
+    def _start(self, chain, lo, hi):
+        self.chain = chain
         self.lo = Fraction(lo)
         self.hi = Fraction(hi)
         self._v_hi = sign_variations(self.chain, self.hi)

@@ -46,7 +46,6 @@ from .polytools import (
     nth_root_bounds,
     poly_gcd,
     rational_nth_root_exact,
-    squarefree,
     sturm_chain,
     trim,
 )
@@ -92,11 +91,11 @@ def _row_sum_bound(block):
     return hi if hi > 0 else Fraction(1)
 
 
-def _locator_for_block(block, poly):
+def _locator_for_block(block, chain):
     """The radius engine: a locator for the Perron root of the non-negative
-    `block`, the largest real root of its characteristic polynomial `poly`,
-    in the bracket (-1, _row_sum_bound(block)]."""
-    return LargestRootLocator(poly, Fraction(-1), _row_sum_bound(block))
+    `block`, the largest real root of the polynomials with the Sturm chain
+    `chain`, in the bracket (-1, _row_sum_bound(block)]."""
+    return LargestRootLocator.from_chain(chain, Fraction(-1), _row_sum_bound(block))
 
 
 # One pass of perfbench's spectra workload asks for locators of 107
@@ -108,8 +107,9 @@ _RADIUS_REGISTRY_SIZE = 256
 
 
 def _radius_key(poly):
-    """The primitive squarefree part of `poly` with the factor x divided
-    out, kept when nothing else is left (a nilpotent block), as a tuple.
+    """(key, chain): the key is the primitive squarefree part of `poly` with
+    the factor x divided out, kept when nothing else is left (a nilpotent
+    block), as a tuple; the chain is its Sturm chain, which it heads.
 
     A non-negative matrix with Perron root r > 0 has r as the largest real
     root of its characteristic polynomial, so blocks whose polynomials
@@ -117,14 +117,20 @@ def _radius_key(poly):
     return _key_of(tuple(poly))
 
 
+# the Sturm chain of x, the chain of the key (0, 1) of a nilpotent block
+_X_CHAIN = [[0, 1], [1]]
+
+
 # the radii of f, its powers and sigma rebuild the same polynomials: one
-# squarefree gcd per polynomial, in an LRU as large as the registry's
+# remainder sequence per polynomial, in an LRU as large as the registry's,
+# serves both its key and, on a registry miss, its locator; the cached
+# chain is shared with that locator, and nothing changes it
 @lru_cache(maxsize=_RADIUS_REGISTRY_SIZE)
 def _key_of(poly):
     poly = trim(list(poly))
     zeros = next((i for i, c in enumerate(poly) if c), 0)  # the power of x
-    head = squarefree(poly[zeros:])
-    return tuple(head) if len(head) > 1 or not zeros else (0, 1)
+    chain = sturm_chain(poly[zeros:])
+    return (tuple(chain[0]), chain) if len(chain[0]) > 1 or not zeros else ((0, 1), _X_CHAIN)
 
 
 def _lru(cache, lock, size, key, make):
@@ -165,10 +171,11 @@ _RADIUS_REGISTRY = OrderedDict()
 _RADIUS_LOCK = threading.Lock()
 
 
-def _shared_locator(key, block):
-    """The registry's locator for the radius key `key`; a new one brackets
-    the root in (-1, row-sum bound of `block`], a block with that key."""
-    make = partial(_locator_for_block, block, key)
+def _shared_locator(key, chain, block):
+    """The registry's locator for the radius key `key`; a new one is built
+    on the key's Sturm chain `chain` and brackets the root in (-1, row-sum
+    bound of `block`], a block with that key."""
+    make = partial(_locator_for_block, block, chain)
     return _lru(_RADIUS_REGISTRY, _RADIUS_LOCK, _RADIUS_REGISTRY_SIZE, key, make)
 
 
@@ -255,15 +262,16 @@ class AlgebraicRadius:
     # -- refinement (on the registry's locator) --------------------------------
 
     def _own_key(self):
+        """The radius key and its Sturm chain, (key, chain)."""
         if self._key is None:  # two threads may both compute it, alike
             object.__setattr__(self, "_key", _radius_key(self.poly))
         return self._key
 
     def _own_locator(self):
-        return _shared_locator(self._own_key(), self.block)
+        return _shared_locator(*self._own_key(), self.block)
 
     def _powered(self, e):
-        """block^e, whose dominant root is r^e, and its radius key."""
+        """block^e, whose dominant root is r^e, and its (key, chain)."""
         if e == 1:
             return self.block, self._own_key()
         block = mat_pow(self.block, e)
@@ -383,11 +391,11 @@ class AlgebraicRadius:
             return 1
         b = other if other._base is None else other._base
         common = lcm(a.step, b.step)
-        block_a, key_a = a._powered(common // a.step)
-        block_b, key_b = b._powered(common // b.step)
+        block_a, (key_a, chain_a) = a._powered(common // a.step)
+        block_b, (key_b, chain_b) = b._powered(common // b.step)
         if key_a == key_b:
             return 0
-        la, lb = _shared_locator(key_a, block_a), _shared_locator(key_b, block_b)
+        la, lb = _shared_locator(key_a, chain_a, block_a), _shared_locator(key_b, chain_b, block_b)
         g = g_chain = None  # formed once both enclosures isolate and overlap
         width = Fraction(1, 16)
         while True:
@@ -400,7 +408,7 @@ class AlgebraicRadius:
             if (g is None or g_chain is not None) and la.isolated() and lb.isolated():
                 if g is None:  # the chain heads are the squarefree polynomials
                     g = poly_gcd(la.chain[0], lb.chain[0])
-                    g_chain = sturm_chain(g) if len(g) > 1 else None
+                    g_chain = _radius_key(g)[1] if len(g) > 1 else None  # x-free, so the key's chain is g's
                 # read again: another thread may have isolated narrower brackets
                 (alo, ahi), (blo, bhi) = la.refine(width), lb.refine(width)
                 if g_chain is not None and count_roots_closed(g, g_chain, max(alo, blo), min(ahi, bhi)) >= 1:
@@ -425,7 +433,7 @@ class AlgebraicRadius:
         poly = trim(list(poly))
         if self.is_zero:
             return bool(poly) and Fraction(poly[0]) == 0
-        if poly and _radius_key(poly) == self._own_key():
+        if poly and _radius_key(poly)[0] == self._own_key()[0]:
             return True
         locator = self._own_locator()
         g = poly_gcd(locator.chain[0], poly)  # the chain head is the squarefree part
@@ -436,7 +444,7 @@ class AlgebraicRadius:
             locator.refine(width)
             if locator.isolated():  # the bracket now lies inside the isolating one
                 lo, hi = locator.refine(width)
-                return count_roots_closed(g, sturm_chain(g), lo, hi) >= 1
+                return count_roots_closed(g, _radius_key(g)[1], lo, hi) >= 1  # x-free, or x itself
             width /= 16
 
     def __eq__(self, other):
@@ -803,15 +811,24 @@ def decompose(matrix):
 
 def is_primitive(rows):
     """Strongly connected with cycle-length gcd 1 (so some power is positive)."""
-    if isinstance(rows, IncidenceMatrix):
-        rows = rows.rows
+    rows = _square(rows)
     components, periods = _cyclic_components(rows)
     return periods == [1] and len(components[0]) == len(rows)
 
 
-def _nonnegative(rows):
-    """rows as a tuple of tuples; a negative entry raises DomainMismatchError."""
+def _square(rows):
+    """rows as a tuple of tuples; a matrix that is not square raises
+    DomainMismatchError."""
     rows = rows.rows if isinstance(rows, IncidenceMatrix) else freeze(rows)
+    if any(len(row) != len(rows) for row in rows):
+        raise DomainMismatchError("matrix is not square")
+    return rows
+
+
+def _nonnegative(rows):
+    """rows as a tuple of tuples; a matrix that is not square or has a
+    negative entry raises DomainMismatchError."""
+    rows = _square(rows)
     if any(x < 0 for row in rows for x in row):
         raise DomainMismatchError("radius enclosures need a non-negative matrix")
     return rows

@@ -1,0 +1,79 @@
+"""Properties of the exact core against references kept in tests/util.py:
+characteristic polynomials from power traces against Faddeev-LeVerrier,
+and Sturm chains from one remainder sequence against the squarefree part
+taken first."""
+
+from fractions import Fraction
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st
+
+from morphlab.intmat import charpoly
+from morphlab.polytools import sturm_chain
+
+from util import reference_charpoly, reference_sturm_chain
+
+SETTINGS = settings(derandomize=True, deadline=None, max_examples=200)
+
+
+def square(entries, max_n):
+    return st.integers(0, max_n).flatmap(
+        lambda n: st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
+    )
+
+
+@SETTINGS
+@given(square(st.integers(-9, 9), 10))
+def test_charpoly_equals_faddeev_leverrier_on_integer_matrices(rows):
+    poly = charpoly(rows)
+    assert poly == reference_charpoly(rows)
+    assert all(type(c) is int for c in poly)
+
+
+@SETTINGS
+@given(square(st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12)), 6))
+def test_charpoly_equals_faddeev_leverrier_on_rational_matrices(rows):
+    assert charpoly(rows) == reference_charpoly(rows)
+
+
+factors = st.lists(st.integers(-6, 6), min_size=1, max_size=3).map(lambda low: [*low, 1])  # monic, degree 1..3
+
+
+def product(parts, scale):
+    out = [scale]
+    for factor, power in parts:
+        for _ in range(power):
+            new = [0] * (len(out) + len(factor) - 1)
+            for i, c in enumerate(out):
+                for j, d in enumerate(factor):
+                    new[i + j] += c * d
+            out = new
+    return out
+
+
+polynomials = st.one_of(
+    st.builds(
+        product,
+        st.lists(st.tuples(factors, st.integers(1, 3)), min_size=1, max_size=4),
+        st.one_of(st.integers(-5, 5).filter(bool), st.fractions(-3, 3).filter(bool)),
+    ),
+    st.just([]),  # the zero polynomial
+    st.integers(-7, 7).map(lambda c: [c]),  # constants, zero among them
+)
+
+
+@SETTINGS
+@given(polynomials)
+def test_sturm_chain_equals_the_squarefree_part_first(poly):
+    chain = sturm_chain(poly)
+    assert chain == reference_sturm_chain(poly)
+    assert all(type(c) is int for term in chain for c in term)
+
+
+def test_charpoly_reference_cases():
+    # the references themselves, on values known in closed form
+    assert reference_charpoly(((1, 1), (1, 0))) == [-1, -1, 1]
+    assert reference_charpoly(((Fraction(1, 2), 1), (0, Fraction(1, 3)))) == [Fraction(1, 6), Fraction(-5, 6), 1]
+    assert reference_sturm_chain([4, -4, 1]) == [[-2, 1], [1]]  # (x - 2)^2

@@ -26,9 +26,10 @@ from morphlab.polytools import (
     squarefree,
     sturm_chain,
 )
-from morphlab.spectral import AlgebraicRadius, decompose
+from morphlab.dilation import rational_eigenvalues, shares_rational_spectrum
+from morphlab.spectral import AlgebraicRadius, decompose, is_primitive, perron_enclosure
 
-from util import gcd_of, random_matrix, simple_cycle_lengths
+from util import gcd_of, random_matrix, reference_charpoly, simple_cycle_lengths
 
 
 def _adj(rows):
@@ -134,6 +135,46 @@ def test_charpoly_of_rational_matrix_is_scaled_integer_charpoly():
         assert charpoly(a) == [Fraction(c, d ** (n - k)) for k, c in enumerate(charpoly(b))]
 
 
+@pytest.mark.parametrize("n", range(1, 13))
+def test_charpoly_where_the_slot_bound_is_tight(n):
+    # (c J)^k = c^k n^(k-1) J reaches R^k / n with R = c n, the row and the
+    # column sum; -c J alternates the sign of its powers with k
+    for c in (1, 2, 3, 9, 255, 256, 2**20 + 1):
+        for sign in (1, -1):
+            rows = ((sign * c,) * n,) * n
+            want = [0] * (n - 1) + [-sign * c * n, 1]  # x^(n-1) (x - sign c n)
+            assert charpoly(rows) == want == reference_charpoly(rows)
+
+
+def test_charpoly_of_wide_and_small_matrices():
+    # M = [[1, 2], [1, 0]] has eigenvalues 2 and -1, so M^5544 has 2^5544 and 1:
+    # entries of about 5,545 bits in slots wide enough for their squares
+    power = mat_pow(((1, 2), (1, 0)), 5544)
+    assert charpoly(power) == [2**5544, -(2**5544) - 1, 1] == reference_charpoly(power)
+    for x in (0, 1, -1, 7, -(2**70)):
+        assert charpoly(((x,),)) == [-x, 1] == reference_charpoly(((x,),))
+    assert charpoly(((0, 0), (0, 0))) == [0, 0, 1]
+    assert charpoly(()) == [1] == reference_charpoly(())
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: perron_enclosure([[1, 2]]),
+        lambda: rational_eigenvalues([[1, 2]]),
+        lambda: shares_rational_spectrum([[2]], [[2, 0]]),
+        lambda: charpoly(((1, 2),)),
+        lambda: perron_enclosure([[]]),
+        lambda: is_primitive([[1, 2]]),
+    ],
+    ids=["perron_enclosure", "rational_eigenvalues", "shares_rational_spectrum", "charpoly", "perron_empty_row",
+         "is_primitive"],
+)
+def test_matrices_that_are_not_square_raise_a_domain_error(call):
+    with pytest.raises(DomainMismatchError, match="not square"):
+        call()
+
+
 def test_charpoly_multiplicative_on_triangular_blocks():
     rng = random.Random(73)
     for _ in range(20):
@@ -180,6 +221,26 @@ def test_sturm_counts_distinct_roots_of_non_squarefree():
     assert count_roots_halfopen(chain, Fraction(-10), Fraction(10)) == 2
     assert count_roots_halfopen(chain, Fraction(-1), Fraction(0)) == 1
     assert count_roots_halfopen(chain, Fraction(-2), Fraction(-1, 2)) == 1
+
+
+def test_sturm_chain_of_a_squarefree_polynomial_is_one_sequence(monkeypatch):
+    # the sequence of p and p' ends in a constant, so it is the chain: one
+    # pseudo-remainder per term after the first, and no gcd run before it
+    calls = []
+    inner = polytools._pseudo_remainder
+    monkeypatch.setattr(polytools, "_pseudo_remainder", lambda a, b: calls.append(1) or inner(a, b))
+    rng = random.Random(41)
+    for _ in range(30):
+        roots = rng.sample(range(-20, 21), rng.randint(1, 7))
+        poly = [rng.choice((1, -3, 5))]
+        for r in roots:
+            poly = poly_mul(poly, [-r, 1])
+        calls.clear()
+        chain = sturm_chain(poly)
+        assert len(chain) == len(roots) + 1 and len(calls) == len(chain) - 1
+    calls.clear()
+    chain = sturm_chain(charpoly(((1, 1), (1, 0))))
+    assert chain == [[-1, -1, 1], [-1, 2], [1]] and len(calls) == 2
 
 
 def test_poly_gcd_and_squarefree():

@@ -809,7 +809,7 @@ def test_dilated_pair_compares_equal_through_the_key(monkeypatch, sign_counts):
 def test_nilpotent_and_multi_step_radii_compare_exactly(monkeypatch):
     monkeypatch.setattr(spectral, "_RADIUS_REGISTRY", OrderedDict())
     nilpotent = AlgebraicRadius.from_block(((0, 1), (0, 0)))
-    assert spectral._radius_key(nilpotent.poly) == (0, 1)
+    assert spectral._radius_key(nilpotent.poly)[0] == (0, 1)
     assert nilpotent.compare(AlgebraicRadius.from_block(((0,),))) == 0
     assert nilpotent.compare(0) == 0 and nilpotent.compare(1) == -1
     assert nilpotent.compare(AlgebraicRadius.from_block(((1,),))) == -1
@@ -850,28 +850,31 @@ def test_radius_registry_is_a_bounded_lru(monkeypatch):
 
 def test_radius_keys_take_one_squarefree_gcd_per_polynomial(monkeypatch):
     """The radii of f, its powers, the monotone f and sigma rebuild the same
-    characteristic polynomials; each takes one squarefree gcd, however many
-    radii ask for its key."""
+    characteristic polynomials; each builds one Sturm chain, however many
+    radii ask for its key, and that chain also serves the key's locator."""
     monkeypatch.setattr(spectral, "_RADIUS_REGISTRY", OrderedDict())
     monkeypatch.setattr(spectral, "_DECOMP_CACHE", OrderedDict())
     spectral._key_of.cache_clear()
-    requests, gcds = [], []
-    radius_key, squarefree = spectral._radius_key, spectral.squarefree
+    requests, chains = [], []
+    radius_key, sturm_chain = spectral._radius_key, spectral.sturm_chain
 
     def counted_key(poly):
         requests.append(tuple(poly))
         return radius_key(poly)
 
-    def counted_squarefree(poly):
-        gcds.append(tuple(poly))
-        return squarefree(poly)
+    def counted_chain(poly):
+        chains.append(sturm_chain(poly))
+        return chains[-1]
 
     monkeypatch.setattr(spectral, "_radius_key", counted_key)
-    monkeypatch.setattr(spectral, "squarefree", counted_squarefree)
+    monkeypatch.setattr(spectral, "sturm_chain", counted_chain)
     for f, g, start in (baum_sweet_erasing(), thue_morse_projection()):
         normalize(MorphicPresentation(f, g, start))
     assert len(requests) > 2 * len(set(requests))
-    assert len(gcds) == len(set(requests))
+    assert len(chains) == len(set(requests))
+    # every locator runs on a chain built for a key, not on a sequence of its own
+    assert spectral._RADIUS_REGISTRY
+    assert all(any(loc.chain is chain for chain in chains) for loc in spectral._RADIUS_REGISTRY.values())
 
 
 def test_entry_growth_module_function_and_errors():

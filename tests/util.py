@@ -2,14 +2,23 @@
 
 from fractions import Fraction
 from functools import cmp_to_key
-from math import gcd
+from math import gcd, lcm
 
 from morphlab import Alphabet, ImageStream, MorphicPresentation, Morphism, incidence_matrix
 from morphlab.errors import BudgetExceededError, FiniteWordError, MorphlabError, NotProlongableError
 from morphlab.graphs import component_period, is_trivial_component, strongly_connected_components
 from morphlab.intmat import charpoly, mat_pow, submatrix, vec_mat
 from morphlab.normalize import eliminate_effacement, monotone_powers
-from morphlab.polytools import count_roots_closed, count_roots_halfopen, sign_variations, sturm_chain
+from morphlab.polytools import (
+    _divide_content,
+    _pseudo_remainder,
+    count_roots_closed,
+    count_roots_halfopen,
+    derivative,
+    sign_variations,
+    squarefree,
+    sturm_chain,
+)
 from morphlab.spectral import AlgebraicRadius, cyclicity, decompose, letter_growth
 
 LETTERS = "abcdefgh"
@@ -217,6 +226,45 @@ class ReferenceDecomposition:
         self.class_of_block = tuple(class_of)
         self.class_radii = tuple(r for r, _ in reps)
 
+
+
+def reference_charpoly(a):
+    """det(xI - A), coefficients ascending, by the Faddeev-LeVerrier
+    recurrence in integers: M_1 = B, c_1 = -tr(B), and
+    M_k = B (M_(k-1) + c_(k-1) I), c_k = -tr(M_k) / k for the coefficient
+    c_k of x^(n-k), with B = dA for the least such integer matrix; the
+    coefficient of x^(n-k) in det(xI - A) is c_k / d^k.  Integral
+    coefficients come back as ints."""
+    n = len(a)
+    d = lcm(1, *(Fraction(x).denominator for row in a for x in row))
+    b = [[int(Fraction(x) * d) for x in row] for row in a]
+    coeffs = [1]  # descending: x^n ... x^0
+    work = b
+    for k in range(1, n + 1):
+        if k > 1:
+            shifted = [[x + coeffs[-1] if i == j else x for j, x in enumerate(row)] for i, row in enumerate(work)]
+            work = [[sum(b[i][t] * shifted[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
+        c, rest = divmod(-sum(work[i][i] for i in range(n)), k)
+        if rest:
+            raise ArithmeticError("Faddeev-LeVerrier trace is not divisible by k")
+        coeffs.append(c)
+    scaled = [Fraction(c, d**k) for k, c in enumerate(coeffs)]
+    return [int(c) if c.denominator == 1 else c for c in reversed(scaled)]
+
+
+def reference_sturm_chain(p):
+    """The Sturm chain as it was built before one sequence served a
+    squarefree p: the squarefree part from a gcd of p and p' first, then
+    the signed primitive remainder sequence of that part and its derivative."""
+    a = squarefree(p)
+    chain = [a]
+    b = _divide_content(derivative(a))
+    while b:
+        chain.append(b)
+        r = _pseudo_remainder(a, b)
+        flip = -1 if b[-1] > 0 or (len(a) - len(b)) % 2 else 1
+        a, b = b, [flip * c for c in _divide_content(r)] if r else []
+    return chain
 
 
 def reference_radius_enclosure(rows, width):
