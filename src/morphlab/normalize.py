@@ -11,9 +11,11 @@ a coding tau with tau(sigma^w(start)) equal to the original word:
 2. make_monotone: pass to powers so that |g(f(b))| >= |g(b)| for every
    letter, strictly at the start letter.
 3. build_sigma_tau: split each g(b) into single letters over the paired
-   alphabet {(b, i)} and cut alpha(f(b)) into matching non-empty pieces;
-   the resulting sigma has an incidence matrix that is a dilated version
-   of Mat_f and keeps the growth type.
+   alphabet {(b, i)}, numbered by offset, and cut alpha(f(b)) into
+   matching non-empty pieces; the resulting sigma has an incidence
+   matrix that is a dilated version of Mat_f and keeps the growth type.
+
+The image lengths |g(f^k(b))| of every stage come from one walk.
 
 Every stage is recorded in a NormalizationReport.
 """
@@ -21,6 +23,7 @@ Every stage is recorded in a NormalizationReport.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate, islice
 
 from . import dilation, spectral
 from .errors import (
@@ -88,26 +91,27 @@ class EffacementResult:
     stages: tuple
 
 
-def _image_length_vector(g, alphabet):
-    return tuple(len(g.image(b)) for b in alphabet)
+def _length_walk(matrix, g):
+    """The length vectors |g(f^k(b))| over the letters b of f, k = 0, 1, 2, ...
+
+    `matrix` is Mat_f.  The k-th vector is sum_c |g(c)| (Mat_f^k)_{c,b},
+    one vector-matrix product per step, so no word is built.
+    """
+    lengths = tuple(len(g.image(b)) for b in matrix.labels)
+    while True:
+        yield lengths
+        lengths = vec_mat(lengths, matrix.rows)
 
 
 def _visibility_power(f, g):
     """Least N with g(f^N(b)) non-empty for every b, or None within the bound.
 
-    Searched through length vectors |g(f^N(b))| = sum_c |g(c)| (Mat_f^N)_{c,b},
-    so no words are materialised.  The bound (#B)^2 - #B + 2 comes from the
-    primitivity index of the diagonal blocks.
+    The first all-positive vector of the length walk; the bound
+    (#B)^2 - #B + 2 comes from the primitivity index of the diagonal blocks.
     """
     m = len(f.domain)
-    bound = m * m - m + 2
-    matrix = incidence_matrix(f).rows
-    lengths = _image_length_vector(g, f.domain)
-    for n in range(bound + 1):
-        if all(x > 0 for x in lengths):
-            return n
-        lengths = vec_mat(lengths, matrix)
-    return None
+    walk = islice(_length_walk(incidence_matrix(f), g), m * m - m + 3)
+    return next((n for n, lengths in enumerate(walk) if all(lengths)), None)
 
 
 def eliminate_effacement(pres):
@@ -250,11 +254,10 @@ def _settle_power(f, letter, limit):
 def monotone_powers(f, g, start):
     """(settle, stretch, new image lengths) for the monotonicity step.
 
-    Everything is derived from the incidence matrix: the composed image
-    lengths are |g(f^settle(b))| = sum_c |g(c)| (Mat_f^settle)_{c,b}, so
-    nothing large is materialised here.  The stretch power q is the least
-    q >= 1 with lengths2 . Mat_f^q >= lengths2 componentwise, strictly at
-    `start`, searched one vector-matrix product per step.
+    Everything is read off the length walk: lengths2 = |g(f^settle(b))| is
+    its vector at k = settle, so nothing large is materialised here.  The
+    stretch power q is the least q >= 1 with lengths2 . Mat_f^q >= lengths2
+    componentwise, strictly at `start`: the walk's vector at settle + q.
 
     The search stops at Q = m * max(lengths2), m = #B, which always
     qualifies.  A growing letter b reaches a pumpable letter c (|f(c)| >= 2,
@@ -278,13 +281,10 @@ def monotone_powers(f, g, start):
     for b in f.domain:
         if b not in growing:
             settle = max(settle, _settle_power(f, b, m - 1))
-    lengths2 = _image_length_vector(g, f.domain)
-    for _ in range(settle):
-        lengths2 = vec_mat(lengths2, matrix.rows)
+    walk = _length_walk(matrix, g)
+    lengths2 = next(islice(walk, settle, None))
     si = f.domain.index(start)
-    after = lengths2
-    for q in range(1, m * max(lengths2) + 1):
-        after = vec_mat(after, matrix.rows)
+    for q, after in enumerate(islice(walk, m * max(lengths2)), 1):
         if after[si] > lengths2[si] and all(x >= y for x, y in zip(after, lengths2)):
             return settle, q, lengths2
     raise InvariantError(f"no stretch power up to {m * max(lengths2)} is monotone; this is a bug")
@@ -304,8 +304,7 @@ def make_monotone(f, g, start):
     if len(img) < 2 or img[0] != start:
         raise NotProlongableError(f"generator is not prolongable on {start!r}")
     settle, stretch, lengths2 = monotone_powers(f, g, start)
-    matrix = incidence_matrix(f)
-    _assert_monotone(matrix.rows, lengths2, stretch, f.domain.index(start))
+    _assert_monotone(incidence_matrix(f).rows, lengths2, stretch, f.domain.index(start))
     g2 = compose(g, power(f, settle)) if settle else g
     f2 = power(f, stretch)
     if tuple(len(g2.image(b)) for b in f.domain) != lengths2:
@@ -332,7 +331,8 @@ class SigmaTauResult:
 
 
 def _pair_names(alphabet, counts):
-    names = {}
+    """The name b.i of each pair letter (b, i), i < k, in order; primed until new."""
+    names = []
     used = set()
     for b, k in zip(alphabet, counts):
         for i in range(k):
@@ -340,80 +340,55 @@ def _pair_names(alphabet, counts):
             while name in used:
                 name += "'"
             used.add(name)
-            names[(b, i)] = name
+            names.append(name)
     return names
 
 
 def build_sigma_tau(f, g, start):
     """Split g over the paired alphabet {(b, i) : i < |g(b)|}.
 
-    alpha sends b to (b,0)...(b,|g(b)|-1) and tau reads off the letters of
-    g(b).  Each alpha(f(b)) is cut into |g(b)| non-empty pieces, one per
-    pair letter; feasibility is exactly the monotonicity condition.  The
-    cut is canonical: every piece takes one symbol and the last piece the
+    The pair letters of b are the codes offset[b] .. offset[b] + |g(b)| - 1;
+    alpha sends b to them and tau reads off the letters of g(b).  Each
+    alpha(f(b)) is cut into |g(b)| non-empty pieces, one per pair letter;
+    feasibility is exactly the monotonicity condition.  The cut is
+    canonical: every piece takes one symbol and the last piece the
     remainder, except that (start, 0) takes two symbols so that sigma is
     prolongable on it.
     """
     if not (f.is_non_erasing and g.is_non_erasing):
         raise DomainMismatchError("pair construction needs non-erasing morphisms")
-    counts = _image_length_vector(g, f.domain)
-    f_rows = incidence_matrix(f).rows
-    # |g(f(b))| = sum_c |g(c)| (Mat_f)_{c,b}, read off the matrix, not the images
-    for b, before, after in zip(f.domain, counts, vec_mat(counts, f_rows)):
+    matrix = incidence_matrix(f)
+    walk = _length_walk(matrix, g)
+    counts, lengths = next(walk), next(walk)  # |g(b)| and |g(f(b))|
+    for b, before, after in zip(f.domain, counts, lengths):
         if after < before or (b == start and after <= before):
             raise DomainMismatchError("monotonicity condition violated; run make_monotone first")
-    names = _pair_names(f.domain, counts)
-    pair_alphabet = Alphabet(names[(b, i)] for b, k in zip(f.domain, counts) for i in range(k))
-    pairing = Morphism(
-        f.domain,
-        pair_alphabet,
-        tuple(
-            Word.from_letters(pair_alphabet, tuple(names[(b, i)] for i in range(k)))
-            for b, k in zip(f.domain, counts)
-        ),
-    )
-    tau = Morphism(
-        pair_alphabet,
-        g.codomain,
-        tuple(
-            Word(g.codomain, (g.image(b).codes[i],))
-            for b, k in zip(f.domain, counts)
-            for i in range(k)
-        ),
-    )
-    sigma_images = {}
-    expansions = []  # pairing(f(b)) for each letter b
+    pair_alphabet = Alphabet(_pair_names(f.domain, counts))
+    offsets = tuple(accumulate(counts, initial=0))
+    pairs = [Word(pair_alphabet, range(o, o + k)) for o, k in zip(offsets, counts)]
+    pairing = Morphism(f.domain, pair_alphabet, pairs)
+    codes = [c for b in f.domain for c in g.image(b).codes]  # the letters of g(b), b in order
+    tau = Morphism(pair_alphabet, g.codomain, [Word(g.codomain, (c,)) for c in codes])
+    sigma_images, expansions = [], []  # expansions: pairing(f(b)) for each letter b
     for b, k in zip(f.domain, counts):
         expanded = apply(pairing, f.image(b))
         expansions.append(expanded)
-        cuts = [1] * k
-        if b == start:
-            cuts[0] = 2
-        cuts[-1] = len(expanded) - sum(cuts[:-1])
-        if not all(c >= 1 for c in cuts):
+        first = 2 if b == start else 1
+        cut = [0, *range(first, first + k - 1), len(expanded)]
+        if cut[-2] >= cut[-1]:  # only the last piece can be empty
             raise InvariantError(f"empty piece in the cut of {b!r}")
-        pos = 0
-        for i in range(k):
-            sigma_images[names[(b, i)]] = expanded[pos : pos + cuts[i]]
-            pos += cuts[i]
-        if pos != len(expanded):
-            raise InvariantError(f"the cut of {b!r} does not cover its image")
-    sigma = Morphism(
-        pair_alphabet,
-        pair_alphabet,
-        tuple(sigma_images[letter] for letter in pair_alphabet),
-    )
-    for b, expanded in zip(f.domain, expansions):  # pairing o f = sigma o pairing, letter by letter
-        if apply(sigma, apply(pairing, Word.from_letters(f.domain, (b,)))) != expanded:
+        sigma_images.extend(expanded[i:j] for i, j in zip(cut, cut[1:]))
+    sigma = Morphism(pair_alphabet, pair_alphabet, sigma_images)
+    for b, image, expanded in zip(f.domain, pairing.images, expansions):  # pairing o f = sigma o pairing
+        if apply(sigma, image) != expanded:
             raise InvariantError(f"sigma and the pairing do not commute at {b!r}")
-    kvec = tuple(counts)
-    if not dilation.is_dilated(incidence_matrix(sigma).rows, f_rows, kvec):
+    if not dilation.is_dilated(incidence_matrix(sigma).rows, matrix.rows, counts):
         raise InvariantError("Mat(sigma) is not a dilation of Mat(f)")
-    new_start = names[(start, 0)]
-    first = sigma.image(new_start)
-    if len(first) < 2 or first[0] != new_start:
+    new_start = pair_alphabet.letters[offsets[f.domain.index(start)]]
+    head = sigma.image(new_start)
+    if len(head) < 2 or head[0] != new_start:
         raise InvariantError(f"sigma is not prolongable on {new_start!r}")
-    return SigmaTauResult(sigma, tau, pairing, new_start, kvec)
+    return SigmaTauResult(sigma, tau, pairing, new_start, counts)
 
 
 @dataclass(frozen=True)

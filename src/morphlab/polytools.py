@@ -315,9 +315,7 @@ class LargestRootLocator:
         return None
 
     def refine(self, width):
-        width = Fraction(width)
-        if width <= 0:
-            raise DomainMismatchError("enclosure width must be positive")
+        width = positive_width(width)
         with self._lock:
             if self.hi - self.lo > width:
                 bracket = self._newton(width)
@@ -347,7 +345,8 @@ class LargestRootLocator:
     def sign_at(self, t):
         """Exact sign of r - t for the largest root r and a rational t: r > t
         exactly when a root lies in (t, hi], as none lies above hi, and
-        otherwise r = t exactly when t is a root."""
+        otherwise r = t exactly when t is a root, read in integers as
+        b^d head(a/b) for t = a/b."""
         with self._lock:
             if t <= self.lo:
                 return 1
@@ -355,18 +354,27 @@ class LargestRootLocator:
                 return -1
             if sign_variations(self.chain, t) > self._v_hi:
                 return 1
-        return 0 if evaluate(self.chain[0], t) == 0 else -1
+        head = self.chain[0]
+        return 0 if _scaled_value(head, t.numerator, _powers(t.denominator, len(head))) == 0 else -1
+
+
+def positive_width(width):
+    """An enclosure width as a Fraction; a width <= 0 raises DomainMismatchError.
+    Every refinement passes here: a Fraction is kept, its sign read off the numerator."""
+    if type(width) is not Fraction:
+        width = Fraction(width)
+    if width.numerator <= 0:
+        raise DomainMismatchError("enclosure width must be positive")
+    return width
 
 
 def nth_root_bounds(x, n, width):
     """Rational enclosure (lo, hi) of x**(1/n) for x >= 0, hi - lo <= width:
     for 2^-k <= width / 2, the integer floor and ceiling of (x 2^(kn))^(1/n)
     over 2^k, from the integer n-th root of the floor of x 2^(kn)."""
-    x, width = Fraction(x), Fraction(width)
+    x, width = Fraction(x), positive_width(width)
     if x < 0:
         raise ValueError("negative radicand")
-    if width <= 0:
-        raise DomainMismatchError("enclosure width must be positive")
     if n == 1 or x == 0:
         return x, x
     k = (-(-2 * width.denominator // width.numerator) - 1).bit_length()

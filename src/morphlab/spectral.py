@@ -45,6 +45,7 @@ from .polytools import (
     count_roots_closed,
     nth_root_bounds,
     poly_gcd,
+    positive_width,
     rational_nth_root_exact,
     sturm_chain,
     trim,
@@ -279,6 +280,7 @@ class AlgebraicRadius:
 
     def root_enclosure(self, width=DEFAULT_WIDTH):
         """Rational interval around the defining root r (not the step-th root)."""
+        width = positive_width(width)
         if self.is_zero:
             return Fraction(0), Fraction(0)
         return self._own_locator().refine(width)
@@ -289,11 +291,11 @@ class AlgebraicRadius:
         When the value is provably >= 1 (every non-zero block radius of a
         decomposition is) the lower bound is clamped to 1.
         """
+        width = positive_width(width)
         if self.is_zero:
             return Fraction(0), Fraction(0)
         if self._base is not None:  # the same value, at step 1
             return self._base.value_enclosure(width)
-        width = Fraction(width)
         if self.step == 1:
             vlo, vhi = self.root_enclosure(width)
         else:
@@ -318,25 +320,22 @@ class AlgebraicRadius:
         """The defining root r as a Fraction when it is rational, else None."""
         if self.is_zero:
             return Fraction(0)
-        poly = trim(list(self.poly))
-        if len(poly) == 2:
-            return Fraction(poly[0], poly[1]) * -1
-        if not all(isinstance(c, int) for c in poly) or poly[-1] != 1:
-            return None
         if self._base is not None:
             return self._rational_root_from_base()
-        # a rational root of a monic integer polynomial is an integer, so r
-        # is rational exactly when r = floor(r); floor(r) is found by
-        # bisecting the integers with exact counts, which leaves the
+        # the radius key is a primitive integer polynomial, so a rational root
+        # is k / lead for an integer k (the rational root theorem), and r is
+        # rational exactly when r = floor(lead r) / lead; floor(lead r) is
+        # found by bisecting the integers with exact counts, which leaves the
         # locator's bracket as it was and never factors the constant term
-        lo, hi = 0, floor(_row_sum_bound(self.block))
+        lead = self._own_key()[0][-1]
+        lo, hi = 0, floor(lead * _row_sum_bound(self.block))
         while lo < hi:
             mid = (lo + hi + 1) // 2
-            if self._compare_root(mid) >= 0:
+            if self._compare_root(Fraction(mid, lead)) >= 0:
                 lo = mid
             else:
                 hi = mid - 1
-        return Fraction(lo) if self._compare_root(lo) == 0 else None
+        return Fraction(lo, lead) if self._compare_root(Fraction(lo, lead)) == 0 else None
 
     def _rational_root_from_base(self):
         """r = rho^step as an integer, or None, for rho the root of `_base`.
@@ -836,10 +835,11 @@ def _nonnegative(rows):
 
 def perron_enclosure(block, width=Fraction(1, 10**6)):
     """Certified rational interval around the Perron root of a primitive
-    block, from spectral_radius_enclosure.  A 1x1 block gives an exact
-    point interval."""
+    block, from spectral_radius_enclosure.  A positive 1x1 block gives an
+    exact point interval; [[0]] is not primitive."""
     rows = _nonnegative(block)
-    if len(rows) == 1:
+    width = positive_width(width)
+    if len(rows) == 1 and rows[0][0] > 0:
         return (Fraction(rows[0][0]),) * 2
     if not is_primitive(rows):
         raise NotPrimitiveError("the Perron root enclosure needs a primitive matrix")

@@ -145,6 +145,31 @@ def test_perron_enclosure_examples():
         perron_enclosure(((0, 1), (3, 0)))
 
 
+def test_perron_enclosure_of_the_zero_1x1_block_is_refused():
+    """[[0]] is not primitive: its 1x1 shortcut would claim the Perron root 0."""
+    assert not is_primitive(((0,),))
+    with pytest.raises(NotPrimitiveError):
+        perron_enclosure(((0,),))
+
+
+@pytest.mark.parametrize("width", [0, -1, Fraction(-1, 2)])
+@pytest.mark.parametrize(
+    "enclose",
+    [
+        lambda w: AlgebraicRadius.zero().root_enclosure(w),
+        lambda w: AlgebraicRadius.from_block(((0, 1), (0, 0))).value_enclosure(w),
+        lambda w: spectral_radius_enclosure(((0, 1), (0, 0)), w),
+        lambda w: perron_enclosure(((3,),), w),
+    ],
+    ids=["zero-root", "nilpotent-value", "nilpotent-spectral-radius", "perron-1x1"],
+)
+def test_enclosure_width_must_be_positive_on_every_shortcut(enclose, width):
+    """The zero radius and the 1x1 block take shortcuts; each refuses a width
+    <= 0 as every other radius does."""
+    with pytest.raises(DomainMismatchError, match="enclosure width must be positive"):
+        enclose(width)
+
+
 def test_perron_enclosure_brackets_and_shrinks():
     rng = random.Random(83)
     found = 0
@@ -247,6 +272,26 @@ def test_describe_rational_radii_of_large_powers():
     assert AlgebraicRadius.from_block(((2**600,),), 600).describe() == "2"
     assert AlgebraicRadius.from_block(((3**600,),), 1200).describe() == f"{3**600}^(1/1200)"
     assert AlgebraicRadius.from_block(((1, 1), (1, 0))).exact_rational_value() is None
+
+
+@pytest.mark.parametrize(
+    "block, step, value",
+    [
+        (((Fraction(1, 2), 0), (0, Fraction(1, 2))), 1, Fraction(1, 2)),  # key 2x - 1, not monic
+        (tuple((Fraction(1, 3),) * 3 for _ in range(3)), 1, Fraction(1)),
+        (((Fraction(1, 4),),), 2, Fraction(1, 2)),
+        (((Fraction(1, 2),),), 2, None),  # 2^(-1/2)
+    ],
+    ids=["diag-half", "J3-over-3", "quarter-step-2", "half-step-2"],
+)
+def test_rational_entry_radii_have_exact_values(block, step, value):
+    """A rational root of a primitive integer key with leading coefficient l
+    is k / l for an integer k, so rational-entry blocks get exact values."""
+    radius = AlgebraicRadius.from_block(block, step)
+    assert radius.exact_rational_value() == value
+    if value is not None:
+        assert radius.describe() == str(value)
+        assert radius.compare(value) == 0
 
 
 def test_radius_is_root_of_membership():

@@ -4,11 +4,19 @@ from fractions import Fraction
 from functools import cmp_to_key
 from math import gcd, lcm
 
-from morphlab import Alphabet, ImageStream, MorphicPresentation, Morphism, incidence_matrix
-from morphlab.errors import BudgetExceededError, FiniteWordError, MorphlabError, NotProlongableError
+from morphlab import Alphabet, ImageStream, MorphicPresentation, Morphism, Word, apply, incidence_matrix
+from morphlab import dilation
+from morphlab.errors import (
+    BudgetExceededError,
+    DomainMismatchError,
+    FiniteWordError,
+    InvariantError,
+    MorphlabError,
+    NotProlongableError,
+)
 from morphlab.graphs import component_period, is_trivial_component, strongly_connected_components
 from morphlab.intmat import charpoly, mat_pow, submatrix, vec_mat
-from morphlab.normalize import eliminate_effacement, monotone_powers
+from morphlab.normalize import SigmaTauResult, eliminate_effacement, monotone_powers
 from morphlab.polytools import (
     _divide_content,
     _pseudo_remainder,
@@ -374,3 +382,83 @@ def stream_says_finite(f, g, start, n=50, budget=10**4):
     except BudgetExceededError as error:
         return "finite" in str(error)
     return False
+
+
+def _reference_pair_names(alphabet, counts):
+    names = {}
+    used = set()
+    for b, k in zip(alphabet, counts):
+        for i in range(k):
+            name = f"{b}.{i}"
+            while name in used:
+                name += "'"
+            used.add(name)
+            names[(b, i)] = name
+    return names
+
+
+def reference_sigma_tau(f, g, start):
+    """The pair construction with pair letters looked up by name: a
+    (b, i) -> name dict, a name-keyed dict of sigma's images and a running
+    position in each cut.  An oracle for normalize.build_sigma_tau, which
+    numbers the pair letters by offset instead."""
+    if not (f.is_non_erasing and g.is_non_erasing):
+        raise DomainMismatchError("pair construction needs non-erasing morphisms")
+    counts = tuple(len(g.image(b)) for b in f.domain)
+    f_rows = incidence_matrix(f).rows
+    # |g(f(b))| = sum_c |g(c)| (Mat_f)_{c,b}, read off the matrix, not the images
+    for b, before, after in zip(f.domain, counts, vec_mat(counts, f_rows)):
+        if after < before or (b == start and after <= before):
+            raise DomainMismatchError("monotonicity condition violated; run make_monotone first")
+    names = _reference_pair_names(f.domain, counts)
+    pair_alphabet = Alphabet(names[(b, i)] for b, k in zip(f.domain, counts) for i in range(k))
+    pairing = Morphism(
+        f.domain,
+        pair_alphabet,
+        tuple(
+            Word.from_letters(pair_alphabet, tuple(names[(b, i)] for i in range(k)))
+            for b, k in zip(f.domain, counts)
+        ),
+    )
+    tau = Morphism(
+        pair_alphabet,
+        g.codomain,
+        tuple(
+            Word(g.codomain, (g.image(b).codes[i],))
+            for b, k in zip(f.domain, counts)
+            for i in range(k)
+        ),
+    )
+    sigma_images = {}
+    expansions = []  # pairing(f(b)) for each letter b
+    for b, k in zip(f.domain, counts):
+        expanded = apply(pairing, f.image(b))
+        expansions.append(expanded)
+        cuts = [1] * k
+        if b == start:
+            cuts[0] = 2
+        cuts[-1] = len(expanded) - sum(cuts[:-1])
+        if not all(c >= 1 for c in cuts):
+            raise InvariantError(f"empty piece in the cut of {b!r}")
+        pos = 0
+        for i in range(k):
+            sigma_images[names[(b, i)]] = expanded[pos : pos + cuts[i]]
+            pos += cuts[i]
+        if pos != len(expanded):
+            raise InvariantError(f"the cut of {b!r} does not cover its image")
+    sigma = Morphism(
+        pair_alphabet,
+        pair_alphabet,
+        tuple(sigma_images[letter] for letter in pair_alphabet),
+    )
+    for b, expanded in zip(f.domain, expansions):  # pairing o f = sigma o pairing, letter by letter
+        if apply(sigma, apply(pairing, Word.from_letters(f.domain, (b,)))) != expanded:
+            raise InvariantError(f"sigma and the pairing do not commute at {b!r}")
+    kvec = tuple(counts)
+    if not dilation.is_dilated(incidence_matrix(sigma).rows, f_rows, kvec):
+        raise InvariantError("Mat(sigma) is not a dilation of Mat(f)")
+    new_start = names[(start, 0)]
+    first = sigma.image(new_start)
+    if len(first) < 2 or first[0] != new_start:
+        raise InvariantError(f"sigma is not prolongable on {new_start!r}")
+    return SigmaTauResult(sigma, tau, pairing, new_start, kvec)
