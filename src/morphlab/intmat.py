@@ -74,19 +74,51 @@ def support_row_mul(row, b):
     return out
 
 
-def support_pow(s, e):
-    """Pattern of A^e from the pattern `s` of A, by repeated squaring."""
-    if e < 0:
-        raise ValueError("negative matrix power")
-    result = tuple(1 << i for i in range(len(s)))
-    base = s
+def support_ladder(s, e):
+    """The squaring ladder (S, S^2, S^4, ..., S^(2^k)) of the pattern S = `s`,
+    with 2^k <= e < 2^(k+1); just (S,) when e <= 1.  Level u is the pattern
+    of A^(2^u), so any power up to A^(2^(k+1) - 1) is a walk through the
+    levels at the set bits of its exponent."""
+    ladder = [s]
+    for _ in range(max(e, 1).bit_length() - 1):
+        base = ladder[-1]
+        ladder.append(tuple(support_row_mul(row, base) for row in base))
+    return tuple(ladder)
+
+
+def ladder_row(row, ladder, e):
+    """Pattern of the row vector `row` times A^e: `row` walked through the
+    levels of A's squaring `ladder` at the set bits of e, one row product
+    each."""
+    u = 0
     while e:
         if e & 1:
-            result = tuple(support_row_mul(row, base) for row in result)
+            row = support_row_mul(row, ladder[u])
         e >>= 1
-        if e:
-            base = tuple(support_row_mul(row, base) for row in base)
-    return result
+        u += 1
+    return row
+
+
+def ladder_column(col, ladder, e):
+    """Pattern of A^e times the column vector `col`, both as bitsets over
+    the rows: at each set bit u of e, bit k of the new column is set when
+    row k of ladder level u meets the current one."""
+    u = 0
+    while e:
+        if e & 1:
+            col = sum(1 << k for k, row in enumerate(ladder[u]) if row & col)
+        e >>= 1
+        u += 1
+    return col
+
+
+def support_pow(s, e):
+    """Pattern of A^e from the pattern `s` of A: the identity rows walked
+    through the squaring ladder of `s`."""
+    if e < 0:
+        raise ValueError("negative matrix power")
+    ladder = support_ladder(s, e)
+    return tuple(ladder_row(1 << i, ladder, e) for i in range(len(s)))
 
 
 def mat_vec(a, v):

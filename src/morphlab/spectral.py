@@ -34,10 +34,12 @@ from .intmat import (
     charpoly,
     clear_denominators,
     freeze,
+    ladder_column,
+    ladder_row,
     mat_pow,
     submatrix,
     support,
-    support_pow,
+    support_ladder,
     support_row_mul,
 )
 from .polytools import (
@@ -201,7 +203,7 @@ class AlgebraicRadius:
     build or a locator call.
     """
 
-    __slots__ = ("step", "_block", "_poly", "_build", "_base", "_key")
+    __slots__ = ("step", "_block", "_poly", "_build", "_base", "_key", "_text")
 
     def __init__(self, block, step=1):
         if step < 1:
@@ -213,6 +215,7 @@ class AlgebraicRadius:
         object.__setattr__(self, "_build", None)
         object.__setattr__(self, "_base", None)
         object.__setattr__(self, "_key", None)
+        object.__setattr__(self, "_text", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("AlgebraicRadius is immutable")
@@ -466,7 +469,13 @@ class AlgebraicRadius:
     __hash__ = None
 
     def describe(self):
-        """Exact rendering when possible, decimal approximation otherwise."""
+        """Exact rendering when possible, decimal approximation otherwise;
+        the value is fixed, so the text is made once and kept."""
+        if self._text is None:  # two threads may both make it, alike
+            object.__setattr__(self, "_text", self._render())
+        return self._text
+
+    def _render(self):
         if self.is_zero:
             return "0"
         root = self._rational_root()
@@ -558,7 +567,10 @@ class BlockDecomposition:
         components, periods = _cyclic_components(rows)
         self.p = lcm(1, *periods)
         self.support = support(rows)
-        self.power_support = support_pow(self.support, self.p)
+        # the patterns of M, M^2, M^4, ..., M^(2^k) with 2^k <= p: row i and
+        # column j of the pattern of M^r, r < p, are walks through them
+        self.ladder = support_ladder(self.support, self.p)
+        self.power_support = tuple(ladder_row(1 << v, self.ladder, self.p) for v in range(n))
         adj = [[j for j in range(n) if row >> j & 1] for row in self.power_support]
         self.blocks = tuple(strongly_connected_components(n, adj))
         kinds = []
@@ -587,6 +599,7 @@ class BlockDecomposition:
         )
         self._assign_radius_classes(owners, component_radii)
         self._build_reachability()
+        self._growths = {}  # _growth's memo, shared with relabelled views
 
     def _block_owners(self, components):
         """For each block, the index of the component of M holding it, or
@@ -703,7 +716,15 @@ class BlockDecomposition:
         """Growth over the blocks in the bitset `members`, a union of block
         intervals: zero when none of them is primitive; else the rate is
         the largest class among them and d + 1 the most blocks of that
-        class on one path inside `members`."""
+        class on one path inside `members`.  Memoised by `members`;
+        GrowthType is immutable, and when two threads walk the same set
+        the first value stored wins."""
+        growth = self._growths.get(members)
+        if growth is None:
+            growth = self._growths.setdefault(members, self._growth_walk(members))
+        return growth
+
+    def _growth_walk(self, members):
         if not members & self._primitive:
             return GrowthType(AlgebraicRadius.zero(), 0)
         order = list(_bits(members))  # ascending: predecessors first
@@ -719,21 +740,21 @@ class BlockDecomposition:
 
         The admissible blocks lie below block(i) and above block(k) for
         some k with (M^r)_{k,j} > 0; a path through them lies between
-        block(i) and one such block(k).  The rate is reported per single
-        application of M: the defining block lives in M^p and carries the
-        1/p root marker.
+        block(i) and one such block(k).  Column j of the pattern of M^r,
+        and row i for the self-check, are walks through the squaring
+        ladder; no n x n pattern is formed.  The rate is reported per
+        single application of M: the defining block lives in M^p and
+        carries the 1/p root marker.
         """
         i = self._resolve(i)
         j = self._resolve(j)
         if not 0 <= r < self.p:
             raise DomainMismatchError(f"residue must lie in [0, {self.p})")
-        sr = support_pow(self.support, r)
         ends = 0
-        for k in range(self.size):
-            if sr[k] >> j & 1:
-                ends |= self.above[self.block_of[k]]
+        for k in _bits(ladder_column(1 << j, self.ladder, r)):
+            ends |= self.above[self.block_of[k]]
         result = self._growth(self.below[self.block_of[i]] & ends)
-        self._check_vanishing(i, j, r, result.is_vanishing, sr)
+        self._check_vanishing(j, r, result.is_vanishing, ladder_row(1 << i, self.ladder, r))
         return result
 
     def column_growth(self, j):
@@ -746,29 +767,30 @@ class BlockDecomposition:
         over the blocks that block(i) reaches."""
         return self._growth(self.below[self.block_of[self._resolve(i)]])
 
-    def _check_vanishing(self, i, j, r, vanishing, sr):
-        """Cross-check the combinatorial verdict on zero patterns; `sr` is
-        the pattern of M^r (intmat.support_pow) and m the size of M.
+    def _check_vanishing(self, j, r, vanishing, row):
+        """Cross-check the combinatorial verdict on entry (i, j) on zero
+        patterns; `row` is row i of the pattern of M^r and m the size of M.
 
         An ultimately-zero entry must be zero at every exponent pn + r
         with pn + r >= m + 1 (checked up to n = m + 1); a non-vanishing
         entry must show a positive value at some pn + r with n <= m + 1.
         For non-negative M, (M^e)[i][j] > 0 exactly when bit j of row i of
         the pattern of M^e is set, so the check is exact; row i of the
-        pattern of M^{pn+r} is row i of `sr` times the pattern of M^p, n
-        times.  A violated condition raises InvariantError.
+        pattern of M^{pn+r} is `row` times the pattern of M^p, n times,
+        and a non-vanishing entry stops at its first positive value.
+        A violated condition raises InvariantError.
         """
         m = self.size
         lower = max(0, -(-(m + 1 - r) // self.p))
-        row = sr[i]
-        window = [row >> j & 1]
-        for _ in range(m + 1):
-            row = support_row_mul(row, self.power_support)
-            window.append(row >> j & 1)
-        if vanishing:
-            if any(window[lower:]):
-                raise InvariantError("vanishing entry has a late positive value")
-        elif not any(window):
+        for n in range(m + 2):
+            if n:
+                row = support_row_mul(row, self.power_support)
+            if row >> j & 1:
+                if not vanishing:
+                    return
+                if n >= lower:
+                    raise InvariantError("vanishing entry has a late positive value")
+        if not vanishing:
             raise InvariantError("growing entry lacks a short positive witness")
 
     def blocks_as_json(self, width=DEFAULT_WIDTH):

@@ -1,7 +1,8 @@
 """Properties of the exact core against references kept in tests/util.py:
 characteristic polynomials from power traces against Faddeev-LeVerrier,
-and Sturm chains from one remainder sequence against the squarefree part
-taken first."""
+Sturm chains from one remainder sequence against the squarefree part
+taken first, and rows and columns of zero-pattern powers walked through
+a squaring ladder against whole-pattern squaring."""
 
 from fractions import Fraction
 
@@ -10,10 +11,10 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from morphlab.intmat import charpoly
+from morphlab.intmat import charpoly, ladder_column, ladder_row, support_ladder, support_pow
 from morphlab.polytools import sturm_chain
 
-from util import reference_charpoly, reference_sturm_chain
+from util import reference_charpoly, reference_sturm_chain, reference_support_pow
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=200)
 
@@ -36,6 +37,39 @@ def test_charpoly_equals_faddeev_leverrier_on_integer_matrices(rows):
 @given(square(st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12)), 6))
 def test_charpoly_equals_faddeev_leverrier_on_rational_matrices(rows):
     assert charpoly(rows) == reference_charpoly(rows)
+
+
+# zero patterns as bitset rows: dense rows, or sparse ones with at most two
+# successors per vertex, whose cycles give powers a long period
+patterns = st.integers(0, 9).flatmap(
+    lambda n: st.lists(
+        st.one_of(
+            st.integers(0, (1 << n) - 1),
+            st.lists(st.integers(0, n - 1), max_size=2).map(lambda js: sum({1 << j for j in js})),
+        )
+        if n
+        else st.nothing(),
+        min_size=n,
+        max_size=n,
+    ).map(tuple)
+)
+
+
+@SETTINGS
+@given(patterns, st.integers(0, (1 << 12) - 1), st.data())
+def test_ladder_walks_equal_rows_and_columns_of_support_pow(s, e, data):
+    """Row i and column j of the pattern of A^r, for r <= e, walked through
+    the ladder built for e, are those of support_pow and of whole-pattern
+    squaring; the ladder has one level per bit of e."""
+    ladder = support_ladder(s, e)
+    assert len(ladder) == max(e, 1).bit_length() and ladder[0] == s
+    n = len(s)
+    for r in (e, data.draw(st.integers(0, e))):
+        want = support_pow(s, r)
+        assert want == reference_support_pow(s, r)
+        assert tuple(ladder_row(1 << i, ladder, r) for i in range(n)) == want
+        for j in range(n):
+            assert ladder_column(1 << j, ladder, r) == sum(1 << k for k in range(n) if want[k] >> j & 1)
 
 
 factors = st.lists(st.integers(-6, 6), min_size=1, max_size=3).map(lambda low: [*low, 1])  # monic, degree 1..3

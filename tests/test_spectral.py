@@ -35,7 +35,7 @@ from morphlab import (
     spectral_radius_enclosure,
 )
 from morphlab.fixtures import baum_sweet_erasing, baum_sweet_uniform, demo_matrix, thue_morse_projection
-from morphlab import spectral
+from morphlab import intmat, spectral
 from morphlab.intmat import charpoly, mat_pow, support_pow
 from morphlab.polytools import count_roots_closed, count_roots_halfopen, evaluate, sturm_chain
 from morphlab.spectral import _DECOMP_CACHE, _DECOMP_CACHE_SIZE, BlockDecomposition, scc_periods
@@ -384,7 +384,7 @@ def test_vanishing_self_check_rejects_wrong_verdicts():
     for i, j, r in ((0, 2, 0), (0, 1, 0)):  # (1,3) vanishes, (1,2) grows
         verdict = dec.entry_growth(i, j, r).is_vanishing
         with pytest.raises(InvariantError):
-            dec._check_vanishing(i, j, r, not verdict, support_pow(dec.support, r))
+            dec._check_vanishing(j, r, not verdict, support_pow(dec.support, r)[i])
 
 
 def test_vanishing_self_check_survives_optimize_flag():
@@ -396,7 +396,7 @@ def test_vanishing_self_check_survives_optimize_flag():
         "dec = decompose(demo_matrix())\n"
         "assert False, 'asserts are stripped under -O'\n"
         "try:\n"
-        "    dec._check_vanishing(0, 1, 0, True, support_pow(dec.support, 0))\n"
+        "    dec._check_vanishing(1, 0, True, support_pow(dec.support, 0)[0])\n"
         "except InvariantError:\n"
         "    raise SystemExit(0)\n"
         "raise SystemExit(3)\n"
@@ -746,6 +746,37 @@ def test_blocks_built_from_eight_threads_share_one_component_power(monkeypatch):
     assert [results[b] for b in range(8)] == [((3,),)] * 8
 
 
+def test_entry_growth_walks_the_ladder_without_support_pow(monkeypatch):
+    """At cyclicity 5544 each residue of an entry reads row i and column j
+    of the pattern of M^r from the squaring ladder: r.bit_count() row
+    products for the row, at most m + 1 for the vanishing window, and no
+    n x n pattern power."""
+    rows = cycle_chain((7, 8, 9, 11), (2, 3, 2, 3), ((1, 2), (1, 0)))
+    dec = decompose(rows)
+    m = len(rows)
+
+    def refuse(*args):
+        raise AssertionError("support_pow called after decompose")
+
+    calls = [0]
+    inner = intmat.support_row_mul
+
+    def counted(row, b):
+        calls[0] += 1
+        return inner(row, b)
+
+    monkeypatch.setattr(intmat, "support_pow", refuse)
+    monkeypatch.setattr(spectral, "support_pow", refuse, raising=False)
+    monkeypatch.setattr(intmat, "support_row_mul", counted)
+    monkeypatch.setattr(spectral, "support_row_mul", counted)
+    assert dec.p == 5544
+    for r in range(dec.p):
+        calls[0] = 0
+        growth = dec.entry_growth(0, 36, r)
+        assert calls[0] <= r.bit_count() + m + 1, r
+        assert growth.as_dict() == {"lambda_per_step": "2", "d": 0}, r
+
+
 def test_geometric_sum_model():
     """sum_{i<=n} i^m q^i / (n^m q^n) stays in a bounded window (model check)."""
     for q in (2.0, 3.0):
@@ -755,6 +786,53 @@ def test_geometric_sum_model():
                 total = sum((i**m) * (q**i) for i in range(n + 1))
                 ratios.append(total / ((n**m if m else 1) * q**n))
             assert max(ratios) / min(ratios) < 3.0
+
+
+def test_growths_from_eight_threads_equal_the_serial_ones():
+    """Eight threads behind a barrier read entry, row and column growth of
+    one fresh decomposition, each in its own order: every answer equals
+    the serial one, and every thread gets the one memoised GrowthType."""
+    rows = demo_matrix().rows
+    serial = BlockDecomposition(rows)
+    n, p = serial.size, serial.p
+    queries = [("row", i) for i in range(n)] + [("col", j) for j in range(n)]
+    queries += [("entry", i, j, r) for i in range(n) for j in range(n) for r in range(p)]
+
+    def ask(dec, query):
+        if query[0] == "row":
+            return dec.row_growth(query[1])
+        if query[0] == "col":
+            return dec.column_growth(query[1])
+        return dec.entry_growth(*query[1:])
+
+    want = {q: ask(serial, q).as_dict() for q in queries}
+    dec = BlockDecomposition(rows)
+    barrier = threading.Barrier(8)
+    results, errors = {}, []
+
+    def work(k):
+        try:
+            order = queries[k * 61 % len(queries):] + queries[: k * 61 % len(queries)]
+            barrier.wait()
+            results[k] = {q: ask(dec, q) for q in order}
+        except Exception as exc:  # pragma: no cover
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors and len(results) == 8
+    for got in results.values():
+        assert {q: growth.as_dict() for q, growth in got.items()} == want
+        assert all(growth is results[0][q] for q, growth in got.items())
 
 
 def test_concurrent_radius_refinement():

@@ -236,6 +236,28 @@ class ReferenceDecomposition:
 
 
 
+def reference_support_pow(s, e):
+    """The pattern of A^e from the pattern `s` of A by plain repeated
+    squaring of whole patterns, with no ladder kept: bit j of row i of a
+    product is set when row i of the left factor meets column j of the
+    right one."""
+    n = len(s)
+
+    def mul(a, b):
+        return tuple(sum(1 << j for j in range(n) if any(a[i] >> t & 1 and b[t] >> j & 1 for t in range(n)))
+                     for i in range(n))
+
+    result = tuple(1 << i for i in range(n))
+    base = s
+    while e:
+        if e & 1:
+            result = mul(result, base)
+        e >>= 1
+        if e:
+            base = mul(base, base)
+    return result
+
+
 def reference_charpoly(a):
     """det(xI - A), coefficients ascending, by the Faddeev-LeVerrier
     recurrence in integers: M_1 = B, c_1 = -tr(B), and
