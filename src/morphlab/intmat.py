@@ -189,16 +189,17 @@ def _power_traces(m):
 
     Row i of A^k is held as one int, the sum of (A^k)_ij 2^(jw).  With R
     the smaller of the largest absolute row sum and the largest absolute
-    column sum, |(A^k)_ij| <= R^k < 2^(w-1) for k <= n when
-    w = n bitlen(R) + 2, so adding half = 2^(w-1) to every slot leaves
-    each in [0, 2^w): no slot borrows from the next, and an entry reads as
-    (((row + offset) >> jw) & mask) - half.  Packing is linear, so row i
-    of A^(k+1) is the sum of A_it times row t of A^k over the non-zero
-    A_it: one bignum multiply-add each.
+    column sum, |(A^k)_ij| <= R^k <= R^n < 2^(w-1) for k <= n when
+    w = bitlen(R^n) + 2 (R^k <= R^n as R is 0 or at least 1; a cycle, with
+    R = 1, packs 3 bits per entry), so adding half = 2^(w-1) to every slot
+    leaves each in [0, 2^w): no slot borrows from the next, and an entry
+    reads as (((row + offset) >> jw) & mask) - half.  Packing is linear,
+    so row i of A^(k+1) is the sum of A_it times row t of A^k over the
+    non-zero A_it: one bignum multiply-add each.
     """
     n = len(m)
     bound = min(max(sum(map(abs, row)) for row in m), max(sum(map(abs, col)) for col in zip(*m)))
-    w = n * bound.bit_length() + 2
+    w = (bound**n).bit_length() + 2
     half, mask = 1 << w - 1, (1 << w) - 1
     offset = half * sum(1 << j * w for j in range(n))
     terms = [[(x, t) for t, x in enumerate(row) if x] for row in m]

@@ -122,7 +122,7 @@ def eliminate_effacement(pres):
     the per-round mortal counts, and the final visibility power N.
     """
     f0, g, a = pres.f, pres.g, pres.start
-    p = spectral.cyclicity(incidence_matrix(f0))
+    p = spectral.decompose(incidence_matrix(f0)).p  # normalize has decomposed Mat_f for the input growth
     f = power(f0, p)
     stages = [PipelineStage("cyclicity-power", f, g)]
     k_seq = []

@@ -11,9 +11,11 @@ number of blocks of that radius a single path can visit.
 
 Growth rates are kept as exact algebraic numbers: a defining block, its
 integer characteristic polynomial, and a refinable rational enclosure.
-Comparisons are decided exactly (equal radius keys, or enclosure
-refinement with a gcd-plus-Sturm certificate for equality), never by
-tolerance.
+Comparisons are decided exactly (equal radius keys; a linear key, a
+rational radius, by one sign count; otherwise enclosure refinement with
+a gcd-plus-Sturm certificate for equality), never by tolerance.  The
+enclosures come from locators shared per radius key, so their endpoints
+depend on what refined a locator before.
 """
 
 from __future__ import annotations
@@ -64,11 +66,18 @@ def _bits(x):
         x ^= low
 
 
+def _components(rows):
+    """The strongly connected components of the digraph G(rows), in
+    topological order, and its adjacency lists."""
+    adj = [[j for j, x in enumerate(row) if x > 0] for row in rows]
+    return strongly_connected_components(len(rows), adj), adj
+
+
 def _cyclic_components(rows):
     """The non-trivial strongly connected components of the digraph G(rows),
     in topological order, and their periods."""
-    adj = [[j for j, x in enumerate(row) if x > 0] for row in rows]
-    comps = [c for c in strongly_connected_components(len(rows), adj) if not is_trivial_component(c, adj)]
+    comps, adj = _components(rows)
+    comps = [c for c in comps if not is_trivial_component(c, adj)]
     return comps, [component_period(c, adj) for c in comps]
 
 
@@ -102,10 +111,12 @@ def _locator_for_block(block, chain):
 
 
 # One pass of perfbench's spectra workload asks for locators of 107
-# distinct radius keys (579 requests), a presentations pass for 27 to 32
-# (313 to 330 requests) and a periodic pass for 16 to 19 (seeds 9101, 9301
-# and 1); an LRU of 256 keys takes no more misses there than an unbounded
-# registry, and bounds the Sturm chains it keeps on longer runs.
+# distinct radius keys (458 to 461 requests), a presentations pass for 25
+# to 30 (136 to 138 requests) and a periodic pass for 16 to 19 (58 to 64
+# requests; seeds 9101, 9301 and 1); rational radii, decided by sign
+# counts, ask for none.  An LRU of 256 keys takes no more misses there
+# than an unbounded registry, and bounds the Sturm chains it keeps on
+# longer runs.
 _RADIUS_REGISTRY_SIZE = 256
 
 
@@ -180,6 +191,12 @@ def _shared_locator(key, chain, block):
     bound of `block`], a block with that key."""
     make = partial(_locator_for_block, block, chain)
     return _lru(_RADIUS_REGISTRY, _RADIUS_LOCK, _RADIUS_REGISTRY_SIZE, key, make)
+
+
+def _linear_root(key):
+    """The root -k0/k1 of a linear radius key (k0, k1), else None: a block
+    with that key has the rational radius -k0/k1."""
+    return Fraction(-key[0], key[1]) if len(key) == 2 else None
 
 
 def _with_poly(block):
@@ -377,10 +394,13 @@ class AlgebraicRadius:
         step 1.  A rational `other` is decided by Sturm counts on the
         radius's chain (_compare_rational).  Two radii are rescaled to a
         common exponent with integer block powers; equal radius keys there
-        mean equal values.  Otherwise enclosures are refined until they
-        separate; equality is certified by locating a common root (a root
-        of the polynomial gcd) inside the overlap once each enclosure
-        isolates its own root.
+        mean equal values.  A linear key k0 + k1 x there names the
+        rational root -k0/k1: two such roots compare as Fractions, and one
+        against the other radius is one sign count on that radius's
+        locator; neither refines a locator.  Otherwise enclosures are
+        refined until they separate; equality is certified by locating a
+        common root (a root of the polynomial gcd) inside the overlap once
+        each enclosure isolates its own root.
         """
         a = self if self._base is None else self._base
         if not isinstance(other, AlgebraicRadius):
@@ -397,6 +417,13 @@ class AlgebraicRadius:
         block_b, (key_b, chain_b) = b._powered(common // b.step)
         if key_a == key_b:
             return 0
+        ra, rb = _linear_root(key_a), _linear_root(key_b)
+        if ra is not None and rb is not None:
+            return (ra > rb) - (ra < rb)
+        if ra is not None:  # r_a against r_b by one sign count on b's chain
+            return -_shared_locator(key_b, chain_b, block_b).sign_at(ra)
+        if rb is not None:
+            return _shared_locator(key_a, chain_a, block_a).sign_at(rb)
         la, lb = _shared_locator(key_a, chain_a, block_a), _shared_locator(key_b, chain_b, block_b)
         g = g_chain = None  # formed once both enclosures isolate and overlap
         width = Fraction(1, 16)
@@ -418,7 +445,11 @@ class AlgebraicRadius:
             width /= 16
 
     def _compare_root(self, t):
-        """Exact sign of r - t for the defining root r and a rational t."""
+        """Exact sign of r - t for the defining root r and a rational t; a
+        linear radius key names r itself, and no locator is needed."""
+        r = _linear_root(self._own_key()[0])
+        if r is not None:
+            return (r > t) - (r < t)
         return self._own_locator().sign_at(t)
 
     def _compare_rational(self, c):
@@ -564,22 +595,28 @@ class BlockDecomposition:
         self.matrix = matrix
         rows = matrix.rows
         n = matrix.size
-        components, periods = _cyclic_components(rows)
+        blocks, adj = _components(rows)
+        components = [c for c in blocks if not is_trivial_component(c, adj)]
+        periods = [component_period(c, adj) for c in components]
         self.p = lcm(1, *periods)
         self.support = support(rows)
         # the patterns of M, M^2, M^4, ..., M^(2^k) with 2^k <= p: row i and
         # column j of the pattern of M^r, r < p, are walks through them
         self.ladder = support_ladder(self.support, self.p)
-        self.power_support = tuple(ladder_row(1 << v, self.ladder, self.p) for v in range(n))
-        adj = [[j for j in range(n) if row >> j & 1] for row in self.power_support]
-        self.blocks = tuple(strongly_connected_components(n, adj))
+        if self.p == 1:  # M^p is M: its blocks are the components just found, all primitive or zero
+            self.power_support = self.support
+        else:
+            self.power_support = tuple(ladder_row(1 << v, self.ladder, self.p) for v in range(n))
+            adj = [[j for j in range(n) if row >> j & 1] for row in self.power_support]
+            blocks = strongly_connected_components(n, adj)
+        self.blocks = tuple(blocks)
         kinds = []
         for comp in self.blocks:
             if is_trivial_component(comp, adj):
                 kinds.append(ZERO)
             else:
                 # the defining property of p: cyclic components of M^p are primitive
-                if component_period(comp, adj) != 1:
+                if self.p > 1 and component_period(comp, adj) != 1:
                     raise InvariantError("a cyclic block of M^p is not primitive")
                 kinds.append(PRIMITIVE)
         self.kinds = tuple(kinds)
@@ -811,10 +848,11 @@ class BlockDecomposition:
         return out
 
 
-# One pass of perfbench's presentations workload makes 606 decompose
-# calls and builds 186 distinct matrices (seed 9101; 191 at seed 1), and a
-# spectra pass 126 calls and 114 builds; an LRU of 256 entries takes no
-# more misses there, or on any other workload, than an unbounded cache.
+# One pass of perfbench's presentations workload makes 707 decompose
+# calls and builds 186 distinct matrices (seed 9101; 191 at seed 1), a
+# spectra pass 228 calls and 114 builds, and a periodic pass 100 calls and
+# 12 builds; an LRU of 256 entries takes no more misses there than an
+# unbounded cache.
 _DECOMP_CACHE_SIZE = 256
 _DECOMP_CACHE = OrderedDict()
 _DECOMP_LOCK = threading.Lock()

@@ -208,8 +208,10 @@ class ParikhVector:
 class Morphism:
     """A free-monoid morphism, determined by the images of the letters."""
 
-    # _closure: the closed letter graph of an endomorphism, set on first use
-    __slots__ = ("domain", "codomain", "images", "_closure")
+    # facts about an endomorphism, each set on first use from the immutable
+    # images (two threads may both compute one, alike): _matrix its count
+    # matrix, _graph and _closure its open and closed letter graphs
+    __slots__ = ("domain", "codomain", "images", "_matrix", "_graph", "_closure")
 
     def __init__(self, domain, codomain, images):
         if len(domain) == 0:
@@ -322,24 +324,27 @@ def compose(g, f):
 
 
 def power(f, n):
-    """n-fold composition of an endomorphism; power(f, 0) is the identity.
+    """n-fold composition of an endomorphism; power(f, 0) is the identity
+    and power(f, 1) is f itself, with the facts it has kept.
 
-    Square and multiply: composition is associative, so the powers of f
-    combine in any grouping to the same morphism.
+    Square and multiply from f: composition is associative, so the powers
+    of f combine in any grouping to the same morphism, and no step
+    composes with the identity.
     """
     if not f.is_endomorphism:
         raise DomainMismatchError("powers need an endomorphism")
     if n < 0:
         raise DomainMismatchError("negative morphism power")
-    result = identity_morphism(f.domain)
-    base = f
-    while n:
+    if n == 0:
+        return identity_morphism(f.domain)
+    result, base = None, f
+    while True:
         if n & 1:
-            result = compose(base, result)
+            result = base if result is None else compose(base, result)
         n >>= 1
-        if n:
-            base = compose(base, base)
-    return result
+        if not n:
+            return result
+        base = compose(base, base)
 
 
 def _survivors(domain, erased):
@@ -411,12 +416,19 @@ def parikh(w):
 
 
 def incidence_matrix(f):
-    """Matrix whose (a, b) entry counts occurrences of a in f(b)."""
+    """Matrix whose (a, b) entry counts occurrences of a in f(b); the letters
+    of f are counted once, and the matrix is kept for later calls."""
+    try:
+        return f._matrix
+    except AttributeError:
+        pass
     if not f.is_endomorphism:
         raise DomainMismatchError("incidence matrices need an endomorphism")
     n = len(f.domain)
     columns = [_counts(w.codes, n) for w in f.images]
-    return IncidenceMatrix(zip(*columns), f.domain.letters)
+    matrix = IncidenceMatrix(zip(*columns), f.domain.letters)
+    object.__setattr__(f, "_matrix", matrix)
+    return matrix
 
 
 def _letter_graph(f, closed=False):
@@ -424,19 +436,22 @@ def _letter_graph(f, closed=False):
     in f(b).  Row b of its k-th power (intmat.support_pow) holds the letters
     of f^k(b).  With `closed`, return support_pow(graph | I, #A) instead,
     whose row b holds every letter of every f^k(b), k >= 0: a shortest
-    walk between two letters has fewer than #A steps.  The closure is
+    walk between two letters has fewer than #A steps.  Each graph is
     computed once per morphism."""
+    slot = "_closure" if closed else "_graph"
+    try:
+        return getattr(f, slot)
+    except AttributeError:
+        pass
     if not f.is_endomorphism:
         raise DomainMismatchError("letter graphs need an endomorphism")
-    if not closed:
-        return tuple(sum(1 << c for c in set(w.codes)) for w in f.images)
-    try:
-        return f._closure
-    except AttributeError:
+    if closed:
         rows = _letter_graph(f)
-        closure = support_pow(tuple(row | 1 << b for b, row in enumerate(rows)), len(rows))
-        object.__setattr__(f, "_closure", closure)
-        return closure
+        graph = support_pow(tuple(row | 1 << b for b, row in enumerate(rows)), len(rows))
+    else:
+        graph = tuple(sum(1 << c for c in set(w.codes)) for w in f.images)
+    object.__setattr__(f, slot, graph)
+    return graph
 
 
 def _cyclic_letters(graph, closure):

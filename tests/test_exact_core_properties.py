@@ -39,6 +39,30 @@ def test_charpoly_equals_faddeev_leverrier_on_rational_matrices(rows):
     assert charpoly(rows) == reference_charpoly(rows)
 
 
+@st.composite
+def signed_cycles(draw):
+    """A permutation matrix of n <= 14 with every entry negated, kept or
+    zeroed: R = 1 (or 0), so each power has entries in {-1, 0, 1} and the
+    power traces pack them into slots of bitlen(1^n) + 2 = 3 bits."""
+    n = draw(st.integers(1, 14))
+    perm = draw(st.permutations(range(n)))
+    signs = draw(st.lists(st.sampled_from((-1, 1, 1, 0)), min_size=n, max_size=n))
+    return tuple(tuple(signs[i] if j == perm[i] else 0 for j in range(n)) for i in range(n))
+
+
+# sparse signed matrices with entries up to 2^20 in size: the slot width
+# bitlen(R^n) + 2 follows the largest sum R, with R^k <= R^n for k <= n
+wide_signed = square(st.one_of(st.just(0), st.just(0), st.integers(-(2**20), 2**20)), 8)
+
+
+@SETTINGS
+@given(st.one_of(signed_cycles(), wide_signed))
+def test_charpoly_equals_faddeev_leverrier_at_the_trace_slot_width(rows):
+    poly = charpoly(rows)
+    assert poly == reference_charpoly(rows)
+    assert all(type(c) is int for c in poly)
+
+
 # zero patterns as bitset rows: dense rows, or sparse ones with at most two
 # successors per vertex, whose cycles give powers a long period
 patterns = st.integers(0, 9).flatmap(

@@ -16,6 +16,7 @@ from morphlab import (
     InvariantError,
     AlgebraicRadius,
     MorphicPresentation,
+    Morphism,
     apply,
     compose,
     erase_and_restrict,
@@ -31,6 +32,7 @@ from morphlab import (
     prefix_equal,
     Word,
 )
+from morphlab import words
 from morphlab.fixtures import baum_sweet_erasing, baum_sweet_uniform, thue_morse_projection
 from morphlab.normalize import (
     _assert_monotone,
@@ -517,3 +519,33 @@ def test_p20_cliff_normalizes_in_little_memory():
     symbols, peak = map(int, result.stdout.split())
     assert symbols == 2_149_018
     assert peak < 64 * 2**20, f"peak RSS {peak / 2**20:.1f} MiB"
+
+
+def test_p20_normalize_counts_each_morphism_once(monkeypatch):
+    """The stages share the facts they derive from a morphism: on the p = 20
+    presentation every morphism's letters are counted (words._counts, one
+    call per image) at most once, where 8 of 12 count matrices were
+    recounts when each stage counted for itself."""
+    counted = {}  # id -> [morphism, _counts calls]; the morphism is kept so no id is reused
+    plain = words._counts
+
+    def counts(codes, n):
+        frame = sys._getframe(1)
+        while frame.f_code.co_filename == words.__file__ and not isinstance(frame.f_locals.get("f"), Morphism):
+            frame = frame.f_back
+        f = frame.f_locals.get("f")
+        assert isinstance(f, Morphism), "letters counted outside a morphism's count matrix"
+        counted.setdefault(id(f), [f, 0])[1] += 1
+        return plain(codes, n)
+
+    monkeypatch.setattr(words, "_counts", counts)
+    f, g = {"a": ("a", "a", "p0", "q0")}, {"a": ("a",)}
+    for name, n in (("p", 4), ("q", 5)):
+        for t in range(n):
+            f[f"{name}{t}"] = (f"{name}{(t + 1) % n}",)
+            g[f"{name}{t}"] = (f"{name}{t}",) if t == 0 else ()
+    pres = MorphicPresentation(Morphism.from_rules(f), Morphism.from_rules(g), "a")
+    report = normalize(pres)
+    assert report.cyclicity_power == 20
+    assert counted and all(calls <= len(m.domain) for m, calls in counted.values())
+    assert counted[id(pres.f)][1] == len(pres.f.domain) and counted[id(report.sigma)][1] == len(report.sigma.domain)

@@ -894,7 +894,10 @@ def test_two_radii_share_one_locator_from_eight_threads(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert not errors
-    assert len(spectral._RADIUS_REGISTRY) == 2  # phi's key and 2's
+    # phi's key alone: the radius 2 has the linear key (-2, 1), decided by
+    # sign counts on phi's locator, so it needs no locator of its own
+    assert len(spectral._RADIUS_REGISTRY) == 1
+    assert (-2, 1) not in spectral._RADIUS_REGISTRY
 
 
 def test_equal_radius_keys_compare_equal_without_sign_counts(monkeypatch, sign_counts):

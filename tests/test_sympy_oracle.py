@@ -2,8 +2,14 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # the hypothesis property below is left out without it
+    st = None
 
 from morphlab.intmat import charpoly
 from morphlab.polytools import count_roots_halfopen, rational_roots_of_monic_int, sturm_chain
@@ -121,3 +127,56 @@ def test_rational_roots_of_monic_int_match_sympy():
                     for k in range(len(coeffs) + len(other) - 1)]
             expected = sorted({int(r) for r in sympy.roots(_poly(poly), filter="Q")})
             assert rational_roots_of_monic_int(poly) == expected
+
+
+def _sign_against_largest_root(rows, c):
+    """sign(r - c) for r the largest real root of det(xI - rows), from
+    sympy's exact root counts: the roots in [c, oo) less a root at c."""
+    poly = sympy.Matrix(rows).charpoly(X)
+    c = sympy.Rational(c.numerator, c.denominator)
+    at_c = poly.eval(c) == 0
+    above = poly.count_roots(c, None) - at_c
+    return 1 if above else (0 if at_c else -1)
+
+
+if st is not None:
+
+    square_rows = st.integers(1, 5).flatmap(
+        lambda n: st.lists(st.lists(st.sampled_from((0, 0, 0, 1, 1, 2, 3)), min_size=n, max_size=n), min_size=n, max_size=n)
+    )
+    # (radius, q, s) with a linear radius key and the value q^(1/s): a rational at a
+    # step, a 1x1 block, and c J_n, whose only non-zero eigenvalue is c n
+    linear_radii = st.one_of(
+        st.tuples(st.fractions(0, 6, max_denominator=8), st.integers(1, 3)).map(
+            lambda qs: (AlgebraicRadius.from_rational(*qs), qs[0], qs[1])
+        ),
+        st.tuples(st.integers(0, 6), st.integers(1, 3)).map(
+            lambda ks: (AlgebraicRadius.from_block(((ks[0],),), ks[1]), Fraction(ks[0]), ks[1])
+        ),
+        st.tuples(st.integers(1, 3), st.integers(2, 4), st.integers(1, 2)).map(
+            lambda cns: (AlgebraicRadius.from_block(((cns[0],) * cns[1],) * cns[1], cns[2]), Fraction(cns[0] * cns[1]), cns[2])
+        ),
+    )
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(square_rows, st.integers(1, 3), linear_radii, linear_radii)
+    def test_compare_against_a_linear_key_matches_sympys_largest_root(rows, step, linear, other):
+        """A radius against one whose key is linear, in both orders, agrees
+        with sympy's exact count of the roots above the rational, and with
+        nroots' float radius where the two lie far apart; two linear ones
+        compare as their rational values at a common step."""
+        radius = AlgebraicRadius.from_block(rows, step)
+        for lin, q, s in (linear, other):
+            common = lcm(step, s)
+            c = q ** (common // s)  # r^(common/step) against q^(common/s)
+            powered = sympy.Matrix(rows) ** (common // step)
+            want = _sign_against_largest_root(powered, c)
+            assert radius.compare(lin) == want and lin.compare(radius) == -want, (rows, step, q, s)
+            roots = [complex(z) for z in powered.charpoly(X).sqf_part().nroots()]
+            largest = max(z.real for z in roots if abs(z.imag) < 1e-9)
+            if abs(largest - float(c)) > 1e-6 * max(1.0, float(c)):
+                assert want == (1 if largest > c else -1)
+        (a, qa, sa), (b, qb, sb) = linear, other
+        common = lcm(sa, sb)
+        va, vb = qa ** (common // sa), qb ** (common // sb)
+        assert a.compare(b) == (va > vb) - (va < vb) == -b.compare(a)
