@@ -134,9 +134,11 @@ def transpose(a):
     return tuple(zip(*a)) if a else ()
 
 
-def submatrix(a, indices):
+def submatrix(a, indices, columns=None):
+    """a[indices, indices], or the rectangular a[indices, columns]."""
     idx = tuple(indices)
-    return tuple(tuple(a[i][j] for j in idx) for i in idx)
+    cols = idx if columns is None else tuple(columns)
+    return tuple(tuple(a[i][j] for j in cols) for i in idx)
 
 
 def clear_denominators(rows):

@@ -15,7 +15,9 @@ Comparisons are decided exactly (equal radius keys; a linear key, a
 rational radius, by one sign count; otherwise enclosure refinement with
 a gcd-plus-Sturm certificate for equality), never by tolerance.  The
 enclosures come from locators shared per radius key, so their endpoints
-depend on what refined a locator before.
+depend on what refined a locator before.  A component of period h is
+represented by one class block of its h-th power, at step h, so no
+characteristic polynomial larger than a cyclic class is formed for it.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from math import floor, lcm
 
 from . import words
 from .errors import DomainMismatchError, InvariantError, NotPrimitiveError
-from .graphs import component_period, is_trivial_component, strongly_connected_components
+from .graphs import component_period, cyclic_classes, is_trivial_component, strongly_connected_components
 from .intmat import (
     IncidenceMatrix,
     charpoly,
@@ -38,6 +40,7 @@ from .intmat import (
     freeze,
     ladder_column,
     ladder_row,
+    mat_mul,
     mat_pow,
     submatrix,
     support,
@@ -110,10 +113,11 @@ def _locator_for_block(block, chain):
     return LargestRootLocator.from_chain(chain, Fraction(-1), _row_sum_bound(block))
 
 
-# One pass of perfbench's spectra workload asks for locators of 107
-# distinct radius keys (458 to 461 requests), a presentations pass for 25
-# to 30 (136 to 138 requests) and a periodic pass for 16 to 19 (58 to 64
-# requests; seeds 9101, 9301 and 1); rational radii, decided by sign
+# One checked pass of perfbench's spectra workload asks for locators of 92
+# distinct radius keys (417 to 418 requests), a presentations pass for 23
+# to 29 (129 to 133 requests) and a periodic pass for 6 to 10 (30 to 44
+# requests, all from the oracle's is_root_of; an unchecked periodic pass
+# asks for none; seeds 9101, 9301 and 1); rational radii, decided by sign
 # counts, ask for none.  An LRU of 256 keys takes no more misses there
 # than an unbounded registry, and bounds the Sturm chains it keeps on
 # longer runs.
@@ -176,7 +180,7 @@ class _Once:
 
     def __call__(self):
         with self._lock:
-            if self._make is not None:  # then release what the build held, such as a shared power
+            if self._make is not None:  # then release what the build held, such as class products
                 self._made, self._make = self._make(), None
             return self._made
 
@@ -214,10 +218,10 @@ class AlgebraicRadius:
     block None; a nilpotent block gives the same radius.  A radius made by
     `on_demand` builds its block and polynomial once, on first use, under
     its `_Once` lock, which waits at most for the `_Once` lock of its
-    component's shared power.  Enclosures are refined on the locator of the
-    radius key, which every radius with that key shares (`_shared_locator`)
-    and which locks itself; no registry or cache lock is held during a
-    build or a locator call.
+    component's class products.  Enclosures are refined on the
+    locator of the radius key, which every radius with that key shares
+    (`_shared_locator`) and which locks itself; no registry or cache lock
+    is held during a build or a locator call.
     """
 
     __slots__ = ("step", "_block", "_poly", "_build", "_base", "_key", "_text")
@@ -246,12 +250,15 @@ class AlgebraicRadius:
         return cls(block, step)
 
     @classmethod
-    def on_demand(cls, build, step, base):
+    def on_demand(cls, build, step, base=None):
         """The radius of the non-negative block `build()`, called once, on
-        first use, and taking no lock but `_Once` locks of shared powers.
-        `base` is a step-1 radius of an integer matrix whose root is this
-        radius's value; it decides whether the defining root is rational
-        and encloses the value."""
+        first use, and taking no lock but the `_Once` lock of a component's
+        class products.  `base`, when given, is a radius of an integer
+        matrix with the same value at a step dividing `step` (a component
+        radius at its period); it decides whether the defining root is
+        rational, encloses the value and stands in for this radius in
+        comparisons, so the block is built only for its own enclosure,
+        polynomial or roots."""
         radius = cls(None, step)
         object.__setattr__(radius, "_build", _Once(lambda: _with_poly(build())))
         object.__setattr__(radius, "_base", base)
@@ -314,22 +321,26 @@ class AlgebraicRadius:
         width = positive_width(width)
         if self.is_zero:
             return Fraction(0), Fraction(0)
-        if self._base is not None:  # the same value, at step 1
+        if self._base is not None:  # the same value, at the component's period
             return self._base.value_enclosure(width)
-        if self.step == 1:
-            vlo, vhi = self.root_enclosure(width)
-        else:
-            inner = width
-            while True:
-                lo, hi = self.root_enclosure(inner)
-                vlo = nth_root_bounds(max(lo, Fraction(0)), self.step, width / 4)[0]
-                vhi = nth_root_bounds(max(hi, Fraction(0)), self.step, width / 4)[1]
-                if vhi - vlo <= width:
-                    break
-                inner /= 16
+        vlo, vhi = self._value_bracket(width)
         if vlo < 1 <= vhi and self.compare(1) >= 0:
             vlo = Fraction(1)
         return vlo, vhi
+
+    def _value_bracket(self, width):
+        """A closed rational interval of width <= `width` around r^(1/step),
+        from the locator's bracket of r: the step-th roots of its ends."""
+        if self.step == 1:
+            return self.root_enclosure(width)
+        inner = width
+        while True:
+            lo, hi = self.root_enclosure(inner)
+            vlo = nth_root_bounds(max(lo, Fraction(0)), self.step, width / 4)[0]
+            vhi = nth_root_bounds(max(hi, Fraction(0)), self.step, width / 4)[1]
+            if vhi - vlo <= width:
+                return vlo, vhi
+            inner /= 16
 
     def value_float(self):
         lo, hi = self.value_enclosure(Fraction(1, 10**12))
@@ -358,22 +369,25 @@ class AlgebraicRadius:
         return Fraction(lo, lead) if self._compare_root(Fraction(lo, lead)) == 0 else None
 
     def _rational_root_from_base(self):
-        """r = rho^step as an integer, or None, for rho the root of `_base`.
+        """r = rho^s as a Fraction, or None, for rho the defining root of
+        `_base` (the class block B of a component, at its period h) and
+        s = step / h.
 
         The k with rho^k rational are the multiples of the least one, d;
         then x^d - rho^d is irreducible (Capelli: rho^d > 0 is no l-th
         power of a rational for a prime l | d, or rho^(d/l) would be
         rational), so it is the minimal polynomial of rho and d is at most
-        the size of the base block.  rho^k is the Perron root of the
-        k-th power of that integer block, rational only when an integer.
+        the size of B.  rho^k is the Perron root of the k-th power of that
+        integer block, rational only when an integer.
         """
         base = self._base
-        for d in range(1, min(self.step, len(base.block)) + 1):
-            if self.step % d == 0:
+        s = self.step // base.step
+        for d in range(1, min(s, len(base.block)) + 1):
+            if s % d == 0:
                 power = base if d == 1 else AlgebraicRadius(mat_pow(base.block, d))
                 root = power._rational_root()
                 if root is not None:
-                    return root ** (self.step // d)
+                    return root ** (s // d)
         return None
 
     def exact_rational_value(self):
@@ -391,16 +405,16 @@ class AlgebraicRadius:
         """Exact trichotomy: -1, 0 or 1 as self <, =, > other.
 
         A radius with a `_base` compares as its base, the same value at
-        step 1.  A rational `other` is decided by Sturm counts on the
-        radius's chain (_compare_rational).  Two radii are rescaled to a
-        common exponent with integer block powers; equal radius keys there
-        mean equal values.  A linear key k0 + k1 x there names the
-        rational root -k0/k1: two such roots compare as Fractions, and one
-        against the other radius is one sign count on that radius's
-        locator; neither refines a locator.  Otherwise enclosures are
-        refined until they separate; equality is certified by locating a
-        common root (a root of the polynomial gcd) inside the overlap once
-        each enclosure isolates its own root.
+        the component's period.  A rational `other` is decided by Sturm
+        counts on the radius's chain (_compare_rational).  Two radii at
+        different steps h_a and h_b compare without block powers where
+        they can: linear keys k0 + k1 x name rational roots r_a and r_b,
+        compared as r_a^(L/h_a) against r_b^(L/h_b) for L = lcm(h_a, h_b);
+        a linear key whose step-th root is rational takes one sign count
+        on the other radius's locator; otherwise value enclosures are
+        refined until they separate or both locators isolate their roots.
+        What is left is rescaled to the common exponent with integer block
+        powers (_compare_powered).
         """
         a = self if self._base is None else self._base
         if not isinstance(other, AlgebraicRadius):
@@ -412,6 +426,50 @@ class AlgebraicRadius:
         if other.is_zero:
             return 1
         b = other if other._base is None else other._base
+        if a.step != b.step:
+            sign = a._compare_steps(b)
+            if sign is not None:
+                return sign
+        return a._compare_powered(b)
+
+    def _compare_steps(self, other):
+        """compare() of two non-zero radii at different steps, with no block
+        power; None when the value enclosures still overlap once both
+        locators isolate their roots, as they do for equal values."""
+        common = lcm(self.step, other.step)
+        ra, rb = _linear_root(self._own_key()[0]), _linear_root(other._own_key()[0])
+        if ra is not None and rb is not None:
+            x, y = ra ** (common // self.step), rb ** (common // other.step)
+            return (x > y) - (x < y)
+        value = None if ra is None else rational_nth_root_exact(ra, self.step)
+        if value is not None:
+            return -other._compare_rational(value)
+        value = None if rb is None else rational_nth_root_exact(rb, other.step)
+        if value is not None:
+            return self._compare_rational(value)
+        width = Fraction(1, 16)
+        while True:  # the brackets are closed: only a strict gap separates
+            alo, ahi = self._value_bracket(width)
+            blo, bhi = other._value_bracket(width)
+            if ahi < blo:
+                return -1
+            if bhi < alo:
+                return 1
+            if self._own_locator().isolated() and other._own_locator().isolated():
+                return None
+            width /= 16
+
+    def _compare_powered(self, other):
+        """compare() of two non-zero radii, rescaled to a common exponent
+        with integer block powers; equal radius keys there mean equal
+        values.  A linear key k0 + k1 x there names the rational root
+        -k0/k1: two such roots compare as Fractions, and one against the
+        other radius is one sign count on that radius's locator; neither
+        refines a locator.  Otherwise enclosures are refined until they
+        separate; equality is certified by locating a common root (a root
+        of the polynomial gcd) inside the overlap once each enclosure
+        isolates its own root."""
+        a, b = self, other
         common = lcm(a.step, b.step)
         block_a, (key_a, chain_a) = a._powered(common // a.step)
         block_b, (key_b, chain_b) = b._powered(common // b.step)
@@ -567,12 +625,36 @@ PRIMITIVE = "primitive"
 ZERO = "zero"
 
 
-def _power_block(power, positions, e):
-    """(M^p)[B, B] for a block B of M^p, at `positions` within a component C
-    of M of period h, with p = h e and `power()` giving C^h.  Walks from C
-    back to C stay in C, and C^h is block diagonal over the cyclic classes
-    of C, one of which is B; so the block is ((C^h)[B, B])^e."""
-    return mat_pow(submatrix(power(), positions), e)
+def _class_products(rows, classes):
+    """(left, right) for a component C with cyclic classes K_0, ..., K_(h-1)
+    and steps S_t = M[K_t, K_(t+1 mod h)]: the prefix products left[t] =
+    S_0 ... S_(t-1) (left[0], the identity, is None) and the suffix
+    products right[t] = S_t ... S_(h-1).  Each is |K_t| wide or tall, so
+    no |C| x |C| product is formed."""
+    h = len(classes)
+    steps = [submatrix(rows, classes[t], classes[(t + 1) % h]) for t in range(h)]
+    right = steps[:]
+    for t in reversed(range(h - 1)):
+        right[t] = mat_mul(steps[t], right[t + 1])
+    left = [None] * h
+    for t in range(1, h):
+        left[t] = steps[0] if t == 1 else mat_mul(left[t - 1], steps[t - 1])
+    return left, right
+
+
+def _class_block(products, t):
+    """(C^h)[K_t, K_t] = S_t ... S_(h-1) S_0 ... S_(t-1), right[t] left[t],
+    from `products()`, the class products of C (`_class_products`)."""
+    left, right = products()
+    return right[t] if t == 0 else mat_mul(right[t], left[t])
+
+
+def _power_block(products, t, e):
+    """(M^p)[K_t, K_t] for the cyclic class K_t of a component C of M of
+    period h, with p = h e.  Walks from C back to C stay in C, and C^h is
+    block diagonal over the cyclic classes, so the block is the e-th power
+    of (C^h)[K_t, K_t], read from the class products; C^h is never formed."""
+    return mat_pow(_class_block(products, t), e)
 
 
 class BlockDecomposition:
@@ -583,10 +665,15 @@ class BlockDecomposition:
     reordering vertices block by block puts M^p in upper block triangular
     form.  Each block is primitive or the 1x1 zero block.
 
-    Only the zero pattern of M^p is formed.  A primitive block lies in one
-    non-trivial component C of M and has radius rho(C)^p (the Frobenius
-    normal form), so radius classes come from comparing the components of
-    M, and a block's own matrix and polynomial are built on first use.
+    Only the zero pattern of M^p is formed.  A primitive block is a cyclic
+    class K_t of one non-trivial component C of M, of period h, and has
+    radius rho(C)^p (the Frobenius normal form), so radius classes come
+    from comparing the components of M.  C^h is block diagonal over the
+    classes, and its class blocks share their non-zero spectrum, so C's
+    radius is rho(B)^(1/h) for B its block at the class K_0; B and a
+    block's own matrix, ((C^h)[K_t, K_t])^(p/h), are read from the class
+    products of C (`_class_products`), formed once, when first needed.
+    A component of period 1 keeps M[C, C] as its radius's block.
     """
 
     def __init__(self, matrix):
@@ -597,7 +684,8 @@ class BlockDecomposition:
         n = matrix.size
         blocks, adj = _components(rows)
         components = [c for c in blocks if not is_trivial_component(c, adj)]
-        periods = [component_period(c, adj) for c in components]
+        cyclic = [cyclic_classes(c, adj) for c in components]
+        periods = [h for h, _ in cyclic]
         self.p = lcm(1, *periods)
         self.support = support(rows)
         # the patterns of M, M^2, M^4, ..., M^(2^k) with 2^k <= p: row i and
@@ -625,48 +713,52 @@ class BlockDecomposition:
             for v in comp:
                 block_of[v] = b
         self.block_of = tuple(block_of)
-        component_radii = [AlgebraicRadius(submatrix(rows, comp)) for comp in components]
-        powers = [_Once(partial(mat_pow, r.block, h)) for r, h in zip(component_radii, periods)]
-        owners = self._block_owners(components)
+        owners = self._block_owners(cyclic)
+        # a component C of period h > 1 has radius rho(B)^(1/h), B = (C^h)[K_0,
+        # K_0]; B and the blocks of M^p inside C are read from the class
+        # products of C, formed once, on first use
+        products = [_Once(partial(_class_products, rows, k)) for _, k in cyclic] if self.p > 1 else ()
+        component_radii = [
+            AlgebraicRadius(submatrix(rows, comp)) if h == 1
+            else AlgebraicRadius.on_demand(partial(_class_block, products[c], 0), h)
+            for c, (comp, h) in enumerate(zip(components, periods))
+        ]
         self.radii = tuple(
-            AlgebraicRadius.zero() if c is None
-            else component_radii[c] if self.p == 1  # the block is its component
-            else self._block_radius(b, components[c], component_radii[c], powers[c], periods[c])
-            for b, c in enumerate(owners)
+            AlgebraicRadius.zero() if owner is None
+            else component_radii[owner[0]] if self.p == 1  # the block is its component
+            else AlgebraicRadius.on_demand(
+                partial(_power_block, products[owner[0]], owner[1], self.p // periods[owner[0]]),
+                self.p,
+                component_radii[owner[0]],
+            )
+            for owner in owners
         )
         self._assign_radius_classes(owners, component_radii)
         self._build_reachability()
         self._growths = {}  # _growth's memo, shared with relabelled views
 
-    def _block_owners(self, components):
-        """For each block, the index of the component of M holding it, or
-        None for a zero block."""
-        component_of = {v: c for c, comp in enumerate(components) for v in comp}
+    def _block_owners(self, cyclic):
+        """For each block, (c, t) when it is the cyclic class K_t of the
+        component c of M, with `cyclic[c]` its (period, classes); None for a
+        zero block.  A primitive block of M^p is always such a class."""
+        class_at = {k: (c, t) for c, (_, classes) in enumerate(cyclic) for t, k in enumerate(classes)}
         owners = []
         for comp, kind in zip(self.blocks, self.kinds):
             if kind == ZERO:
                 owners.append(None)
-                continue
-            held = {component_of.get(v) for v in comp}
-            if len(held) != 1 or None in held:
-                raise InvariantError("a primitive block of M^p lies in no single cyclic component of M")
-            owners.append(held.pop())
+            elif comp in class_at:
+                owners.append(class_at[comp])
+            else:
+                raise InvariantError("a primitive block of M^p is no cyclic class of a component of M")
         return owners
-
-    def _block_radius(self, b, component, base, power, h):
-        """Block b's radius at step p, its matrix built from `power()`, the
-        h-th power of M[C, C], the block of the component radius `base`."""
-        positions = tuple(component.index(v) for v in self.blocks[b])
-        build = partial(_power_block, power, positions, self.p // h)
-        return AlgebraicRadius.on_demand(build, self.p, base)
 
     def _assign_radius_classes(self, owners, component_radii):
         """Group blocks by exactly equal radius; class ids ascend with the radius.
 
         Blocks of one component share its radius, and zero blocks the zero
         class, so only the radii rho(C) of distinct components are
-        compared, at step 1: each joins its class, or starts one, by
-        binary search over the classes found so far.
+        compared, each at its period: each joins its class, or starts one,
+        by binary search over the classes found so far.
         """
         ranked = []  # [(radius, [component ids])], strictly ascending
         for c, radius in enumerate(component_radii):
@@ -685,7 +777,7 @@ class BlockDecomposition:
                 ranked.insert(lo, (radius, [c]))
         offset = int(ZERO in self.kinds)  # the zero class comes first
         class_of_component = {c: offset + cid for cid, (_, members) in enumerate(ranked) for c in members}
-        self.class_of_block = tuple(0 if c is None else class_of_component[c] for c in owners)
+        self.class_of_block = tuple(0 if o is None else class_of_component[o[0]] for o in owners)
         # each class is represented by its first block, as a step-p radius
         self.class_radii = tuple(
             self.radii[self.class_of_block.index(cid)] for cid in range(offset + len(ranked))
@@ -849,10 +941,10 @@ class BlockDecomposition:
 
 
 # One pass of perfbench's presentations workload makes 707 decompose
-# calls and builds 186 distinct matrices (seed 9101; 191 at seed 1), a
-# spectra pass 228 calls and 114 builds, and a periodic pass 100 calls and
-# 12 builds; an LRU of 256 entries takes no more misses there than an
-# unbounded cache.
+# calls and builds 186 distinct matrices (seeds 9101 and 9301; 191 at
+# seed 1), a spectra pass 228 calls and 114 builds, and a periodic pass
+# 100 calls and 12 builds, checked or not; an LRU of 256 entries takes no
+# more misses there than an unbounded cache.
 _DECOMP_CACHE_SIZE = 256
 _DECOMP_CACHE = OrderedDict()
 _DECOMP_LOCK = threading.Lock()

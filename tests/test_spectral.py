@@ -41,6 +41,7 @@ from morphlab.polytools import count_roots_closed, count_roots_halfopen, evaluat
 from morphlab.spectral import _DECOMP_CACHE, _DECOMP_CACHE_SIZE, BlockDecomposition, scc_periods
 from morphlab.dilation import is_dilated
 from morphlab.normalize import MorphicPresentation, build_sigma_tau, make_monotone, normalize
+from morphlab.parser import parse_file
 
 from util import (
     ReferenceDecomposition,
@@ -694,30 +695,62 @@ def test_radius_enclosure_forms_no_charpoly_larger_than_a_component(monkeypatch)
     assert sizes and max(sizes) <= 11
 
 
+def _long_cycle(n, weight):
+    """a -> a a c0 and the n-cycle c_i -> c_(i+1 mod n), with c0 -> c1^weight."""
+    images = " ".join(f"c{i} -> " + " ".join([f"c{(i + 1) % n}"] * (weight if i == 0 else 1)) + " ;" for i in range(n))
+    return parse_file(f"f {{ a -> a a c0 ; {images} }}").morphisms["f"]
+
+
+@pytest.mark.parametrize("weight", [1, 2])
+def test_letter_growth_on_a_long_cycle_reads_one_cyclic_class(monkeypatch, weight):
+    """The 400-cycle behind a -> a a c0 has period 400 and 1x1 classes: its
+    radius is rho(B)^(1/400) for the 1x1 class block B = (weight), so no
+    charpoly larger than 1x1 is formed and the letter's growth takes well
+    under half a second."""
+    f = _long_cycle(400, weight)
+    sizes = []
+    inner = spectral.charpoly
+    monkeypatch.setattr(spectral, "charpoly", lambda a: sizes.append(len(a)) or inner(a))
+    monkeypatch.setattr(spectral, "_DECOMP_CACHE", OrderedDict())
+    start = time.perf_counter()
+    growth = letter_growth(f, "a")
+    elapsed = time.perf_counter() - start
+    assert growth.as_dict() == {"lambda_per_step": "2", "d": 0}
+    assert sizes and max(sizes) == 1
+    assert elapsed < 0.5, elapsed
+
+
 def test_blocks_of_one_component_share_its_power(monkeypatch):
-    """Weighted 3-, 4- and 5-cycles (p = 60): the block report forms C^h
-    once per component and one e-th power per 1x1 block, 3 + 12 powers."""
-    calls = []
+    """Weighted 3-, 4- and 5-cycles (p = 60): the block report forms the
+    class products once per component, no power of a whole component, and
+    one e-th power per 1x1 block, 12 powers."""
+    calls, products = [], []
     inner = spectral.mat_pow
     monkeypatch.setattr(spectral, "mat_pow", lambda a, e: calls.append((len(a), e)) or inner(a, e))
+    inner_products = spectral._class_products
+    monkeypatch.setattr(
+        spectral, "_class_products", lambda rows, classes: products.append(classes) or inner_products(rows, classes)
+    )
     rows = cycle_chain((3, 4, 5), (2, 3, 5))
     dec = BlockDecomposition(rows)
     dec.blocks_as_json()
-    assert sorted(calls) == sorted([(3, 3), (4, 4), (5, 5)] + [(1, 20)] * 3 + [(1, 15)] * 4 + [(1, 12)] * 5)
+    assert sorted(calls) == sorted([(1, 20)] * 3 + [(1, 15)] * 4 + [(1, 12)] * 5)
+    assert sorted(products) == [((0,), (1,), (2,)), ((3,), (4,), (5,), (6,)), ((7,), (8,), (9,), (10,), (11,))]
     assert dec.block_matrices == ReferenceDecomposition(rows).block_matrices
 
 
 def test_blocks_built_from_eight_threads_share_one_component_power(monkeypatch):
-    calls = []
-    inner = spectral.mat_pow
+    calls, sizes = [], []
+    inner = spectral._class_products
 
-    def slow(a, e):
-        if len(a) == 8:  # C^h: let the other threads arrive while it is formed
-            calls.append(e)
-            time.sleep(0.05)
-        return inner(a, e)
+    def slow(rows, classes):  # let the other threads arrive while the products are formed
+        calls.append(len(classes))
+        time.sleep(0.05)
+        return inner(rows, classes)
 
-    monkeypatch.setattr(spectral, "mat_pow", slow)
+    monkeypatch.setattr(spectral, "_class_products", slow)
+    inner_pow = spectral.mat_pow
+    monkeypatch.setattr(spectral, "mat_pow", lambda a, e: sizes.append(len(a)) or inner_pow(a, e))
     rows = cycle_chain((8,), (3,))  # p = 8: eight 1x1 blocks of one component
     dec = BlockDecomposition(rows)
     barrier = threading.Barrier(8)
@@ -742,7 +775,8 @@ def test_blocks_built_from_eight_threads_share_one_component_power(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert not errors
-    assert calls == [8]  # C^8 of the 8-cycle, formed once for its eight blocks
+    assert calls == [8]  # the class products of the 8-cycle, formed once for its eight blocks
+    assert sizes == [1] * 8  # one power per block, and no power of the 8 x 8 component
     assert [results[b] for b in range(8)] == [((3,),)] * 8
 
 
@@ -1011,7 +1045,8 @@ def test_entry_growth_module_function_and_errors():
         entry_growth(m, 0, 1, 5)
 
 
-def test_decomposition_cache_is_a_bounded_lru():
+def test_decomposition_cache_is_a_bounded_lru(monkeypatch):
+    monkeypatch.setattr(spectral, "_DECOMP_CACHE", OrderedDict())
     kept = ((2, 1), (1, 1))
     dropped = ((3, 1), (1, 2))
     first = decompose(kept)
@@ -1020,7 +1055,7 @@ def test_decomposition_cache_is_a_bounded_lru():
     for k in range(_DECOMP_CACHE_SIZE + 20):
         decompose(((10**6 + k,),))
         assert decompose(kept) is first  # recently used, so never evicted
-        assert len(_DECOMP_CACHE) <= _DECOMP_CACHE_SIZE
+        assert len(spectral._DECOMP_CACHE) <= _DECOMP_CACHE_SIZE
     rebuilt = decompose(dropped)
     assert rebuilt is not old and rebuilt.p == old.p
 
@@ -1097,8 +1132,9 @@ def test_decomposition_matches_the_direct_construction():
 
 def test_decompose_at_p_5544_compares_components_and_forms_no_full_power(monkeypatch):
     """Weighted 7-, 8-, 9- and 11-cycles and a primitive 2x2 block: the
-    classes come from comparing the five components at step 1, and no
-    power of the whole matrix is formed, not even for the block matrices."""
+    classes come from comparing the five components at their periods, and
+    no power of the whole matrix or of a whole cycle is formed, not even
+    for the block matrices."""
     tail = ((1, 2), (1, 0))
     rows = cycle_chain((7, 8, 9, 11), (2, 3, 2, 3), tail)
     n = len(rows)
@@ -1116,16 +1152,18 @@ def test_decompose_at_p_5544_compares_components_and_forms_no_full_power(monkeyp
     monkeypatch.setattr(AlgebraicRadius, "compare", compare)
     dec = BlockDecomposition(rows)
     assert dec.p == 5544
-    assert steps and set(steps) == {(1, 1)} and len(steps) <= 8
+    periods = {1, 7, 8, 9, 11}
+    assert steps and {h for pair in steps for h in pair} <= periods and len(steps) <= 8
     assert not sizes  # nothing is built yet
     # 2^(1/9) < 2^(1/7) < 3^(1/11) < 3^(1/8) < 2, one class per component
     expected = [1] * 7 + [3] * 8 + [0] * 9 + [2] * 11 + [4] * 2
     assert [dec.class_of_block[dec.block_of[v]] for v in range(n)] == expected
+    compared = list(steps)
     mats = dec.block_matrices
-    assert n not in sizes
+    assert set(sizes) == {1, 2}  # each cycle block is a 1x1 class block's power, the tail's its own
     assert mats[dec.block_of[n - 1]] == mat_pow(tail, 5544)
     assert mats[dec.block_of[0]] == ((2**792,),)  # (weight^(p/7)) for the 7-cycle
-    assert set(steps) == {(1, 1)}
+    assert steps == compared
 
 
 @pytest.mark.parametrize("tail", [((1, 2), (1, 0)), ((1, 1), (1, 0))])
@@ -1150,22 +1188,23 @@ def test_describe_at_p_5544_reads_the_value_off_the_components(monkeypatch, tail
     """The class radii of the p = 5544 chain print as the small matrices
     say, and no Sturm count or refinement runs on a 5544-bit block
     polynomial: whether the defining root is rational is decided by
-    trying rho(C)^d for the d <= |C| that divide p, on powers of the
-    component matrix, and the value is enclosed as rho(C) at step 1."""
+    trying rho(B)^d for the d <= |B| that divide p / h, on powers of the
+    class block B of the component, and the value is enclosed as
+    rho(B)^(1/h) at the component's period h."""
     rows = cycle_chain((7, 8, 9, 11), (2, 3, 2, 3), tail)
     dec = BlockDecomposition(rows)
     steps = []
 
-    def step_one_only(inner):
+    def below_p_only(inner):
         def watched(self, *args):
-            if self.step != 1:  # fail at once: this work runs for minutes
+            if self.step == dec.p:  # fail at once: this work runs for minutes
                 raise AssertionError(f"{inner.__name__} on a step-{self.step} radius")
             steps.append(self.step)
             return inner(self, *args)
         return watched
 
     for name in ("_compare_root", "root_enclosure"):
-        monkeypatch.setattr(AlgebraicRadius, name, step_one_only(getattr(AlgebraicRadius, name)))
+        monkeypatch.setattr(AlgebraicRadius, name, below_p_only(getattr(AlgebraicRadius, name)))
     texts = [radius.describe() for radius in dec.class_radii]
     assert texts == [f"{w ** (5544 // h)}^(1/5544)" for w, h in ((2, 9), (2, 7), (3, 11), (3, 8))] + [text]
     assert steps
