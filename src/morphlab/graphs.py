@@ -71,16 +71,15 @@ def component_period(component, adjacency):
     u -> v of a BFS tree, which equals the gcd of the component's simple
     cycle lengths.
     """
-    return cyclic_classes(component, adjacency)[0]
+    return period_depths(component, adjacency)[0]
 
 
-def cyclic_classes(component, adjacency):
-    """(h, classes) for one strongly connected component: its period h
-    (component_period) and its cyclic classes K_0, ..., K_(h-1), K_t the
-    vertices at BFS depth t mod h, each sorted.  Every internal edge runs
-    from K_t to K_(t+1 mod h), as depths along an edge agree mod h, so the
-    h-th power of the component is block diagonal over the classes.  A
-    trivial component gives (0, ())."""
+def period_depths(component, adjacency):
+    """(h, depth) for one strongly connected component: its period h
+    (component_period) and the BFS depth of each vertex from component[0].
+    Depths along an internal edge agree mod h, so the vertices at depth t
+    mod h form the cyclic class K_t, and every internal edge runs from K_t
+    to K_(t+1 mod h)."""
     members = set(component)
     root = component[0]
     depth = {root: 0}
@@ -100,13 +99,7 @@ def cyclic_classes(component, adjacency):
     g = 0
     for u, w in internal_edges:
         g = gcd(g, depth[u] + 1 - depth[w])
-    h = abs(g)
-    if h <= 1:
-        return h, ((tuple(component),) if h else ())
-    classes = [[] for _ in range(h)]
-    for v in component:  # sorted, so each class is too
-        classes[depth[v] % h].append(v)
-    return h, tuple(map(tuple, classes))
+    return abs(g), depth
 
 
 def is_trivial_component(component, adjacency):

@@ -28,11 +28,11 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import floor, lcm
+from math import floor, gcd, lcm
 
 from . import words
 from .errors import DomainMismatchError, InvariantError, NotPrimitiveError
-from .graphs import component_period, cyclic_classes, is_trivial_component, strongly_connected_components
+from .graphs import component_period, is_trivial_component, period_depths, strongly_connected_components
 from .intmat import (
     IncidenceMatrix,
     charpoly,
@@ -201,6 +201,32 @@ def _linear_root(key):
     """The root -k0/k1 of a linear radius key (k0, k1), else None: a block
     with that key has the rational radius -k0/k1."""
     return Fraction(-key[0], key[1]) if len(key) == 2 else None
+
+
+def _compare_linear(a, b):
+    """The sign of u_a - u_b for the values u = r^(1/step) of two radius
+    keys, or None, read off a linear key: a and b are (key, step, sign)
+    with sign(t) the exact sign of r - t for a rational t.  A linear key
+    k0 + k1 x names the rational root -k0/k1; two such roots compare as
+    Fractions at the common step, and when u_a^(step_b) is rational it is
+    one sign count on b (and the same with a and b swapped).  Neither
+    refines a locator."""
+    (key_a, step_a, sign_a), (key_b, step_b, sign_b) = a, b
+    ra, rb = _linear_root(key_a), _linear_root(key_b)
+    if ra is not None and rb is not None:
+        common = lcm(step_a, step_b)
+        x, y = ra ** (common // step_a), rb ** (common // step_b)
+        return (x > y) - (x < y)
+    g = gcd(step_a, step_b)
+    if ra is not None:  # u_a^(step_b) = (r_a^(step_b/g))^(g/step_a)
+        t = rational_nth_root_exact(ra ** (step_b // g), step_a // g)
+        if t is not None:
+            return -sign_b(t)
+    if rb is not None:
+        t = rational_nth_root_exact(rb ** (step_a // g), step_b // g)
+        if t is not None:
+            return sign_a(t)
+    return None
 
 
 def _with_poly(block):
@@ -407,14 +433,10 @@ class AlgebraicRadius:
         A radius with a `_base` compares as its base, the same value at
         the component's period.  A rational `other` is decided by Sturm
         counts on the radius's chain (_compare_rational).  Two radii at
-        different steps h_a and h_b compare without block powers where
-        they can: linear keys k0 + k1 x name rational roots r_a and r_b,
-        compared as r_a^(L/h_a) against r_b^(L/h_b) for L = lcm(h_a, h_b);
-        a linear key whose step-th root is rational takes one sign count
-        on the other radius's locator; otherwise value enclosures are
-        refined until they separate or both locators isolate their roots.
-        What is left is rescaled to the common exponent with integer block
-        powers (_compare_powered).
+        different steps first try, with no block power, the linear-key
+        rule (_compare_linear) at their own steps and then value
+        enclosures (_compare_steps); what is left is rescaled to the
+        common exponent with integer block powers (_compare_powered).
         """
         a = self if self._base is None else self._base
         if not isinstance(other, AlgebraicRadius):
@@ -436,17 +458,12 @@ class AlgebraicRadius:
         """compare() of two non-zero radii at different steps, with no block
         power; None when the value enclosures still overlap once both
         locators isolate their roots, as they do for equal values."""
-        common = lcm(self.step, other.step)
-        ra, rb = _linear_root(self._own_key()[0]), _linear_root(other._own_key()[0])
-        if ra is not None and rb is not None:
-            x, y = ra ** (common // self.step), rb ** (common // other.step)
-            return (x > y) - (x < y)
-        value = None if ra is None else rational_nth_root_exact(ra, self.step)
-        if value is not None:
-            return -other._compare_rational(value)
-        value = None if rb is None else rational_nth_root_exact(rb, other.step)
-        if value is not None:
-            return self._compare_rational(value)
+        sign = _compare_linear(
+            (self._own_key()[0], self.step, self._compare_root),
+            (other._own_key()[0], other.step, other._compare_root),
+        )
+        if sign is not None:
+            return sign
         width = Fraction(1, 16)
         while True:  # the brackets are closed: only a strict gap separates
             alo, ahi = self._value_bracket(width)
@@ -462,26 +479,22 @@ class AlgebraicRadius:
     def _compare_powered(self, other):
         """compare() of two non-zero radii, rescaled to a common exponent
         with integer block powers; equal radius keys there mean equal
-        values.  A linear key k0 + k1 x there names the rational root
-        -k0/k1: two such roots compare as Fractions, and one against the
-        other radius is one sign count on that radius's locator; neither
-        refines a locator.  Otherwise enclosures are refined until they
-        separate; equality is certified by locating a common root (a root
-        of the polynomial gcd) inside the overlap once each enclosure
-        isolates its own root."""
+        values.  Past the linear-key rule (_compare_linear), enclosures
+        are refined until they separate; equality is certified by locating
+        a common root (a root of the polynomial gcd) inside the overlap
+        once each enclosure isolates its own root."""
         a, b = self, other
         common = lcm(a.step, b.step)
         block_a, (key_a, chain_a) = a._powered(common // a.step)
         block_b, (key_b, chain_b) = b._powered(common // b.step)
         if key_a == key_b:
             return 0
-        ra, rb = _linear_root(key_a), _linear_root(key_b)
-        if ra is not None and rb is not None:
-            return (ra > rb) - (ra < rb)
-        if ra is not None:  # r_a against r_b by one sign count on b's chain
-            return -_shared_locator(key_b, chain_b, block_b).sign_at(ra)
-        if rb is not None:
-            return _shared_locator(key_a, chain_a, block_a).sign_at(rb)
+        sign = _compare_linear(
+            (key_a, common, lambda t: _shared_locator(key_a, chain_a, block_a).sign_at(t)),
+            (key_b, common, lambda t: _shared_locator(key_b, chain_b, block_b).sign_at(t)),
+        )
+        if sign is not None:
+            return sign
         la, lb = _shared_locator(key_a, chain_a, block_a), _shared_locator(key_b, chain_b, block_b)
         g = g_chain = None  # formed once both enclosures isolate and overlap
         width = Fraction(1, 16)
@@ -625,6 +638,18 @@ PRIMITIVE = "primitive"
 ZERO = "zero"
 
 
+def _cyclic_classes(component, h, depth):
+    """The cyclic classes K_0, ..., K_(h-1) of a component of period h >= 1,
+    K_t the vertices at BFS depth t mod h (graphs.period_depths); the
+    component is sorted, so each class is too, as a block of M^p is."""
+    if h == 1:
+        return (tuple(component),)
+    classes = [[] for _ in range(h)]
+    for v in component:
+        classes[depth[v] % h].append(v)
+    return tuple(map(tuple, classes))
+
+
 def _class_products(rows, classes):
     """(left, right) for a component C with cyclic classes K_0, ..., K_(h-1)
     and steps S_t = M[K_t, K_(t+1 mod h)]: the prefix products left[t] =
@@ -684,8 +709,8 @@ class BlockDecomposition:
         n = matrix.size
         blocks, adj = _components(rows)
         components = [c for c in blocks if not is_trivial_component(c, adj)]
-        cyclic = [cyclic_classes(c, adj) for c in components]
-        periods = [h for h, _ in cyclic]
+        bfs = [period_depths(c, adj) for c in components]
+        periods = [h for h, _ in bfs]
         self.p = lcm(1, *periods)
         self.support = support(rows)
         # the patterns of M, M^2, M^4, ..., M^(2^k) with 2^k <= p: row i and
@@ -713,11 +738,12 @@ class BlockDecomposition:
             for v in comp:
                 block_of[v] = b
         self.block_of = tuple(block_of)
-        owners = self._block_owners(cyclic)
+        classes = [_cyclic_classes(c, h, depth) for c, (h, depth) in zip(components, bfs)]
+        owners = self._block_owners(classes)
         # a component C of period h > 1 has radius rho(B)^(1/h), B = (C^h)[K_0,
         # K_0]; B and the blocks of M^p inside C are read from the class
         # products of C, formed once, on first use
-        products = [_Once(partial(_class_products, rows, k)) for _, k in cyclic] if self.p > 1 else ()
+        products = [_Once(partial(_class_products, rows, k)) for k in classes] if self.p > 1 else ()
         component_radii = [
             AlgebraicRadius(submatrix(rows, comp)) if h == 1
             else AlgebraicRadius.on_demand(partial(_class_block, products[c], 0), h)
@@ -737,11 +763,11 @@ class BlockDecomposition:
         self._build_reachability()
         self._growths = {}  # _growth's memo, shared with relabelled views
 
-    def _block_owners(self, cyclic):
-        """For each block, (c, t) when it is the cyclic class K_t of the
-        component c of M, with `cyclic[c]` its (period, classes); None for a
-        zero block.  A primitive block of M^p is always such a class."""
-        class_at = {k: (c, t) for c, (_, classes) in enumerate(cyclic) for t, k in enumerate(classes)}
+    def _block_owners(self, classes):
+        """For each block, (c, t) when it is the cyclic class K_t =
+        `classes[c][t]` of the component c of M; None for a zero block.  A
+        primitive block of M^p is always such a class."""
+        class_at = {k: (c, t) for c, ks in enumerate(classes) for t, k in enumerate(ks)}
         owners = []
         for comp, kind in zip(self.blocks, self.kinds):
             if kind == ZERO:

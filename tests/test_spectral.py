@@ -1195,16 +1195,16 @@ def test_describe_at_p_5544_reads_the_value_off_the_components(monkeypatch, tail
     dec = BlockDecomposition(rows)
     steps = []
 
-    def below_p_only(inner):
+    def component_steps_only(inner):
         def watched(self, *args):
-            if self.step == dec.p:  # fail at once: this work runs for minutes
+            if self.step not in {1, 7, 8, 9, 11}:  # fail at once: a block-power step runs for minutes
                 raise AssertionError(f"{inner.__name__} on a step-{self.step} radius")
             steps.append(self.step)
             return inner(self, *args)
         return watched
 
     for name in ("_compare_root", "root_enclosure"):
-        monkeypatch.setattr(AlgebraicRadius, name, below_p_only(getattr(AlgebraicRadius, name)))
+        monkeypatch.setattr(AlgebraicRadius, name, component_steps_only(getattr(AlgebraicRadius, name)))
     texts = [radius.describe() for radius in dec.class_radii]
     assert texts == [f"{w ** (5544 // h)}^(1/5544)" for w, h in ((2, 9), (2, 7), (3, 11), (3, 8))] + [text]
     assert steps
