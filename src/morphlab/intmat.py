@@ -11,6 +11,7 @@ next power is one bignum sum per non-zero entry of the matrix.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 from math import lcm
 
 from .errors import DomainMismatchError, InvariantError
@@ -228,12 +229,11 @@ class IncidenceMatrix:
     def __init__(self, rows, labels=None):
         rows = freeze(rows)
         n = len(rows)
-        for row in rows:
+        for row in rows:  # each row checked in C: ints (bools among them), then their minimum
             if len(row) != n:
                 raise DomainMismatchError("matrix is not square")
-            for x in row:
-                if not isinstance(x, int) or x < 0:
-                    raise DomainMismatchError("entries must be non-negative integers")
+            if not all(map(isinstance, row, repeat(int))) or min(row) < 0:
+                raise DomainMismatchError("entries must be non-negative integers")
         if labels is None:
             labels = tuple(str(i + 1) for i in range(n))
         else:

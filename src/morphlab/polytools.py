@@ -166,6 +166,12 @@ def _scaled_value(p, a, bpow):
     return acc
 
 
+def sign_of(p, x):
+    """The sign of the integer polynomial p (degree >= 0) at the rational x."""
+    v = _scaled_value(p, x.numerator, _powers(x.denominator, len(p)))
+    return (v > 0) - (v < 0)
+
+
 def sign_variations(chain, x):
     a, b = x.numerator, x.denominator
     bpow = _powers(b, len(chain[0]))  # degrees fall along the chain
@@ -354,8 +360,7 @@ class LargestRootLocator:
                 return -1
             if sign_variations(self.chain, t) > self._v_hi:
                 return 1
-        head = self.chain[0]
-        return 0 if _scaled_value(head, t.numerator, _powers(t.denominator, len(head))) == 0 else -1
+        return 0 if sign_of(self.chain[0], t) == 0 else -1
 
 
 def positive_width(width):

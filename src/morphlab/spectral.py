@@ -11,9 +11,11 @@ number of blocks of that radius a single path can visit.
 
 Growth rates are kept as exact algebraic numbers: a defining block, its
 integer characteristic polynomial, and a refinable rational enclosure.
-Comparisons are decided exactly (equal radius keys; a linear key, a
-rational radius, by one sign count; otherwise enclosure refinement with
-a gcd-plus-Sturm certificate for equality), never by tolerance.  The
+Comparisons are decided exactly, never by tolerance: equal radius keys
+mean equal values; a linear key, a rational radius, is one sign count;
+otherwise brackets are refined until they separate, and once both
+isolate their roots one certificate decides equality (the gcd of the two
+polynomials has a root where the brackets overlap).  The
 enclosures come from locators shared per radius key, so their endpoints
 depend on what refined a locator before.  A component of period h is
 represented by one class block of its h-th power, at step h, so no
@@ -49,11 +51,11 @@ from .intmat import (
 )
 from .polytools import (
     LargestRootLocator,
-    count_roots_closed,
     nth_root_bounds,
     poly_gcd,
     positive_width,
     rational_nth_root_exact,
+    sign_of,
     sturm_chain,
     trim,
 )
@@ -114,7 +116,7 @@ def _locator_for_block(block, chain):
 
 
 # One checked pass of perfbench's spectra workload asks for locators of 92
-# distinct radius keys (417 to 418 requests), a presentations pass for 23
+# distinct radius keys (427 to 428 requests), a presentations pass for 23
 # to 29 (129 to 133 requests) and a periodic pass for 6 to 10 (30 to 44
 # requests, all from the oracle's is_root_of; an unchecked periodic pass
 # asks for none; seeds 9101, 9301 and 1); rational radii, decided by sign
@@ -189,44 +191,34 @@ _RADIUS_REGISTRY = OrderedDict()
 _RADIUS_LOCK = threading.Lock()
 
 
-def _shared_locator(key, chain, block):
-    """The registry's locator for the radius key `key`; a new one is built
-    on the key's Sturm chain `chain` and brackets the root in (-1, row-sum
-    bound of `block`], a block with that key."""
-    make = partial(_locator_for_block, block, chain)
-    return _lru(_RADIUS_REGISTRY, _RADIUS_LOCK, _RADIUS_REGISTRY_SIZE, key, make)
-
-
 def _linear_root(key):
     """The root -k0/k1 of a linear radius key (k0, k1), else None: a block
     with that key has the rational radius -k0/k1."""
     return Fraction(-key[0], key[1]) if len(key) == 2 else None
 
 
-def _compare_linear(a, b):
-    """The sign of u_a - u_b for the values u = r^(1/step) of two radius
-    keys, or None, read off a linear key: a and b are (key, step, sign)
-    with sign(t) the exact sign of r - t for a rational t.  A linear key
-    k0 + k1 x names the rational root -k0/k1; two such roots compare as
-    Fractions at the common step, and when u_a^(step_b) is rational it is
-    one sign count on b (and the same with a and b swapped).  Neither
-    refines a locator."""
-    (key_a, step_a, sign_a), (key_b, step_b, sign_b) = a, b
-    ra, rb = _linear_root(key_a), _linear_root(key_b)
-    if ra is not None and rb is not None:
-        common = lcm(step_a, step_b)
-        x, y = ra ** (common // step_a), rb ** (common // step_b)
-        return (x > y) - (x < y)
-    g = gcd(step_a, step_b)
-    if ra is not None:  # u_a^(step_b) = (r_a^(step_b/g))^(g/step_a)
-        t = rational_nth_root_exact(ra ** (step_b // g), step_a // g)
-        if t is not None:
-            return -sign_b(t)
-    if rb is not None:
-        t = rational_nth_root_exact(rb ** (step_a // g), step_b // g)
-        if t is not None:
-            return sign_a(t)
-    return None
+def _has_common_root(g, *locators):
+    """Whether g, a divisor of the Sturm chain head of each locator, has a
+    root in the overlap of their brackets once each isolates its root.
+
+    The brackets are refined together, from width 1/16 down, until every
+    locator isolates its root.  As a divisor of a squarefree head, g then
+    has at most one root in the closed overlap [lo, hi], a simple one, so
+    it has one exactly when g(lo) g(hi) <= 0: no Sturm chain of g is built.
+    """
+    if len(g) <= 1:
+        return False
+    width = Fraction(1, 16)
+    while True:
+        for locator in locators:
+            locator.refine(width)
+        if all(locator.isolated() for locator in locators):
+            break
+        width /= 16
+    # read again: another thread may have isolated narrower brackets
+    brackets = [locator.refine(width) for locator in locators]
+    lo, hi = max(lo for lo, _ in brackets), min(hi for _, hi in brackets)
+    return lo <= hi and sign_of(g, lo) * sign_of(g, hi) <= 0
 
 
 def _with_poly(block):
@@ -246,7 +238,7 @@ class AlgebraicRadius:
     its `_Once` lock, which waits at most for the `_Once` lock of its
     component's class products.  Enclosures are refined on the
     locator of the radius key, which every radius with that key shares
-    (`_shared_locator`) and which locks itself; no registry or cache lock
+    (`_own_locator`) and which locks itself; no registry or cache lock
     is held during a build or a locator call.
     """
 
@@ -322,14 +314,16 @@ class AlgebraicRadius:
         return self._key
 
     def _own_locator(self):
-        return _shared_locator(*self._own_key(), self.block)
+        """The registry's locator for the radius key; a new one is built on
+        the key's Sturm chain and brackets the root in (-1, row-sum bound of
+        this radius's block]."""
+        key, chain = self._own_key()
+        make = partial(_locator_for_block, self.block, chain)
+        return _lru(_RADIUS_REGISTRY, _RADIUS_LOCK, _RADIUS_REGISTRY_SIZE, key, make)
 
-    def _powered(self, e):
-        """block^e, whose dominant root is r^e, and its (key, chain)."""
-        if e == 1:
-            return self.block, self._own_key()
-        block = mat_pow(self.block, e)
-        return block, _radius_key(charpoly(block))
+    def _raised(self, e):
+        """The radius of block^e, whose defining root is r^e: self when e = 1."""
+        return self if e == 1 else AlgebraicRadius(mat_pow(self.block, e))
 
     def root_enclosure(self, width=DEFAULT_WIDTH):
         """Rational interval around the defining root r (not the step-th root)."""
@@ -410,8 +404,7 @@ class AlgebraicRadius:
         s = self.step // base.step
         for d in range(1, min(s, len(base.block)) + 1):
             if s % d == 0:
-                power = base if d == 1 else AlgebraicRadius(mat_pow(base.block, d))
-                root = power._rational_root()
+                root = base._raised(d)._rational_root()
                 if root is not None:
                     return root ** (s // d)
         return None
@@ -430,13 +423,10 @@ class AlgebraicRadius:
     def compare(self, other):
         """Exact trichotomy: -1, 0 or 1 as self <, =, > other.
 
-        A radius with a `_base` compares as its base, the same value at
-        the component's period.  A rational `other` is decided by Sturm
-        counts on the radius's chain (_compare_rational).  Two radii at
-        different steps first try, with no block power, the linear-key
-        rule (_compare_linear) at their own steps and then value
-        enclosures (_compare_steps); what is left is rescaled to the
-        common exponent with integer block powers (_compare_powered).
+        A radius with a `_base` compares as its base, the same value at the
+        component's period; a rational `other` is decided by Sturm counts
+        on the radius's chain (_compare_rational); two non-zero radii by
+        _compare_at, at their own steps.
         """
         a = self if self._base is None else self._base
         if not isinstance(other, AlgebraicRadius):
@@ -448,71 +438,68 @@ class AlgebraicRadius:
         if other.is_zero:
             return 1
         b = other if other._base is None else other._base
-        if a.step != b.step:
-            sign = a._compare_steps(b)
-            if sign is not None:
-                return sign
-        return a._compare_powered(b)
+        return a._compare_at(b, a.step, b.step)
 
-    def _compare_steps(self, other):
-        """compare() of two non-zero radii at different steps, with no block
-        power; None when the value enclosures still overlap once both
-        locators isolate their roots, as they do for equal values."""
-        sign = _compare_linear(
-            (self._own_key()[0], self.step, self._compare_root),
-            (other._own_key()[0], other.step, other._compare_root),
-        )
-        if sign is not None:
-            return sign
-        width = Fraction(1, 16)
-        while True:  # the brackets are closed: only a strict gap separates
-            alo, ahi = self._value_bracket(width)
-            blo, bhi = other._value_bracket(width)
-            if ahi < blo:
-                return -1
-            if bhi < alo:
-                return 1
-            if self._own_locator().isolated() and other._own_locator().isolated():
-                return None
-            width /= 16
+    def _compare_at(self, other, step_a, step_b):
+        """The sign of u_a - u_b for the values u_a = r_a^(1/step_a) and
+        u_b = r_b^(1/step_b) of two non-zero radii, by the first rule that
+        applies:
 
-    def _compare_powered(self, other):
-        """compare() of two non-zero radii, rescaled to a common exponent
-        with integer block powers; equal radius keys there mean equal
-        values.  Past the linear-key rule (_compare_linear), enclosures
-        are refined until they separate; equality is certified by locating
-        a common root (a root of the polynomial gcd) inside the overlap
-        once each enclosure isolates its own root."""
+        1. equal steps and equal radius keys mean equal values;
+        2. a linear key k0 + k1 x names the rational root -k0/k1: two such
+           roots compare as Fractions at the common step L, and when
+           u_a^(step_b) is rational it is one sign count on r_b (and the
+           same with a and b swapped);
+        3. brackets are refined until they separate: those of the roots
+           (lo, hi] at equal steps.  At different steps the closed brackets
+           of the values are refined until both locators isolate their
+           roots; then the roots raised to step L, r^(L/step) from
+           `_raised`, are compared, at step 1, by these same rules.  Once
+           both locators isolate their roots at equal steps, equality is
+           certified once: the gcd of the two chain heads has a root in
+           the overlap of the brackets (_has_common_root).  Equal values
+           pass that test, so a failure proves them unequal.
+        """
         a, b = self, other
-        common = lcm(a.step, b.step)
-        block_a, (key_a, chain_a) = a._powered(common // a.step)
-        block_b, (key_b, chain_b) = b._powered(common // b.step)
-        if key_a == key_b:
+        key_a, key_b = a._own_key()[0], b._own_key()[0]
+        if step_a == step_b and key_a == key_b:
             return 0
-        sign = _compare_linear(
-            (key_a, common, lambda t: _shared_locator(key_a, chain_a, block_a).sign_at(t)),
-            (key_b, common, lambda t: _shared_locator(key_b, chain_b, block_b).sign_at(t)),
-        )
-        if sign is not None:
-            return sign
-        la, lb = _shared_locator(key_a, chain_a, block_a), _shared_locator(key_b, chain_b, block_b)
-        g = g_chain = None  # formed once both enclosures isolate and overlap
+        common = lcm(step_a, step_b)
+        ra, rb = _linear_root(key_a), _linear_root(key_b)
+        if ra is not None and rb is not None:
+            x, y = ra ** (common // step_a), rb ** (common // step_b)
+            return (x > y) - (x < y)
+        g = gcd(step_a, step_b)
+        if ra is not None:  # u_a^(step_b) = (r_a^(step_b/g))^(g/step_a)
+            t = rational_nth_root_exact(ra ** (step_b // g), step_a // g)
+            if t is not None:
+                return -b._compare_root(t)
+        if rb is not None:
+            t = rational_nth_root_exact(rb ** (step_a // g), step_b // g)
+            if t is not None:
+                return a._compare_root(t)
+        la, lb = a._own_locator(), b._own_locator()
+        certified = False
         width = Fraction(1, 16)
         while True:
-            alo, ahi = la.refine(width)
-            blo, bhi = lb.refine(width)
-            if ahi <= blo:
-                return -1
-            if bhi <= alo:
-                return 1
-            if (g is None or g_chain is not None) and la.isolated() and lb.isolated():
-                if g is None:  # the chain heads are the squarefree polynomials
-                    g = poly_gcd(la.chain[0], lb.chain[0])
-                    g_chain = _radius_key(g)[1] if len(g) > 1 else None  # x-free, so the key's chain is g's
-                # read again: another thread may have isolated narrower brackets
+            if step_a == step_b:  # brackets (lo, hi] of the roots: touching ends separate
                 (alo, ahi), (blo, bhi) = la.refine(width), lb.refine(width)
-                if g_chain is not None and count_roots_closed(g, g_chain, max(alo, blo), min(ahi, bhi)) >= 1:
+                if ahi <= blo:
+                    return -1
+                if bhi <= alo:
+                    return 1
+            else:  # closed brackets of the values, at the radii's own steps: only a strict gap separates
+                (alo, ahi), (blo, bhi) = a._value_bracket(width), b._value_bracket(width)
+                if ahi < blo:
+                    return -1
+                if bhi < alo:
+                    return 1
+            if not certified and la.isolated() and lb.isolated():
+                if step_a != step_b:
+                    return a._raised(common // step_a)._compare_at(b._raised(common // step_b), 1, 1)
+                if _has_common_root(poly_gcd(la.chain[0], lb.chain[0]), la, lb):
                     return 0
+                certified = True
             width /= 16
 
     def _compare_root(self, t):
@@ -539,17 +526,8 @@ class AlgebraicRadius:
             return bool(poly) and Fraction(poly[0]) == 0
         if poly and _radius_key(poly)[0] == self._own_key()[0]:
             return True
-        locator = self._own_locator()
-        g = poly_gcd(locator.chain[0], poly)  # the chain head is the squarefree part
-        if len(g) <= 1:
-            return False
-        width = Fraction(1, 16)
-        while True:
-            locator.refine(width)
-            if locator.isolated():  # the bracket now lies inside the isolating one
-                lo, hi = locator.refine(width)
-                return count_roots_closed(g, _radius_key(g)[1], lo, hi) >= 1  # x-free, or x itself
-            width /= 16
+        locator = self._own_locator()  # its chain head is the squarefree part of the key
+        return _has_common_root(poly_gcd(locator.chain[0], poly), locator)
 
     def __eq__(self, other):
         if not isinstance(other, (AlgebraicRadius, int, Fraction)):
@@ -821,9 +799,11 @@ class BlockDecomposition:
         below = [0] * nb
         for b in reversed(range(nb)):  # successors first; below[b] is still 0
             below[b] = 1 << b | support_row_mul(succ[b], below)
-        self.preds = tuple(
-            sum(1 << u for u in range(nb) if u != b and succ[u] >> b & 1) for b in range(nb)
-        )
+        preds = [0] * nb
+        for u, targets in enumerate(succ):  # succ transposed, one step per edge
+            for b in _bits(targets & ~(1 << u)):
+                preds[b] |= 1 << u
+        self.preds = tuple(preds)
         above = [0] * nb
         for b in range(nb):  # predecessors first
             above[b] = 1 << b | support_row_mul(self.preds[b], above)

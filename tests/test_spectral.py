@@ -720,6 +720,52 @@ def test_letter_growth_on_a_long_cycle_reads_one_cyclic_class(monkeypatch, weigh
     assert elapsed < 0.5, elapsed
 
 
+def _pairwise_preds(dec):
+    """preds[b] by its definition: the blocks u != b with an entry of the
+    pattern of M^p from a vertex of u to a vertex of b."""
+    nb, n = len(dec.blocks), len(dec.block_of)
+    edge = {
+        (dec.block_of[i], dec.block_of[j]) for i in range(n) for j in range(n) if dec.power_support[i] >> j & 1
+    }
+    return tuple(sum(1 << u for u in range(nb) if u != b and (u, b) in edge) for b in range(nb))
+
+
+def test_block_predecessors_match_their_pairwise_definition():
+    rng = random.Random(824)
+    for trial in range(60):
+        rows = random_matrix(rng, rng.randint(1, 9), zero_chance=rng.choice((0.6, 0.75, 0.9)))
+        dec = decompose(IncidenceMatrix(rows))
+        assert dec.preds == _pairwise_preds(dec), (trial, rows)
+    dec = decompose(incidence_matrix(_long_cycle(800, 1)))
+    assert len(dec.blocks) == 801
+    assert dec.preds == _pairwise_preds(dec)
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        (((1, 2),), "not square"),
+        (((1, 0), (2,)), "not square"),
+        (((1, -1), (0, 1)), "non-negative integers"),
+        (((1, 0), (0, 1.0)), "non-negative integers"),
+        (((Fraction(1), 0), (0, 1)), "non-negative integers"),
+        (((1, "2"), (0, 1)), "non-negative integers"),
+        (((None,),), "non-negative integers"),
+        (((-3,),), "non-negative integers"),
+    ],
+    ids=["wide", "ragged", "negative", "float", "fraction", "string", "none", "negative-1x1"],
+)
+def test_incidence_matrix_rejects_what_is_no_square_count_matrix(rows, message):
+    with pytest.raises(DomainMismatchError, match=message):
+        IncidenceMatrix(rows)
+
+
+def test_incidence_matrix_accepts_ints_and_bools():
+    assert IncidenceMatrix(((True, False), (0, 7))).rows == ((True, False), (0, 7))
+    assert IncidenceMatrix(()).rows == ()
+    assert IncidenceMatrix(((0,),)).labels == ("1",)
+
+
 def test_blocks_of_one_component_share_its_power(monkeypatch):
     """Weighted 3-, 4- and 5-cycles (p = 60): the block report forms the
     class products once per component, no power of a whole component, and
@@ -983,6 +1029,52 @@ def test_nilpotent_and_multi_step_radii_compare_exactly(monkeypatch):
     assert AlgebraicRadius.from_block(((4,),), 2).compare(TWO) == 0
     assert SQRT3.compare(AlgebraicRadius.from_block(((3, 0), (0, 3)), 2)) == 0
     assert SQRT3.compare(AlgebraicRadius.from_block(((27,),), 6)) == 0  # 27^(1/6)
+
+
+@pytest.mark.parametrize(
+    "block_a, block_b, step_b, sign, shared",
+    [
+        (((3, 3), (4, 0)), ((4, 2, 2), (1, 1, 2), (0, 1, 4)), 1, -1, None),  # 5.27492 < 5.29240
+        (((4, 1, 0), (3, 1, 2), (2, 0, 3)), ((4, 2), (3, 0)), 1, 1, None),  # 5.16425 > 5.16228
+        (((2, 0), (1, 3)), ((2, 4, 4), (4, 4, 1), (2, 2, 4)), 2, 1, None),  # 3 > 2.99757
+        # both padded with C: the polynomials share (x - 2)(x + 1), roots outside the brackets
+        (((0, 4, 3), (1, 3, 0), (2, 0, 0)), ((1, 4, 1), (1, 2, 1), (2, 1, 0)), 1, -1, ((0, 2), (1, 1))),
+        (((3, 0, 2), (4, 4, 1), (1, 3, 3)), ((3, 2, 1), (3, 3, 1), (1, 4, 3)), 1, -1, ((0, 2), (1, 1))),
+    ],
+)
+def test_unequal_radii_whose_isolated_brackets_overlap_are_certified_once(block_a, block_b, step_b, sign, shared):
+    """Both locators isolate their roots before the brackets separate: the
+    equality certificate runs once, fails, and refinement goes on until the
+    brackets separate; at different steps it runs on the radii raised to
+    the common step.  With a shared diagonal block C the gcd is C's
+    polynomial, whose roots lie outside the overlap of the brackets."""
+    if shared is not None:
+        pad = lambda block: tuple(row + (0,) * len(shared) for row in block) + tuple((0,) * len(block) + row for row in shared)
+        block_a, block_b = pad(block_a), pad(block_b)
+    a, b = AlgebraicRadius.from_block(block_a), AlgebraicRadius.from_block(block_b, step_b)
+    inner = spectral._has_common_root
+
+    def certificate(g, *locators):
+        answers.append((len(g) > 1, inner(g, *locators)))
+        return answers[-1][1]
+
+    for x, y, want in ((a, b, sign), (b, a, -sign)):
+        answers = []
+        with pytest.MonkeyPatch.context() as patch:  # fresh locators, so the brackets start wide
+            patch.setattr(spectral, "_RADIUS_REGISTRY", OrderedDict())
+            patch.setattr(spectral, "_has_common_root", certificate)
+            assert x.compare(y) == want
+        assert answers == [(shared is not None, False)]
+    assert (a.value_float() > b.value_float()) == (sign > 0)
+
+
+def test_is_root_of_refuses_a_shared_factor_without_the_root(monkeypatch):
+    """diag(phi's block, (1)) has the key (x^2 - x - 1)(x - 1) and the root
+    phi: x - 1 and (x - 1)^2 share a factor with the key but not phi."""
+    monkeypatch.setattr(spectral, "_RADIUS_REGISTRY", OrderedDict())
+    radius = AlgebraicRadius.from_block(((1, 1, 0), (1, 0, 0), (0, 0, 1)))
+    assert not radius.is_root_of([-1, 1]) and not radius.is_root_of([1, -2, 1])
+    assert radius.is_root_of([-1, -2, 0, 1])  # (x^2 - x - 1)(x + 1)
 
 
 def test_nilpotent_block_radius_is_the_zero_radius():

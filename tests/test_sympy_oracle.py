@@ -1,8 +1,10 @@
 """The exact core against sympy, an implementation that shares no code with it."""
 
+import itertools
 import random
 from fractions import Fraction
 from math import lcm
+from unittest import mock
 
 import pytest
 
@@ -11,7 +13,8 @@ try:
 except ImportError:  # the hypothesis property below is left out without it
     st = None
 
-from morphlab.intmat import charpoly
+from morphlab import spectral
+from morphlab.intmat import charpoly, mat_pow
 from morphlab.polytools import count_roots_halfopen, rational_roots_of_monic_int, sturm_chain
 from morphlab.spectral import AlgebraicRadius, decompose
 
@@ -180,3 +183,84 @@ if st is not None:
         common = lcm(sa, sb)
         va, vb = qa ** (common // sa), qb ** (common // sb)
         assert a.compare(b) == (va > vb) - (va < vb) == -b.compare(a)
+
+
+def _primitive(entries):
+    """The drawn entries with the cycle 0 -> 1 -> ... -> n-1 -> 0 and a loop
+    at 0 made positive: irreducible and aperiodic, so primitive."""
+    n = len(entries)
+    rows = [list(row) for row in entries]
+    for i in range(n):
+        rows[i][(i + 1) % n] = rows[i][(i + 1) % n] or 1
+    rows[0][0] = rows[0][0] or 1
+    return tuple(map(tuple, rows))
+
+
+def _diagonal(a, b):
+    n, m = len(a), len(b)
+    return tuple(tuple(row) + (0,) * m for row in a) + tuple((0,) * n + tuple(row) for row in b)
+
+
+def _largest_real_root(block, digits=60):
+    """The largest real root of det(xI - block), to `digits` digits, from sympy."""
+    return sympy.Poly(sympy.Matrix(block).charpoly(X), X).real_roots()[-1].evalf(digits)
+
+
+def _sympy_sign(a, b):
+    """sign(u_a - u_b) for the values u = r^(1/step) of two radii, from
+    sympy's real roots: far apart, by 60-digit values; otherwise equal only
+    if the characteristic polynomials at the common step L share a real
+    root at u^L, found by sympy's gcd."""
+    ua, ub = (_largest_real_root(r.block) ** (sympy.Integer(1) / r.step) for r in (a, b))
+    if abs(ua - ub) > sympy.Float(10) ** -30:
+        return 1 if ua > ub else -1
+    common = lcm(a.step, b.step)
+    polys = [sympy.Matrix(r.block).pow(common // r.step).charpoly(X) for r in (a, b)]
+    shared = sympy.Poly(sympy.gcd(polys[0].as_expr(), polys[1].as_expr()), X)
+    assert any(abs(z.evalf(60) - ua**common) < sympy.Float(10) ** -25 for z in shared.real_roots()), (a.block, b.block)
+    return 0
+
+
+if st is not None:
+
+    primitive_rows = st.integers(2, 4).flatmap(
+        lambda n: st.lists(st.lists(st.sampled_from((0, 0, 1, 1, 2, 3)), min_size=n, max_size=n), min_size=n, max_size=n)
+    ).map(_primitive)
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(primitive_rows, st.integers(1, 3), st.integers(2, 3), square_rows, st.integers(1, 6))
+    def test_compare_across_steps_is_an_exact_total_preorder(rows, s, k, other, t):
+        """A primitive B at step s equals B^k at step ks and diag(B^k, 1) at
+        step ks, whose key differs from B^k's; B^k + E_00 at step ks lies
+        just above them, and a drawn matrix at step t anywhere.  compare
+        is 0 on equal values, antisymmetric, transitive and agrees with
+        sympy's real roots.  An equal-value compare at different steps takes
+        one polynomial gcd, none when the keys at the common step are
+        equal, and a compare at equal steps forms no matrix power."""
+        power = mat_pow(rows, k)
+        bumped = tuple(tuple(x + (i == j == 0) for j, x in enumerate(row)) for i, row in enumerate(power))
+        base = AlgebraicRadius(rows, s)
+        same, padded = AlgebraicRadius(power, k * s), AlgebraicRadius(_diagonal(power, ((1,),)), k * s)
+        radii = [base, same, padded, AlgebraicRadius(bumped, k * s), AlgebraicRadius(other, t)]
+        key = lambda r: spectral._radius_key(r.poly)[0]
+        for a, b, gcds in ((base, same, 0), (base, padded, int(key(same) != key(padded)))):
+            with mock.patch.object(spectral, "poly_gcd", wraps=spectral.poly_gcd) as counted:
+                assert a.compare(b) == 0 == b.compare(a)
+            if len(key(base)) > 2:  # a linear key is decided by one sign count, with no gcd
+                assert counted.call_count == 2 * gcds, (rows, s, k)
+        unrelated = AlgebraicRadius(other, k * s)
+        with mock.patch.object(spectral, "mat_pow", wraps=spectral.mat_pow) as counted:
+            assert same.compare(padded) == 0 and radii[3].compare(padded) == 1
+            assert unrelated.compare(padded) == -padded.compare(unrelated)
+        assert counted.call_count == 0
+        signs = {(i, j): a.compare(b) for (i, a), (j, b) in itertools.product(enumerate(radii), repeat=2)}
+        for (i, j), sign in signs.items():
+            assert sign == -signs[j, i]
+            if i < j:
+                assert sign == _sympy_sign(radii[i], radii[j]), (i, j, rows, s, k, other, t)
+        for i, j, m in itertools.product(range(len(radii)), repeat=3):
+            first, second = signs[i, j], signs[j, m]
+            if first >= 0 and second >= 0:
+                assert signs[i, m] == max(first, second)
+            if first <= 0 and second <= 0:
+                assert signs[i, m] == min(first, second)
