@@ -3,13 +3,16 @@
 Subcommands: analyze, normalize, expand, verify, matrix.  Machine output
 is JSON; domain errors (an unreadable --file and a malformed pair among
 them) exit with code 2 and parse errors with code 3, both printing
-{"error": {...}} so scripts can react.
+{"error": {...}} so scripts can react.  When the reader closes stdout
+early (`morphlab expand ... | head`), the command stops without a
+traceback and exits with code 141, 128 + SIGPIPE.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from itertools import islice
@@ -26,6 +29,7 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_DOMAIN_ERROR = 2
 EXIT_PARSE_ERROR = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer killed by SIGPIPE
 
 BUDGET_HELP = (
     "pump budget: how many letters of f^w(start) a stream may read, not counting "
@@ -329,15 +333,24 @@ def build_parser():
 
 def main(argv=None):
     try:
-        # a bad --budget raises DomainMismatchError from its type, not a usage error
-        args = build_parser().parse_args(argv)
-        return args.func(args)
-    except ParseError as exc:
-        _print_json({"error": {"kind": "parse", "message": str(exc)}})
-        return EXIT_PARSE_ERROR
-    except MorphlabError as exc:
-        _print_json({"error": {"kind": type(exc).__name__, "message": str(exc)}})
-        return EXIT_DOMAIN_ERROR
+        try:
+            # a bad --budget raises DomainMismatchError from its type, not a usage error
+            args = build_parser().parse_args(argv)
+            code = args.func(args)
+        except ParseError as exc:
+            _print_json({"error": {"kind": "parse", "message": str(exc)}})
+            code = EXIT_PARSE_ERROR
+        except MorphlabError as exc:
+            _print_json({"error": {"kind": type(exc).__name__, "message": str(exc)}})
+            code = EXIT_DOMAIN_ERROR
+        sys.stdout.flush()  # a closed pipe raises here, not in the interpreter's final flush
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: what is still buffered goes to os.devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

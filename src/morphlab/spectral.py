@@ -34,7 +34,7 @@ from math import floor, gcd, lcm
 
 from . import words
 from .errors import DomainMismatchError, InvariantError, NotPrimitiveError
-from .graphs import component_period, is_trivial_component, period_depths, strongly_connected_components
+from .graphs import _bits, component_period, period_depths, strongly_connected_components
 from .intmat import (
     IncidenceMatrix,
     charpoly,
@@ -63,27 +63,14 @@ from .polytools import (
 DEFAULT_WIDTH = Fraction(1, 10**9)
 
 
-def _bits(x):
-    """Indices of the set bits of the int x, ascending."""
-    while x:
-        low = x & -x
-        yield low.bit_length() - 1
-        x ^= low
-
-
-def _components(rows):
-    """The strongly connected components of the digraph G(rows), in
-    topological order, and its adjacency lists."""
-    adj = [[j for j, x in enumerate(row) if x > 0] for row in rows]
-    return strongly_connected_components(len(rows), adj), adj
-
-
 def _cyclic_components(rows):
     """The non-trivial strongly connected components of the digraph G(rows),
-    in topological order, and their periods."""
-    comps, adj = _components(rows)
-    comps = [c for c in comps if not is_trivial_component(c, adj)]
-    return comps, [component_period(c, adj) for c in comps]
+    read from its successor rows (intmat.support), in topological order,
+    and their periods; a trivial component, of period 0, is left out."""
+    succ = support(rows)
+    components = strongly_connected_components(succ)
+    periods = [component_period(c, succ) for c in components]
+    return [c for c, h in zip(components, periods) if h], [h for h in periods if h]
 
 
 def cyclicity(matrix):
@@ -668,6 +655,11 @@ class BlockDecomposition:
     reordering vertices block by block puts M^p in upper block triangular
     form.  Each block is primitive or the 1x1 zero block.
 
+    The matrix is scanned once, into its successor bitset rows `support`
+    (intmat.support); Tarjan and the period BFS (graphs) read them, and
+    for p > 1 the rows `power_support` of the pattern of M^p, where a
+    period of 0 marks a zero block and one above 1 is an InvariantError.
+
     Only the zero pattern of M^p is formed.  A primitive block is a cyclic
     class K_t of one non-trivial component C of M, of period h, and has
     radius rho(C)^p (the Frobenius normal form), so radius classes come
@@ -685,38 +677,33 @@ class BlockDecomposition:
         self.matrix = matrix
         rows = matrix.rows
         n = matrix.size
-        blocks, adj = _components(rows)
-        components = [c for c in blocks if not is_trivial_component(c, adj)]
-        bfs = [period_depths(c, adj) for c in components]
-        periods = [h for h, _ in bfs]
-        self.p = lcm(1, *periods)
         self.support = support(rows)
+        blocks = strongly_connected_components(self.support)
+        bfs = [period_depths(c, self.support) for c in blocks]
+        block_periods = [h for h, _ in bfs]  # 0 marks a trivial component
+        cyclic = [(c, h, depth) for c, (h, depth) in zip(blocks, bfs) if h]
+        periods = [h for _, h, _ in cyclic]
+        self.p = lcm(1, *periods)
         # the patterns of M, M^2, M^4, ..., M^(2^k) with 2^k <= p: row i and
         # column j of the pattern of M^r, r < p, are walks through them
         self.ladder = support_ladder(self.support, self.p)
-        if self.p == 1:  # M^p is M: its blocks are the components just found, all primitive or zero
+        if self.p == 1:  # M^p is M: its blocks are the components just found
             self.power_support = self.support
         else:
             self.power_support = tuple(ladder_row(1 << v, self.ladder, self.p) for v in range(n))
-            adj = [[j for j in range(n) if row >> j & 1] for row in self.power_support]
-            blocks = strongly_connected_components(n, adj)
+            blocks = strongly_connected_components(self.power_support)
+            block_periods = [component_period(c, self.power_support) for c in blocks]
+        # the defining property of p: cyclic components of M^p are primitive
+        if any(h > 1 for h in block_periods):
+            raise InvariantError("a cyclic block of M^p is not primitive")
         self.blocks = tuple(blocks)
-        kinds = []
-        for comp in self.blocks:
-            if is_trivial_component(comp, adj):
-                kinds.append(ZERO)
-            else:
-                # the defining property of p: cyclic components of M^p are primitive
-                if self.p > 1 and component_period(comp, adj) != 1:
-                    raise InvariantError("a cyclic block of M^p is not primitive")
-                kinds.append(PRIMITIVE)
-        self.kinds = tuple(kinds)
+        self.kinds = tuple(PRIMITIVE if h else ZERO for h in block_periods)
         block_of = [None] * n
         for b, comp in enumerate(self.blocks):
             for v in comp:
                 block_of[v] = b
         self.block_of = tuple(block_of)
-        classes = [_cyclic_classes(c, h, depth) for c, (h, depth) in zip(components, bfs)]
+        classes = [_cyclic_classes(*k) for k in cyclic]
         owners = self._block_owners(classes)
         # a component C of period h > 1 has radius rho(B)^(1/h), B = (C^h)[K_0,
         # K_0]; B and the blocks of M^p inside C are read from the class
@@ -725,7 +712,7 @@ class BlockDecomposition:
         component_radii = [
             AlgebraicRadius(submatrix(rows, comp)) if h == 1
             else AlgebraicRadius.on_demand(partial(_class_block, products[c], 0), h)
-            for c, (comp, h) in enumerate(zip(components, periods))
+            for c, (comp, h, _) in enumerate(cyclic)
         ]
         self.radii = tuple(
             AlgebraicRadius.zero() if owner is None

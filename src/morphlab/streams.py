@@ -58,7 +58,7 @@ from .errors import (
     InsufficientLengthError,
     NotProlongableError,
 )
-from .words import Word, is_prolongable, largest_erasable
+from .words import Word, _concat, is_prolongable, largest_erasable
 
 DEFAULT_PUMP_BUDGET = 10**6
 BUDGET_ENV_VAR = "MORPHLAB_BUDGET"
@@ -97,13 +97,6 @@ def _pump_power(images):
             break
         lengths, k = ahead, k + 1
     return k
-
-
-def _concat(out, images, codes):
-    """Append images[c] for c in codes to the buffer `out`, and return it."""
-    for c in codes:
-        out += images[c]
-    return out
 
 
 class FixedPointStream:

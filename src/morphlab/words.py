@@ -309,10 +309,14 @@ def apply(f, w):
     else:
         codes = tuple(f.domain.index(l) for l in w.letters())
     images = [image.codes for image in f.images]
-    out = f.codomain._code_buffer()
+    return Word(f.codomain, _concat(f.codomain._code_buffer(), images, codes))
+
+
+def _concat(out, images, codes):
+    """Append images[c] for c in codes to the buffer `out`, and return it."""
     for c in codes:
         out += images[c]
-    return Word(f.codomain, out)
+    return out
 
 
 def compose(g, f):

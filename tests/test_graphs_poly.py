@@ -11,7 +11,7 @@ import pytest
 from morphlab import polytools
 from morphlab.errors import DomainMismatchError
 from morphlab.fixtures import demo_matrix
-from morphlab.graphs import component_period, is_trivial_component, strongly_connected_components
+from morphlab.graphs import component_period, strongly_connected_components
 from morphlab.intmat import charpoly, mat_mul, mat_pow, support, support_pow
 from morphlab.polytools import (
     LargestRootLocator,
@@ -33,14 +33,15 @@ from util import gcd_of, random_matrix, reference_charpoly, simple_cycle_lengths
 
 
 def _adj(rows):
+    """Adjacency lists, for the simple-cycle oracle only."""
     n = len(rows)
     return [[j for j in range(n) if rows[i][j] > 0] for i in range(n)]
 
 
 def test_scc_topological_order():
     # 0 -> 1 <-> 2, 3 isolated
-    adj = [[1], [2], [1], []]
-    comps = strongly_connected_components(4, adj)
+    succ = [0b10, 0b100, 0b10, 0]
+    comps = strongly_connected_components(succ)
     assert set(map(frozenset, comps)) == {frozenset({0}), frozenset({1, 2}), frozenset({3})}
     pos = {frozenset(c): i for i, c in enumerate(map(frozenset, comps))}
     assert pos[frozenset({0})] < pos[frozenset({1, 2})]
@@ -51,14 +52,11 @@ def test_scc_matches_reachability_random():
     for _ in range(40):
         n = rng.randint(1, 8)
         rows = random_matrix(rng, n, zero_chance=0.7)
-        adj = _adj(rows)
-        comps = strongly_connected_components(n, adj)
+        succ = support(rows)
+        comps = strongly_connected_components(succ)
         assert sorted(v for c in comps for v in c) == list(range(n))
         # same component iff mutually reachable
-        reach = [[i == j for j in range(n)] for i in range(n)]
-        for i in range(n):
-            for j in adj[i]:
-                reach[i][j] = True
+        reach = [[i == j or rows[i][j] > 0 for j in range(n)] for i in range(n)]
         for k in range(n):
             for i in range(n):
                 for j in range(n):
@@ -73,26 +71,27 @@ def test_scc_matches_reachability_random():
                 assert (comp_of[i] == comp_of[j]) == same
         # topological: edges never go to an earlier component
         for i in range(n):
-            for j in adj[i]:
-                assert comp_of[i] <= comp_of[j]
+            for j in range(n):
+                if rows[i][j] > 0:
+                    assert comp_of[i] <= comp_of[j]
 
 
 def test_scc_deep_chain_no_recursion_limit():
     n = 5000
-    adj = [[i + 1] if i + 1 < n else [] for i in range(n)]
-    comps = strongly_connected_components(n, adj)
+    succ = [1 << (i + 1) if i + 1 < n else 0 for i in range(n)]
+    comps = strongly_connected_components(succ)
     assert len(comps) == n
 
 
 def test_component_period_examples():
     # pure 2-cycle
-    adj = [[1], [0]]
-    assert component_period((0, 1), adj) == 2
+    assert component_period((0, 1), [0b10, 0b01]) == 2
     # self loop
-    assert component_period((0,), [[0]]) == 1
+    assert component_period((0,), [0b1]) == 1
+    # a single vertex without a self loop is trivial
+    assert component_period((0,), (0,)) == 0
     # 2-cycle plus self loop has gcd 1
-    adj = [[0, 1], [0]]
-    assert component_period((0, 1), adj) == 1
+    assert component_period((0, 1), [0b11, 0b01]) == 1
 
 
 def test_component_period_equals_simple_cycle_gcd():
@@ -102,13 +101,14 @@ def test_component_period_equals_simple_cycle_gcd():
         n = rng.randint(2, 6)
         rows = random_matrix(rng, n, zero_chance=0.6)
         adj = _adj(rows)
-        for comp in strongly_connected_components(n, adj):
-            if is_trivial_component(comp, adj):
-                continue
+        succ = support(rows)
+        for comp in strongly_connected_components(succ):
             lengths = simple_cycle_lengths(adj, comp)
-            assert lengths, "non-trivial component without a simple cycle"
-            assert component_period(comp, adj) == gcd_of(lengths)
-            checked += 1
+            period = component_period(comp, succ)
+            # a period of 0 marks exactly the components without a simple cycle
+            assert (period == 0) == (not lengths)
+            assert period == gcd_of(lengths)
+            checked += bool(lengths)
 
 
 def test_charpoly_known_values():

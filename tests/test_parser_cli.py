@@ -224,6 +224,31 @@ def test_cli_expand_binary(tmp_path):
     assert symbols == ["a", "b", "c", "b"]
 
 
+@pytest.mark.parametrize("mode", [[], ["--json"], ["--binary"]], ids=["text", "json", "binary"])
+def test_cli_expand_into_a_closed_pipe_exits_141_without_a_traceback(tmp_path, mode):
+    """The reader takes a few bytes of 200,000 symbols and closes the pipe,
+    as `| head -c 20` does: the writer stops with 128 + SIGPIPE, quietly."""
+    path = tmp_path / "tm.mf"
+    path.write_text(TM_FILE)
+    env = os.environ.copy()
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "morphlab.cli", "expand", "--file", str(path),
+         "--morphism", "f", "--limit", "200000", *mode],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    head = proc.stdout.read(20)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == cli.EXIT_BROKEN_PIPE == 141
+    assert len(head) == 20
+    assert "Traceback" not in err, err
+
+
 def test_cli_verify_pairs(tmp_path):
     path = tmp_path / "bs.mf"
     path.write_text(BS_FILE)

@@ -720,6 +720,20 @@ def test_letter_growth_on_a_long_cycle_reads_one_cyclic_class(monkeypatch, weigh
     assert elapsed < 0.5, elapsed
 
 
+def test_decompose_on_a_1600_cycle_reads_its_digraph_edge_by_edge(monkeypatch):
+    """Tarjan and the period BFS walk the successor bits of the patterns of M
+    and M^1600, one step per edge: no list of all n entries is built per
+    row, so the 1,601 blocks take well under half a second."""
+    matrix = incidence_matrix(_long_cycle(1600, 1))
+    monkeypatch.setattr(spectral, "_DECOMP_CACHE", OrderedDict())
+    start = time.perf_counter()
+    dec = decompose(matrix)
+    elapsed = time.perf_counter() - start
+    assert dec.p == 1600
+    assert len(dec.blocks) == 1601
+    assert elapsed < 0.5, elapsed
+
+
 def _pairwise_preds(dec):
     """preds[b] by its definition: the blocks u != b with an entry of the
     pattern of M^p from a vertex of u to a vertex of b."""

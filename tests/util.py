@@ -14,7 +14,7 @@ from morphlab.errors import (
     MorphlabError,
     NotProlongableError,
 )
-from morphlab.graphs import component_period, is_trivial_component, strongly_connected_components
+from morphlab.graphs import component_period, strongly_connected_components
 from morphlab.intmat import charpoly, mat_pow, submatrix, vec_mat
 from morphlab.normalize import SigmaTauResult, eliminate_effacement, monotone_powers
 from morphlab.polytools import (
@@ -208,10 +208,11 @@ class ReferenceDecomposition:
         n = len(rows)
         self.p = cyclicity(rows)
         power = mat_pow(rows, self.p)
-        adj = [[j for j in range(n) if power[i][j] > 0] for i in range(n)]
-        self.blocks = tuple(strongly_connected_components(n, adj))
-        self.kinds = tuple("zero" if is_trivial_component(c, adj) else "primitive" for c in self.blocks)
-        assert all(component_period(c, adj) == 1 for c, k in zip(self.blocks, self.kinds) if k == "primitive")
+        succ = [sum(1 << j for j in range(n) if power[i][j] > 0) for i in range(n)]
+        self.blocks = tuple(strongly_connected_components(succ))
+        periods = [component_period(c, succ) for c in self.blocks]
+        self.kinds = tuple("zero" if h == 0 else "primitive" for h in periods)
+        assert all(h in (0, 1) for h in periods)
         self.block_of = tuple(next(b for b, c in enumerate(self.blocks) if v in c) for v in range(n))
         self.block_matrices = tuple(submatrix(power, c) for c in self.blocks)
         self.radii = tuple(
