@@ -23,6 +23,7 @@ from .errors import BudgetExceededError, DomainMismatchError, MorphlabError, Par
 from .fixtures import load_matrix_text
 from .normalize import MorphicPresentation, normalize
 from .parser import format_morphism, parse_file
+from .polytools import positive_width
 from .streams import image_prefix, prefix_equal
 
 EXIT_OK = 0
@@ -38,10 +39,11 @@ BUDGET_HELP = (
 
 
 def _width_fraction(text):
-    value = Fraction(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError("width must be positive")
-    return value
+    """--width: a positive rational, refused as a bad --budget is."""
+    try:
+        return positive_width(Fraction(text))
+    except (ValueError, ZeroDivisionError):
+        raise DomainMismatchError(f"--width must be a rational number, got {text!r}") from None
 
 
 def _positive_budget(text):
@@ -334,7 +336,7 @@ def build_parser():
 def main(argv=None):
     try:
         try:
-            # a bad --budget raises DomainMismatchError from its type, not a usage error
+            # a bad --budget or --width raises DomainMismatchError from its type, not a usage error
             args = build_parser().parse_args(argv)
             code = args.func(args)
         except ParseError as exc:

@@ -42,7 +42,7 @@ def mat_mul(a, b):
 
 def mat_pow(a, e):
     if e < 0:
-        raise ValueError("negative matrix power")
+        raise DomainMismatchError("negative matrix power")
     result = identity(len(a))
     base = a
     while e:
@@ -117,7 +117,7 @@ def support_pow(s, e):
     """Pattern of A^e from the pattern `s` of A: the identity rows walked
     through the squaring ladder of `s`."""
     if e < 0:
-        raise ValueError("negative matrix power")
+        raise DomainMismatchError("negative matrix power")
     ladder = support_ladder(s, e)
     return tuple(ladder_row(1 << i, ladder, e) for i in range(len(s)))
 

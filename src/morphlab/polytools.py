@@ -276,7 +276,7 @@ class LargestRootLocator:
         self.hi = Fraction(hi)
         self._v_hi = sign_variations(self.chain, self.hi)
         if self.lo >= self.hi or sign_variations(self.chain, self.lo) <= self._v_hi:
-            raise ValueError("bracket does not contain a root")
+            raise DomainMismatchError("bracket does not contain a root")
         self._bound = Fraction(_root_bound(self.chain[0]))
         self._isolated = False
         self._lock = threading.Lock()
@@ -379,7 +379,7 @@ def nth_root_bounds(x, n, width):
     over 2^k, from the integer n-th root of the floor of x 2^(kn)."""
     x, width = Fraction(x), positive_width(width)
     if x < 0:
-        raise ValueError("negative radicand")
+        raise DomainMismatchError("negative radicand")
     if n == 1 or x == 0:
         return x, x
     k = (-(-2 * width.denominator // width.numerator) - 1).bit_length()

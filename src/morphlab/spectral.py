@@ -19,7 +19,9 @@ polynomials has a root where the brackets overlap).  The
 enclosures come from locators shared per radius key, so their endpoints
 depend on what refined a locator before.  A component of period h is
 represented by one class block of its h-th power, at step h, so no
-characteristic polynomial larger than a cyclic class is formed for it.
+characteristic polynomial larger than a cyclic class is formed for it;
+the class block is primitive, so a rate of M^p is rational exactly when
+that block's Perron root is, and describing it forms no matrix power.
 """
 
 from __future__ import annotations
@@ -209,7 +211,7 @@ def _has_common_root(g, *locators):
 
 
 def _with_poly(block):
-    block = freeze(block)
+    block = _nonnegative(block)
     return block, tuple(charpoly(block))
 
 
@@ -260,8 +262,9 @@ class AlgebraicRadius:
         first use, and taking no lock but the `_Once` lock of a component's
         class products.  `base`, when given, is a radius of an integer
         matrix with the same value at a step dividing `step` (a component
-        radius at its period); it decides whether the defining root is
-        rational, encloses the value and stands in for this radius in
+        radius at its period, on a primitive class block); the defining
+        root is rational exactly when the base's is (`_rational_root`),
+        and the base encloses the value and stands in for this radius in
         comparisons, so the block is built only for its own enclosure,
         polynomial or roots."""
         radius = cls(None, step)
@@ -355,11 +358,20 @@ class AlgebraicRadius:
         return mid.numerator / mid.denominator
 
     def _rational_root(self):
-        """The defining root r as a Fraction when it is rational, else None."""
+        """The defining root r as a Fraction when it is rational, else None.
+
+        With a `_base`, r = rho^(step/h) for rho the Perron root of the
+        base's primitive class block B at its period h.  Were d > 1 the
+        least exponent with rho^d rational, x^d - rho^d would be the
+        minimal polynomial of rho (Capelli), so its d roots, all of modulus
+        rho, would be eigenvalues of B, which Perron forbids: r is rational
+        exactly when rho is, and no power of B is formed."""
         if self.is_zero:
             return Fraction(0)
-        if self._base is not None:
-            return self._rational_root_from_base()
+        base = self._base
+        if base is not None:
+            root = base._rational_root()
+            return None if root is None else root ** (self.step // base.step)
         # the radius key is a primitive integer polynomial, so a rational root
         # is k / lead for an integer k (the rational root theorem), and r is
         # rational exactly when r = floor(lead r) / lead; floor(lead r) is
@@ -375,35 +387,10 @@ class AlgebraicRadius:
                 hi = mid - 1
         return Fraction(lo, lead) if self._compare_root(Fraction(lo, lead)) == 0 else None
 
-    def _rational_root_from_base(self):
-        """r = rho^s as a Fraction, or None, for rho the defining root of
-        `_base` (the class block B of a component, at its period h) and
-        s = step / h.
-
-        The k with rho^k rational are the multiples of the least one, d;
-        then x^d - rho^d is irreducible (Capelli: rho^d > 0 is no l-th
-        power of a rational for a prime l | d, or rho^(d/l) would be
-        rational), so it is the minimal polynomial of rho and d is at most
-        the size of B.  rho^k is the Perron root of the k-th power of that
-        integer block, rational only when an integer.
-        """
-        base = self._base
-        s = self.step // base.step
-        for d in range(1, min(s, len(base.block)) + 1):
-            if s % d == 0:
-                root = base._raised(d)._rational_root()
-                if root is not None:
-                    return root ** (s // d)
-        return None
-
     def exact_rational_value(self):
         """r^(1/step) as a Fraction when that value is rational, else None."""
-        if self.is_zero:
-            return Fraction(0)
         root = self._rational_root()
-        if root is None:
-            return None
-        return rational_nth_root_exact(root, self.step)
+        return None if root is None else rational_nth_root_exact(root, self.step)
 
     # -- exact comparison ------------------------------------------------------
 
@@ -543,8 +530,6 @@ class AlgebraicRadius:
         return self._text
 
     def _render(self):
-        if self.is_zero:
-            return "0"
         root = self._rational_root()
         if root is not None:
             exact = rational_nth_root_exact(root, self.step)
@@ -973,8 +958,8 @@ def _nonnegative(rows):
     """rows as a tuple of tuples; a matrix that is not square or has a
     negative entry raises DomainMismatchError."""
     rows = _square(rows)
-    if any(x < 0 for row in rows for x in row):
-        raise DomainMismatchError("radius enclosures need a non-negative matrix")
+    if any(min(row) < 0 for row in rows):  # each row's minimum in C
+        raise DomainMismatchError("radii need a non-negative matrix")
     return rows
 
 

@@ -1,5 +1,6 @@
 """Cyclicity, block decomposition, Perron enclosures, and growth types."""
 
+import json
 import os
 import random
 import subprocess
@@ -35,9 +36,16 @@ from morphlab import (
     spectral_radius_enclosure,
 )
 from morphlab.fixtures import baum_sweet_erasing, baum_sweet_uniform, demo_matrix, thue_morse_projection
-from morphlab import intmat, spectral
+from morphlab import cli, intmat, spectral
 from morphlab.intmat import charpoly, mat_pow, support_pow
-from morphlab.polytools import count_roots_closed, count_roots_halfopen, evaluate, sturm_chain
+from morphlab.polytools import (
+    LargestRootLocator,
+    count_roots_closed,
+    count_roots_halfopen,
+    evaluate,
+    nth_root_bounds,
+    sturm_chain,
+)
 from morphlab.spectral import _DECOMP_CACHE, _DECOMP_CACHE_SIZE, BlockDecomposition, scc_periods
 from morphlab.dilation import is_dilated
 from morphlab.normalize import MorphicPresentation, build_sigma_tau, make_monotone, normalize
@@ -774,6 +782,39 @@ def test_incidence_matrix_rejects_what_is_no_square_count_matrix(rows, message):
         IncidenceMatrix(rows)
 
 
+@pytest.mark.parametrize(
+    "case",
+    [
+        lambda: AlgebraicRadius(((-1,),)).describe(),
+        lambda: AlgebraicRadius(((-1,),)).value_enclosure(Fraction(1, 100)),
+        lambda: AlgebraicRadius(((-1,),)).compare(1),
+        lambda: AlgebraicRadius(((0, -2), (1, 0))).compare(1),
+        lambda: AlgebraicRadius.on_demand(lambda: ((1, -1), (1, 0)), 2).describe(),
+        lambda: mat_pow(((1,),), -1),
+        lambda: support_pow((1,), -1),
+        lambda: nth_root_bounds(-1, 2, Fraction(1, 100)),
+        lambda: LargestRootLocator([-2, 0, 1], 2, 3),  # sqrt(2) lies below the bracket
+        ("--width", "abc"),
+        ("--width", "1/0"),
+        ("--width", "0"),
+    ],
+    ids=["describe", "value-enclosure", "compare", "compare-2x2", "on-demand", "mat-pow", "support-pow",
+         "nth-root", "locator", "width-text", "width-1/0", "width-0"],
+)
+def test_bad_input_is_a_domain_mismatch(case, tmp_path, capsys):
+    """A negative radius block, a negative power or radicand and a bracket
+    with no root raise DomainMismatchError; a bad --width exits with code 2
+    and a JSON error, as a bad --budget does."""
+    if callable(case):
+        with pytest.raises(DomainMismatchError):
+            case()
+        return
+    mat = tmp_path / "fib.mat"
+    mat.write_text("1 1\n1 0\n")
+    assert cli.main(["matrix", "--file", str(mat), "--json", *case]) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["kind"] == "DomainMismatchError"
+
+
 def test_incidence_matrix_accepts_ints_and_bools():
     assert IncidenceMatrix(((True, False), (0, 7))).rows == ((True, False), (0, 7))
     assert IncidenceMatrix(()).rows == ()
@@ -1293,9 +1334,9 @@ def test_block_report_at_p_5544_refines_by_exact_newton(sign_counts, tail):
 def test_describe_at_p_5544_reads_the_value_off_the_components(monkeypatch, tail, text):
     """The class radii of the p = 5544 chain print as the small matrices
     say, and no Sturm count or refinement runs on a 5544-bit block
-    polynomial: whether the defining root is rational is decided by
-    trying rho(B)^d for the d <= |B| that divide p / h, on powers of the
-    class block B of the component, and the value is enclosed as
+    polynomial: the defining root rho(B)^(p/h) is rational exactly when
+    the Perron root of the primitive class block B of the component is,
+    which is decided on B itself, and the value is enclosed as
     rho(B)^(1/h) at the component's period h."""
     rows = cycle_chain((7, 8, 9, 11), (2, 3, 2, 3), tail)
     dec = BlockDecomposition(rows)
@@ -1316,13 +1357,40 @@ def test_describe_at_p_5544_reads_the_value_off_the_components(monkeypatch, tail
     assert steps
 
 
+def _primitive_tail(rng, n):
+    """A random n x n primitive block: a weighted Hamiltonian cycle, a
+    self-loop, and random entries up to 3."""
+    rows = [list(row) for row in random_matrix(rng, n, zero_chance=0.7)]
+    for i in range(n):
+        rows[i][(i + 1) % n] = rows[i][(i + 1) % n] or 1
+    rows[0][0] = rows[0][0] or 1
+    return tuple(map(tuple, rows))
+
+
+def _bipartite_tail(a, b):
+    """The block [[0, a], [b, 0]] of period 2, whose class blocks are a b and b a."""
+    n = len(a)
+    top = tuple(tuple([0] * n) + tuple(row) for row in a)
+    return top + tuple(tuple(row) + tuple([0] * n) for row in b)
+
+
 def test_rational_root_from_the_component_matches_the_block_bisection():
     """Weighted cycles and primitive blocks at small p: the defining root
-    found from powers of the component is the one found by bisecting the
-    integers on the block's own polynomial."""
+    read off the component is the one found by bisecting the integers on
+    the block's own polynomial.  The cases include class blocks B with
+    |B| >= 2 where p / h has divisors d <= |B| (random 6 x 6 blocks behind
+    a 60-cycle, 2 x 2 classes of a period-2 component behind a 4-cycle),
+    rational and irrational, where no rho(B)^d with d > 1 is rational."""
     rng = random.Random(7311)
     cases = [cycle_chain((2, 3, 4), (4, 2, 9), ((1, 1), (1, 0))), cycle_chain((2, 6), (9, 64), ((2, 0), (0, 2)))]
     cases += [random_matrix(rng, rng.randint(2, 7), zero_chance=0.6) for _ in range(30)]
+    cases += [cycle_chain((60,), (2,), _primitive_tail(rng, 6)) for _ in range(3)]
+    cases += [cycle_chain((4, 3), (2, 1), ((1, 1), (1, 1))), cycle_chain((3, 4), (5, 1), ((2, 1), (2, 1)))]
+    cases += [
+        cycle_chain((4,), (3,), _bipartite_tail(((1, 1), (1, 0)), ((1, 0), (1, 1)))),
+        cycle_chain((4,), (3,), _bipartite_tail(((1, 1), (1, 1)), ((1, 1), (1, 1)))),
+        cycle_chain((4,), (3,), _bipartite_tail(((2, 1), (1, 1)), ((1, 0), (0, 1)))),
+    ]
     for rows in cases:
         dec = BlockDecomposition(rows)
         for radius in dec.radii:
@@ -1331,6 +1399,28 @@ def test_rational_root_from_the_component_matches_the_block_bisection():
             direct = AlgebraicRadius.from_block(radius.block, radius.step)
             assert radius._rational_root() == direct._rational_root(), rows
             assert radius.describe() == direct.describe(), rows
+
+
+def test_describing_a_class_radius_forms_no_block_power(monkeypatch):
+    """A 2-, 3-cycle chain with a golden-ratio tail (p = 6, |B| = 2, and
+    p / h = 6 has the divisor 2 <= |B|): the class radii describe from
+    their components, with no power of a class block and no radius key
+    but the tail's own in the registry."""
+    monkeypatch.setattr(spectral, "_RADIUS_REGISTRY", OrderedDict())
+    tail = ((1, 1), (1, 0))
+    dec = BlockDecomposition(cycle_chain((2, 3), (3, 2), tail))
+    before = set(spectral._RADIUS_REGISTRY)
+    powers = []
+    for module in (spectral, intmat):
+        inner = module.mat_pow
+        monkeypatch.setattr(module, "mat_pow", lambda a, e, inner=inner: powers.append(e) or inner(a, e))
+    raised = spectral.AlgebraicRadius._raised
+    monkeypatch.setattr(AlgebraicRadius, "_raised", lambda self, e: powers.append(e) or raised(self, e))
+    texts = [radius.describe() for radius in dec.class_radii]
+    assert texts == ["4^(1/6)", "~1.61803398875", "27^(1/6)"]
+    assert not powers
+    key = spectral._radius_key(charpoly(tail))[0]
+    assert set(spectral._RADIUS_REGISTRY) - before <= {key} and key in spectral._RADIUS_REGISTRY
 
 
 def test_one_lazy_radius_is_built_once_from_eight_threads(monkeypatch):
