@@ -14,7 +14,9 @@ mode: right-hand tokens are split into individual characters, so
 whitespace-separated token is one (multi-character) letter.
 
 Names may use any characters except whitespace and the punctuation
-``{ } ; = ,``; a ``-`` must start an arrow.
+``{ } ; = ,``; a ``-`` must start an arrow.  The formatters write only
+text that parses back to what they were given, and raise
+DomainMismatchError for anything else.
 
 The text is read by one regular-expression scan into ``(kind, text,
 offset)`` tokens.  A ParseError carries the 1-based line and column of
@@ -28,11 +30,14 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import ParseError
+from .errors import DomainMismatchError, ParseError
 from .words import Morphism
 
+# one name token: no whitespace, no punctuation { } ; = , and no dash
+_NAME = r"[^\s{};=,-]+"
 # kinds as the error messages name them; a "-" outside "->" is a stray dash
-_TOKEN = re.compile(r"(?P<punct>[{};=,])|(?P<arrow>->)|(?P<name>[^\s{};=,-]+)|(?P<dash>-)")
+_TOKEN = re.compile(r"(?P<punct>[{};=,])|(?P<arrow>->)|(?P<name>" + _NAME + r")|(?P<dash>-)")
+_NAMES = re.compile(_NAME)
 
 
 @dataclass(frozen=True)
@@ -156,7 +161,35 @@ def parse_file(text):
     return MorphismFile(morphisms=morphisms, start=start, pair=pair)
 
 
+def _check_writable(names, morphisms):
+    """Raise DomainMismatchError unless parse_file reads the text of
+    `morphisms` under `names` back as they are.  Compact mode splits the
+    images of a morphism whose domain letters are single characters, so
+    its codomain may hold no longer letter.  Each name, and each letter of
+    each distinct alphabet, must be one name token: exactly when the name
+    tokens found in them all, joined by spaces, are they themselves."""
+    alphabets = {}
+    for m in morphisms:
+        alphabets[id(m.domain)], alphabets[id(m.codomain)] = m.domain, m.codomain
+        if max(map(len, m.domain)) == 1 and max(map(len, m.codomain), default=1) > 1:
+            long = next(x for x in m.codomain if len(x) > 1)
+            raise DomainMismatchError(
+                f"image letter {long!r} would be split into characters: every domain letter is one character"
+            )
+    names = (*names, *(x for alphabet in alphabets.values() for x in alphabet.letters))
+    if tuple(_NAMES.findall(" ".join(names))) != names:
+        bad = next(x for x in names if _NAMES.fullmatch(x) is None)
+        raise DomainMismatchError(f"{bad!r} is not one name token of the morphism-file grammar")
+
+
 def format_morphism(name, morphism):
+    """The text of one morphism block named `name`; text that parse_file
+    would read back otherwise raises DomainMismatchError (`_check_writable`)."""
+    _check_writable((name,), (morphism,))
+    return _format_morphism(name, morphism)
+
+
+def _format_morphism(name, morphism):
     lines = [f"{name} {{"]
     for letter in morphism.domain:
         image_letters = morphism.image(letter).letters()
@@ -169,8 +202,11 @@ def format_morphism(name, morphism):
 
 
 def format_file(mf):
-    """Render a MorphismFile back to parseable text."""
-    parts = [format_morphism(name, m) for name, m in mf.morphisms.items()]
+    """Render a MorphismFile back to parseable text; text that parse_file
+    would read back otherwise raises DomainMismatchError (`_check_writable`)."""
+    names = [*mf.morphisms, *(() if mf.start is None else (mf.start,)), *(mf.pair or ())]
+    _check_writable(names, mf.morphisms.values())
+    parts = [_format_morphism(name, m) for name, m in mf.morphisms.items()]
     if mf.start is not None:
         parts.append(f"start = {mf.start} ;")
     if mf.pair is not None:

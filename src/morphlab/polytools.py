@@ -263,11 +263,14 @@ class LargestRootLocator:
         self._start(sturm_chain(poly), lo, hi)
 
     @classmethod
-    def from_chain(cls, chain, lo, hi):
+    def from_chain(cls, chain):
         """The locator of the polynomials whose Sturm chain, as made by
-        `sturm_chain`, is `chain`, so no remainder sequence runs again."""
+        `sturm_chain`, is `chain`, so no remainder sequence runs again.  It
+        brackets their largest real root, which must lie above -1 (a Perron
+        root does), in (-1, B] for B Fujiwara's bound of the chain head: its
+        start is a function of the chain alone."""
         locator = cls.__new__(cls)
-        locator._start(chain, lo, hi)
+        locator._start(chain, -1, _root_bound(chain[0]))
         return locator
 
     def _start(self, chain, lo, hi):

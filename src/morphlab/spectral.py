@@ -16,8 +16,10 @@ mean equal values; a linear key, a rational radius, is one sign count;
 otherwise brackets are refined until they separate, and once both
 isolate their roots one certificate decides equality (the gcd of the two
 polynomials has a root where the brackets overlap).  The
-enclosures come from locators shared per radius key, so their endpoints
-depend on what refined a locator before.  A component of period h is
+enclosures come from locators shared per radius key, each started from
+its key alone, on the key's Sturm chain in (-1, Fujiwara's bound of the
+key], so their endpoints depend on the key and on the widths refined so
+far, not on which block asked first.  A component of period h is
 represented by one class block of its h-th power, at step h, so no
 characteristic polynomial larger than a cyclic class is formed for it;
 the class block is primitive, so a rate of M^p is rational exactly when
@@ -32,7 +34,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import floor, gcd, lcm
+from math import gcd, lcm
 
 from . import words
 from .errors import DomainMismatchError, InvariantError, NotPrimitiveError
@@ -53,6 +55,7 @@ from .intmat import (
 )
 from .polytools import (
     LargestRootLocator,
+    _root_bound,
     nth_root_bounds,
     poly_gcd,
     positive_width,
@@ -86,22 +89,9 @@ def cyclicity(matrix):
 
 
 def scc_periods(rows):
-    """Periods of the non-trivial strongly connected components of G(rows)."""
-    return _cyclic_components(rows.rows if isinstance(rows, IncidenceMatrix) else rows)[1]
-
-
-def _row_sum_bound(block):
-    """The largest row sum of block, or 1 when that is not positive: an
-    upper bound on its Perron root."""
-    hi = Fraction(max((sum(row) for row in block), default=0))
-    return hi if hi > 0 else Fraction(1)
-
-
-def _locator_for_block(block, chain):
-    """The radius engine: a locator for the Perron root of the non-negative
-    `block`, the largest real root of the polynomials with the Sturm chain
-    `chain`, in the bracket (-1, _row_sum_bound(block)]."""
-    return LargestRootLocator.from_chain(chain, Fraction(-1), _row_sum_bound(block))
+    """Periods of the non-trivial strongly connected components of G(rows),
+    for a non-negative square matrix (`_nonnegative`)."""
+    return _cyclic_components(_nonnegative(rows))[1]
 
 
 # One checked pass of perfbench's spectra workload asks for locators of 92
@@ -305,10 +295,11 @@ class AlgebraicRadius:
 
     def _own_locator(self):
         """The registry's locator for the radius key; a new one is built on
-        the key's Sturm chain and brackets the root in (-1, row-sum bound of
-        this radius's block]."""
+        the key's Sturm chain alone and brackets the root in (-1, Fujiwara's
+        bound of the key] (`LargestRootLocator.from_chain`), whichever
+        radius asks first."""
         key, chain = self._own_key()
-        make = partial(_locator_for_block, self.block, chain)
+        make = partial(LargestRootLocator.from_chain, chain)
         return _lru(_RADIUS_REGISTRY, _RADIUS_LOCK, _RADIUS_REGISTRY_SIZE, key, make)
 
     def _raised(self, e):
@@ -375,10 +366,12 @@ class AlgebraicRadius:
         # the radius key is a primitive integer polynomial, so a rational root
         # is k / lead for an integer k (the rational root theorem), and r is
         # rational exactly when r = floor(lead r) / lead; floor(lead r) is
-        # found by bisecting the integers with exact counts, which leaves the
-        # locator's bracket as it was and never factors the constant term
-        lead = self._own_key()[0][-1]
-        lo, hi = 0, floor(lead * _row_sum_bound(self.block))
+        # found by bisecting the integers up to lead times Fujiwara's bound of
+        # the key with exact counts, which leaves the locator's bracket as it
+        # was and never factors the constant term
+        key = self._own_key()[0]
+        lead = key[-1]
+        lo, hi = 0, lead * _root_bound(key)
         while lo < hi:
             mid = (lo + hi + 1) // 2
             if self._compare_root(Fraction(mid, lead)) >= 0:
@@ -940,26 +933,26 @@ def decompose(matrix):
 
 def is_primitive(rows):
     """Strongly connected with cycle-length gcd 1 (so some power is positive)."""
-    rows = _square(rows)
+    rows = _nonnegative(rows)
     components, periods = _cyclic_components(rows)
     return periods == [1] and len(components[0]) == len(rows)
 
 
-def _square(rows):
-    """rows as a tuple of tuples; a matrix that is not square raises
-    DomainMismatchError."""
-    rows = rows.rows if isinstance(rows, IncidenceMatrix) else freeze(rows)
+def _nonnegative(rows):
+    """rows as a tuple of tuples; a matrix that is not square, or has an
+    entry that is negative or does not compare with 0, raises
+    DomainMismatchError.  An IncidenceMatrix has been checked already."""
+    if isinstance(rows, IncidenceMatrix):
+        return rows.rows
+    rows = freeze(rows)
     if any(len(row) != len(rows) for row in rows):
         raise DomainMismatchError("matrix is not square")
-    return rows
-
-
-def _nonnegative(rows):
-    """rows as a tuple of tuples; a matrix that is not square or has a
-    negative entry raises DomainMismatchError."""
-    rows = _square(rows)
-    if any(min(row) < 0 for row in rows):  # each row's minimum in C
-        raise DomainMismatchError("radii need a non-negative matrix")
+    try:
+        negative = any(min(row) < 0 for row in rows)  # each row's minimum in C
+    except TypeError:
+        raise DomainMismatchError("matrix entries must be numbers") from None
+    if negative:
+        raise DomainMismatchError("expected a non-negative matrix")
     return rows
 
 

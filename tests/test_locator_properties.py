@@ -1,6 +1,8 @@
 """Property: refining the radius locator never loses the largest root or
-loosens its bracket, whether Newton's bracket is accepted or bisection runs."""
+loosens its bracket, whether Newton's bracket is accepted or bisection runs;
+a registry locator starts from its radius key alone."""
 
+from collections import OrderedDict
 from fractions import Fraction
 
 import pytest
@@ -8,6 +10,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
+from morphlab import spectral
 from morphlab.intmat import charpoly
 from morphlab.polytools import LargestRootLocator, _ceil_root, count_roots_halfopen, sturm_chain
 
@@ -44,3 +47,29 @@ def test_ceil_root_is_the_least_integer_root_above(n, drawn):
     value = drawn if isinstance(drawn, int) else max(1, drawn[0] ** n + drawn[1])
     m = _ceil_root(value, n)
     assert (m - 1) ** n < value <= m**n
+
+
+@st.composite
+def key_sharing_blocks(draw):
+    """(A, P): a non-negative block A, n <= 4, that is not nilpotent, and P, A
+    padded with a zero column and a random row, so that its polynomial is x
+    times A's and the two share a radius key; the row may sum far above A's."""
+    n = draw(st.integers(1, 4))
+    row = st.lists(st.integers(0, 5), min_size=n, max_size=n).map(tuple)
+    block = draw(st.lists(row, min_size=n, max_size=n).map(tuple).filter(lambda a: any(charpoly(a)[:-1])))
+    extra = draw(st.lists(st.integers(0, 20), min_size=n, max_size=n).map(tuple))
+    return block, tuple(r + (0,) for r in block) + (extra + (0,),)
+
+
+@SETTINGS
+@given(key_sharing_blocks())
+def test_a_registry_locator_does_not_depend_on_which_block_asked_first(blocks):
+    width = Fraction(1, 10**9)
+    seen = []
+    for order in (blocks, blocks[::-1]):
+        with pytest.MonkeyPatch.context() as patch:  # a fresh registry per order
+            patch.setattr(spectral, "_RADIUS_REGISTRY", OrderedDict())
+            radii = [spectral.AlgebraicRadius(block) for block in order]
+            assert radii[0]._own_key()[0] == radii[1]._own_key()[0]
+            seen.append([radius.root_enclosure(width) for radius in radii])
+    assert seen[0] == seen[1][::-1], blocks

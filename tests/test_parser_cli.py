@@ -10,10 +10,11 @@ from pathlib import Path
 
 import pytest
 
-from morphlab import ParseError, parse_file
+from morphlab import DomainMismatchError, ParseError, parse_file
 from morphlab import cli, spectral
 from morphlab.fixtures import baum_sweet_erasing, baum_sweet_uniform
-from morphlab.parser import format_file
+from morphlab.parser import MorphismFile, format_file, format_morphism
+from morphlab.words import Morphism
 
 from util import finite_by_orbit, stream_says_finite
 
@@ -165,6 +166,34 @@ def test_round_trip():
     again = parse_file(text)
     assert again.morphisms == mf.morphisms
     assert again.start == mf.start and again.pair == mf.pair
+
+
+@pytest.mark.parametrize(
+    "write",
+    [
+        lambda: format_morphism("g", Morphism.from_rules({"a": ["xy"], "b": ["z"]})),  # compact mode reads x y
+        lambda: format_morphism("g", Morphism.from_rules({"a b": ["a b"]})),
+        lambda: format_morphism("g", Morphism.from_rules({"ab": ["x-y"]})),
+        lambda: format_morphism("f{", Morphism.from_rules({"a": ["a"]})),
+        lambda: format_file(MorphismFile({"f": Morphism.from_rules({"a": ["a"]})}, start="a b")),
+        lambda: format_file(MorphismFile({"f": Morphism.from_rules({"a": ["a"]})}, pair=("f", "f;"))),
+    ],
+    ids=["long-image-letter", "spaced-letter", "dashed-letter", "brace-name", "start", "pair"],
+)
+def test_format_refuses_text_that_parses_back_otherwise(write):
+    """Text that parse_file would read as another morphism, or not at all,
+    is never written."""
+    with pytest.raises(DomainMismatchError, match="name token|split"):
+        write()
+
+
+def test_cli_emit_name_that_is_no_name_token_writes_no_file(tmp_path, capsys):
+    path = tmp_path / "tm.mf"
+    path.write_text(TM_FILE)
+    out = tmp_path / "out.mf"
+    assert cli.main(["normalize", "--file", str(path), "--emit", str(out), "--emit-sigma", "a{", "--json"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["kind"] == "DomainMismatchError"
+    assert not out.exists()
 
 
 def test_cli_expand(tmp_path):
