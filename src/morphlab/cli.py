@@ -116,6 +116,9 @@ def _cmd_analyze(args):
 
 
 def _cmd_normalize(args):
+    if args.emit and args.emit_sigma == args.emit_tau:
+        # the file would name one morphism twice, which parse_file refuses
+        raise DomainMismatchError(f"--emit-sigma and --emit-tau are both {args.emit_sigma!r}")
     mf = _load_file(args.file)
     pres = _resolve_pair(mf, args.pair, args.start)
     report = normalize(pres)

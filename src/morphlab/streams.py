@@ -282,6 +282,8 @@ def image_prefix(g, f, start, n, max_pump=None):
 
 def first_mismatch(w1, w2, n):
     """Index of the first difference within the first n symbols, or None."""
+    if n < 0:
+        raise DomainMismatchError("prefix length must be non-negative")
     if len(w1) < n or len(w2) < n:
         raise InsufficientLengthError(
             f"prefix comparison needs {n} symbols, got {len(w1)} and {len(w2)}"
@@ -289,11 +291,11 @@ def first_mismatch(w1, w2, n):
     a = w1.codes[:n]
     b = w2.codes[:n]
     if w1.alphabet != w2.alphabet:
-        # w2's codes in w1's alphabet, both as tuples (the alphabets may store
-        # words differently); a letter w1 lacks matches nothing
-        target = w1.alphabet
-        table = [target.index(letter) if letter in target else -1 for letter in w2.alphabet]
-        a, b = tuple(a), tuple(map(table.__getitem__, b))
+        # w2's codes in w1's alphabet, where a letter w1 lacks matches nothing;
+        # bytes compare with bytes, tuples with tuples
+        b = w1.alphabet._recode(b, w2.alphabet)
+        if type(b) is not bytes:
+            a = tuple(a)
     if a == b:
         return None
     return next(compress(count(), map(ne, a, b)))

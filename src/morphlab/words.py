@@ -6,8 +6,12 @@ matrices index-based.  Over an alphabet of at most 256 letters the codes
 are `bytes`, one byte per symbol, so that concatenation, slicing, letter
 counts and the code range check each run as one C-level pass; over a
 larger alphabet they are a tuple of ints.  The alphabet's size alone
-picks the representation, so equal alphabets always agree on it.  All
-values are immutable after construction and safe to share across threads.
+picks the representation, so equal alphabets always agree on it.  Codes
+move between alphabets by one bytes.translate with a 256-byte table
+wherever bytes allow: `Alphabet._recode` renumbers a word's codes into
+another alphabet (for comparisons across alphabets and `apply`), and
+`erase_and_restrict` renumbers and cuts the images it keeps.  All values
+are immutable after construction and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -81,6 +85,18 @@ class Alphabet:
         """A mutable copy of `codes` in this alphabet's word representation:
         a bytearray where words store bytes, a list where they store tuples."""
         return bytearray(codes) if type(self._valid) is bytes else list(codes)
+
+    def _recode(self, codes, source):
+        """`codes` over the alphabet `source`, renumbered into this one; a
+        letter this alphabet lacks becomes len(self), which names none of its
+        letters.  Bytes into an alphabet of fewer than 256 letters take one
+        bytes.translate and stay bytes; any other codes are looked up one by
+        one into a tuple."""
+        missing = len(self.letters)
+        new = [self._index.get(letter, missing) for letter in source.letters]
+        if type(codes) is bytes and missing < _BYTE_LETTERS:
+            return codes.translate(bytes(new).ljust(256, b"\0"))
+        return tuple(map(new.__getitem__, codes))
 
     def restricted(self, keep):
         """Sub-alphabet of the given letters, in this alphabet's order."""
@@ -168,7 +184,11 @@ class Word:
             return NotImplemented
         if self.alphabet == other.alphabet:
             return self.codes == other.codes
-        return self.letters() == other.letters()
+        if len(self.codes) != len(other.codes):
+            return False
+        # other's codes in this alphabet: bytes compare with bytes, tuples with tuples
+        codes = self.alphabet._recode(other.codes, other.alphabet)
+        return (self.codes if type(codes) is bytes else tuple(self.codes)) == codes
 
     def __hash__(self):
         return hash(self.letters())
@@ -303,11 +323,14 @@ def identity_morphism(alphabet):
 
 
 def apply(f, w):
-    """Image of the word w under f, letter by letter."""
-    if w.alphabet == f.domain:
-        codes = w.codes
-    else:
-        codes = tuple(f.domain.index(l) for l in w.letters())
+    """Image of the word w under f, letter by letter; a word over another
+    alphabet is recoded into f's domain first."""
+    codes = w.codes
+    if w.alphabet != f.domain:
+        codes = f.domain._recode(codes, w.alphabet)
+        missing = len(f.domain)
+        if missing in codes:
+            raise DomainMismatchError(f"letter {w[codes.index(missing)]!r} is not in the alphabet")
     images = [image.codes for image in f.images]
     return Word(f.codomain, _concat(f.codomain._code_buffer(), images, codes))
 

@@ -196,6 +196,18 @@ def test_cli_emit_name_that_is_no_name_token_writes_no_file(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("names", [["--emit-sigma", "x", "--emit-tau", "x"], ["--emit-sigma", "normalized_tau"]])
+def test_cli_emit_one_name_for_sigma_and_tau_writes_no_file(tmp_path, capsys, names):
+    """Two morphisms of one name would not parse back: exit 2, no file."""
+    path = tmp_path / "tm.mf"
+    path.write_text(TM_FILE)
+    out = tmp_path / "same.mf"
+    assert cli.main(["normalize", "--file", str(path), "--emit", str(out), *names, "--json"]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["kind"] == "DomainMismatchError" and "--emit-tau" in error["message"]
+    assert not out.exists()
+
+
 def test_cli_expand(tmp_path):
     path = tmp_path / "bs.mf"
     path.write_text(BS_FILE)

@@ -213,6 +213,12 @@ def test_prefix_equal_and_mismatch():
     assert first_mismatch(wider, ab, 2) is None
     assert first_mismatch(wider, ab, 5) == 2
     assert first_mismatch(ab, wider, 0) is None
+    # a negative length is refused, not read from the end
+    abb, aab = (Word.from_letters(Alphabet("ab"), text) for text in ("abb", "aab"))
+    with pytest.raises(DomainMismatchError, match="non-negative"):
+        first_mismatch(abb, aab, -1)
+    with pytest.raises(DomainMismatchError, match="non-negative"):
+        prefix_equal(abb, aab, -2)
 
 
 def test_prefix_consistency_and_idempotence():

@@ -28,6 +28,7 @@ from morphlab import (
     mortal_letters,
     parikh,
     power,
+    prefix_equal,
     restrict,
 )
 from morphlab.fixtures import baum_sweet_erasing, baum_sweet_uniform, thue_morse_projection
@@ -364,6 +365,53 @@ if st is not None:
         assert pairs[0][0] == pairs[0][1] and hash(pairs[0][0]) == hash(pairs[0][1])
         assert first_mismatch(*pairs[0], n) is None
         assert first_mismatch(*pairs[1], n) == k and pairs[1][0] != pairs[1][1]
+
+    ALPHABET_SIZES = st.one_of(st.integers(1, 12), st.sampled_from((255, 256, 257)), st.integers(250, 300))
+
+    @st.composite
+    def words_over_two_alphabets(draw):
+        """Two alphabets that share letters in their own orders, each side
+        possibly lacking some of the other's, with sizes on both sides of
+        256 (a full 256-letter one has no spare byte code); a word over
+        each, the second mostly the first's letters, and a morphism on the
+        first alphabet."""
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        n1 = draw(ALPHABET_SIZES)
+        n2 = n1 if draw(st.booleans()) else draw(ALPHABET_SIZES)
+        extra = draw(st.integers(0, min(3, n2)))  # letters of the second alphabet only
+        pool = [f"x{i}" for i in range(max(n1, n2) + extra)]
+        letters1 = rng.sample(pool, n1)
+        shared = min(n1, n2 - extra)
+        letters2 = rng.sample(letters1, shared) + rng.sample(sorted(set(pool) - set(letters1)), n2 - shared)
+        rng.shuffle(letters2)
+        a1, a2 = Alphabet(letters1), Alphabet(letters2)
+        changed = draw(st.sampled_from((0.0, 0.05, 0.5)))
+        w1 = [rng.choice(letters1) for _ in range(draw(st.integers(0, 40)))]
+        w2 = [l if l in a2 and rng.random() >= changed else rng.choice(letters2) for l in w1]
+        w2 += [rng.choice(letters2) for _ in range(draw(st.sampled_from((0, 0, 1, 3))))]
+        bits = Alphabet("01")
+        images = [Word(bits, [rng.randrange(2) for _ in range(rng.randint(0, 3))]) for _ in letters1]
+        return Word.from_letters(a1, w1), Word.from_letters(a2, w2), Morphism(a1, bits, images)
+
+    @WORD_SETTINGS
+    @given(words_over_two_alphabets(), st.data())
+    def test_words_across_alphabets_compare_and_apply_letter_by_letter(drawn, data):
+        """first_mismatch, prefix_equal, == and apply across alphabets agree
+        with a reference that reads letters() one by one."""
+        w1, w2, f = drawn
+        l1, l2 = w1.letters(), w2.letters()
+        n = data.draw(st.integers(0, min(len(l1), len(l2))))
+        want = next((i for i in range(n) if l1[i] != l2[i]), None)
+        assert first_mismatch(w1, w2, n) == want and first_mismatch(w2, w1, n) == want
+        assert prefix_equal(w1, w2, n) == (want is None) and prefix_equal(w2, w1, n) == (want is None)
+        assert (w1 == w2) == (l1 == l2) and (w2 == w1) == (l1 == l2) and (w1 != w2) == (l1 != l2)
+        if l1 == l2:
+            assert hash(w1) == hash(w2)
+        if all(l in f.domain for l in l2):
+            assert apply(f, w2) == apply(f, Word.from_letters(f.domain, l2))
+        else:
+            with pytest.raises(DomainMismatchError, match="is not in the alphabet"):
+                apply(f, w2)
 
     @st.composite
     def erasing_morphisms(draw):
